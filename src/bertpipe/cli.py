@@ -34,7 +34,6 @@ from .pipeline import (
 )
 from .schedule import make_plan
 from .vocab import (
-    DEFAULT_MAX_ITERATIONS,
     DEFAULT_SIZE_TOLERANCE,
     LanguageBudget,
     Vocab,
@@ -95,7 +94,6 @@ def _cmd_vocab_build(args) -> int:
         counts,
         target_size=args.target_size,
         size_tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
     )
     vocab.save(args.output)
     print(f"wrote {len(vocab)} pieces to {args.output} (target {args.target_size})")
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = vocab_sub.add_parser("build", help="learn a wordpiece vocabulary from corpora")
     pb.add_argument("--target-size", type=int, required=True)
     pb.add_argument("--tolerance", type=float, default=DEFAULT_SIZE_TOLERANCE)
-    pb.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     pb.add_argument(
         "--budget",
         action="append",

@@ -30,7 +30,6 @@ from .pretrain import (
 )
 from .schedule import make_plan
 from .vocab import (
-    DEFAULT_MAX_ITERATIONS,
     DEFAULT_SIZE_TOLERANCE,
     LanguageBudget,
     Vocab,
@@ -39,7 +38,7 @@ from .vocab import (
     sample_subset,
 )
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 STAGES = ("dedup", "sample", "vocab", "pretrain_data", "schedule")
@@ -77,7 +76,6 @@ class VocabConfig:
     target_size: int
     seed: int
     tolerance: float = DEFAULT_SIZE_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,6 @@ def load_config(path: str) -> PipelineConfig:
             target_size=raw["vocab"]["target_size"],
             seed=raw["vocab"]["seed"],
             tolerance=raw["vocab"].get("tolerance", DEFAULT_SIZE_TOLERANCE),
-            max_iterations=raw["vocab"].get("max_iterations", DEFAULT_MAX_ITERATIONS),
         ),
         phases=tuple(
             (p["epochs"], p["batch_size"], p["seq_len"]) for p in raw["phases"]
@@ -335,7 +332,6 @@ def _stage_vocab(config, out_dir, rec, emit):
     params = {
         "target_size": config.vocab.target_size,
         "tolerance": config.vocab.tolerance,
-        "max_iterations": config.vocab.max_iterations,
         "seed": config.vocab.seed,
     }
     inputs = {
@@ -358,7 +354,6 @@ def _stage_vocab(config, out_dir, rec, emit):
             counts,
             target_size=config.vocab.target_size,
             size_tolerance=config.vocab.tolerance,
-            max_iterations=config.vocab.max_iterations,
         )
         tmp = os.path.join(out_dir, "vocab.txt.tmp")
         vocab.save(tmp)

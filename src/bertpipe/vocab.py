@@ -1,11 +1,17 @@
 """Language-balanced wordpiece vocabulary learning and greedy tokenization.
 
-Vocabulary learning follows the subword-text-encoder scheme: candidate
-pieces are substrings of training words scored by count * length, the
-vocabulary is assembled greedily above a minimum-count cutoff, and the
-cutoff is tuned by binary search toward the requested size. Every observed
-character is kept as both an initial and a continuation piece, so every
+Vocabulary learning follows the subword-text-encoder scheme
+(Tensor2Tensor's SubwordTextEncoder): candidate pieces are substrings of
+training words scored by count * length, and the vocabulary is the top-k
+candidates by that score, as in WordPiece, with k the size left after the
+reserved tokens and the character pieces. Every observed character is kept
+as both an initial and a continuation piece and is never dropped, so every
 training word tokenizes without [UNK].
+
+There is no minimum-count cutoff search. T2T's num_iterations counts
+refinement rounds of its learner; read as a cap of four binary-search steps
+on the cutoff, it left the cutoff at 1 on every benchmark corpus, and where
+it did move the cutoff it could keep a lower-scoring piece over a higher one.
 
 The vocab file format is one piece per line, UTF-8, reserved tokens first;
 the line index is the token id. pretrain-data consumes this format
@@ -14,6 +20,8 @@ bit-exactly.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import random
 from collections import Counter
@@ -35,7 +43,6 @@ MAX_PIECE_CHARS = 16
 MAX_CANDIDATE_WORD_CHARS = 64
 
 DEFAULT_SIZE_TOLERANCE = 0.02
-DEFAULT_MAX_ITERATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -116,12 +123,9 @@ class Vocab:
             pieces = [line.rstrip("\n") for line in f]
         if pieces and pieces[-1] == "":
             pieces.pop()
-        reserved = []
-        for piece in pieces:
-            if piece.startswith("[") and piece.endswith("]"):
-                reserved.append(piece)
-            else:
-                break
+        # Only the known reserved tokens count: a learned piece such as
+        # "[1]" may directly follow them.
+        reserved = list(itertools.takewhile(lambda p: p in RESERVED_TOKENS, pieces))
         return cls(pieces=pieces, reserved=reserved, target_size=len(pieces))
 
 
@@ -174,116 +178,98 @@ def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
     return WordCounts(dict(counts), total)
 
 
-def _piece_score(piece: str, count: int) -> int:
-    length = len(piece) - len(CONTINUATION_PREFIX) if piece.startswith(CONTINUATION_PREFIX) else len(piece)
-    return count * length
+def _mandatory_chars(counts: dict[str, int], max_chars: int | None) -> tuple[list[str], bool]:
+    """Sorted characters forced into the vocabulary, and whether max_chars dropped any.
 
-
-def _candidate_counts(counts: dict[str, int]) -> Counter[str]:
-    """Occurrence counts of every substring piece of the training words."""
-    cand: Counter[str] = Counter()
-    for word, count in counts.items():
-        if len(word) > MAX_CANDIDATE_WORD_CHARS:
-            continue
-        length = len(word)
-        for i in range(length):
-            limit = min(length, i + MAX_PIECE_CHARS)
-            for j in range(i + 1, limit + 1):
-                piece = word[i:j] if i == 0 else CONTINUATION_PREFIX + word[i:j]
-                cand[piece] += count
-    return cand
-
-
-def _mandatory_pieces(counts: dict[str, int], max_chars: int | None) -> list[str]:
-    """Single-character pieces forced into the vocabulary, initial and continuation."""
+    Each kept character enters as an initial and a continuation piece.
+    """
     char_counts: Counter[str] = Counter()
     for word, count in counts.items():
         for ch in word:
             char_counts[ch] += count
-    chars = sorted(char_counts)
-    if max_chars is not None and len(chars) > max_chars:
-        keep = sorted(
-            sorted(char_counts, key=lambda c: (-char_counts[c], c))[:max_chars]
-        )
-        logger.warning(
-            "character cap %d below alphabet size %d; %d rare characters fall back to %s",
-            max_chars,
-            len(chars),
-            len(chars) - max_chars,
-            UNK,
-        )
-        chars = keep
-    return list(chars) + [CONTINUATION_PREFIX + c for c in chars]
+    if max_chars is None or len(char_counts) <= max_chars:
+        return sorted(char_counts), False
+    logger.warning(
+        "character cap %d below alphabet size %d; %d rare characters fall back to %s",
+        max_chars,
+        len(char_counts),
+        len(char_counts) - max_chars,
+        UNK,
+    )
+    return sorted(sorted(char_counts, key=lambda c: (-char_counts[c], c))[:max_chars]), True
+
+
+def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str]]:
+    """Occurrence counts of every substring piece of the training words.
+
+    Returns (initial, continuation), both keyed by the raw slice: a
+    continuation slice x is the vocabulary piece "##x".
+    """
+    initial: Counter[str] = Counter()
+    continuation: Counter[str] = Counter()
+    cut = len(CONTINUATION_PREFIX)
+    for word, count in counts.items():
+        length = len(word)
+        if length > MAX_CANDIDATE_WORD_CHARS:
+            continue
+        heads = [word[:j] for j in range(1, min(length, MAX_PIECE_CHARS) + 1)]
+        tails = [
+            word[i:j]
+            for i in range(1, length)
+            for j in range(i + 1, min(length, i + MAX_PIECE_CHARS) + 1)
+        ]
+        if word.startswith(CONTINUATION_PREFIX):
+            # Pieces are strings: the word-initial slice "##x" is the
+            # continuation piece "##x", so it is counted as one.
+            tails += [head[cut:] for head in heads if len(head) >= cut]
+            heads = [head for head in heads if len(head) < cut]
+        for cand, pieces in ((initial, heads), (continuation, tails)):
+            for piece in pieces:
+                cand[piece] += count
+    return initial, continuation
 
 
 def learn_wordpieces(
     counts: WordCounts,
     target_size: int,
     size_tolerance: float = DEFAULT_SIZE_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     reserved: Sequence[str] = RESERVED_TOKENS,
     max_chars: int | None = None,
 ) -> Vocab:
-    """Learn a wordpiece vocabulary of approximately target_size pieces.
+    """Learn a wordpiece vocabulary of target_size pieces.
 
-    Binary search on the minimum-count cutoff runs for max_iterations
-    rounds; if the closest cutoff overshoots the target, the lowest-scoring
-    optional pieces are dropped so the vocabulary lands exactly on
-    target_size. Mandatory character pieces are never dropped, which keeps
-    every training word tokenizable. If even cutoff 1 cannot reach the
-    target, the largest achievable vocabulary is returned and the shortfall
-    is logged.
+    The single-character pieces of every training character (capped to the
+    max_chars most frequent) are mandatory and never dropped, which keeps
+    every training word tokenizable. The rest of the budget goes to the
+    top-k other substring pieces by count * length, ties broken by the
+    piece string. The whole vocabulary is then ordered by the same key. If
+    the corpus has fewer candidates than the budget, every candidate is
+    kept and the shortfall is logged.
     """
     reserved = list(reserved)
-    mandatory = _mandatory_pieces(counts.counts, max_chars)
-    floor_size = len(reserved) + len(mandatory)
+    chars, capped = _mandatory_chars(counts.counts, max_chars)
+    floor_size = len(reserved) + 2 * len(chars)
     if target_size < floor_size:
         raise ValueError(
             f"target below alphabet size: target {target_size} < "
-            f"{len(reserved)} reserved + {len(mandatory)} character pieces"
+            f"{len(reserved)} reserved + {2 * len(chars)} character pieces"
         )
 
-    alphabet = {p for p in mandatory if not p.startswith(CONTINUATION_PREFIX)}
-    candidates = _candidate_counts(counts.counts)
-    mandatory_set = set(mandatory)
-    optional = {
-        p: c
-        for p, c in candidates.items()
-        if p not in mandatory_set and set(p.removeprefix(CONTINUATION_PREFIX)) <= alphabet
-    }
-    budget = target_size - floor_size
+    initial, continuation = _candidate_counts(counts.counts)
+    alphabet = set(chars)
 
-    def size_at(cutoff: int) -> int:
-        return floor_size + sum(1 for c in optional.values() if c >= cutoff)
+    def optional():
+        # Single characters are mandatory, or dropped by max_chars along
+        # with every piece that contains them.
+        for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
+            for raw, count in cand.items():
+                if len(raw) != 1 and (not capped or alphabet.issuperset(raw)):
+                    yield -count * len(raw), prefix + raw
 
-    max_count = max(optional.values(), default=0)
-    best_cutoff = 1
-    best_size = size_at(1)
-    if best_size > target_size and max_count > 1:
-        lo, hi = 1, max_count
-        for _ in range(max_iterations):
-            if lo > hi:
-                break
-            mid = (lo + hi) // 2
-            size = size_at(mid)
-            if size >= target_size:
-                # Feasible: overshoot is trimmed below. Prefer the smallest
-                # overshooting vocabulary seen so far.
-                if size < best_size:
-                    best_cutoff, best_size = mid, size
-                lo = mid + 1
-            else:
-                hi = mid - 1
-
-    kept = [(p, c) for p, c in optional.items() if c >= best_cutoff]
-    kept.sort(key=lambda pc: (-_piece_score(pc[0], pc[1]), pc[0]))
-    if len(kept) > budget:
-        kept = kept[:budget]
-
-    mandatory_counts = [(p, candidates.get(p, 0)) for p in mandatory]
-    body = mandatory_counts + kept
-    body.sort(key=lambda pc: (-_piece_score(pc[0], pc[1]), pc[0]))
-    pieces = reserved + [p for p, _ in body]
+    kept = heapq.nsmallest(target_size - floor_size, optional())
+    mandatory = [(-initial[c], c) for c in chars]
+    mandatory += [(-continuation[c], CONTINUATION_PREFIX + c) for c in chars]
+    pieces = reserved + [piece for _, piece in sorted(mandatory + kept)]
 
     achieved = len(pieces)
     if abs(achieved - target_size) > size_tolerance * target_size:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bertpipe.corpus import TextUnit
 from bertpipe.vocab import (
     CONTINUATION_PREFIX,
+    MAX_CANDIDATE_WORD_CHARS,
+    MAX_PIECE_CHARS,
     RESERVED_TOKENS,
     LanguageBudget,
     Vocab,
@@ -162,6 +164,68 @@ class TestLearnWordpieces:
         loaded = Vocab.load(str(p1))
         assert loaded.pieces == one.pieces
         assert loaded.reserved == RESERVED_TOKENS
+
+
+def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: int | None) -> list[str]:
+    """Every substring piece counted by hand, sorted in full, then truncated."""
+    cand = Counter()
+    for word, count in counts.items():
+        if len(word) > MAX_CANDIDATE_WORD_CHARS:
+            continue
+        for i in range(len(word)):
+            for j in range(i + 1, min(len(word), i + MAX_PIECE_CHARS) + 1):
+                cand[word[i:j] if i == 0 else "##" + word[i:j]] += count
+    char_counts = Counter()
+    for word, count in counts.items():
+        for ch in word:
+            char_counts[ch] += count
+    chars = sorted(char_counts, key=lambda c: (-char_counts[c], c))[:max_chars]
+    mandatory = chars + ["##" + c for c in chars]
+
+    def key(piece):
+        return -cand[piece] * len(piece.removeprefix("##")), piece
+
+    optional = sorted(
+        (p for p in cand if p not in mandatory and set(p.removeprefix("##")) <= set(chars)),
+        key=key,
+    )
+    budget = target_size - len(RESERVED_TOKENS) - len(mandatory)
+    return RESERVED_TOKENS + sorted(mandatory + optional[:budget], key=key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.dictionaries(
+        st.text(alphabet="ab#é", min_size=1, max_size=70), st.integers(1, 40), min_size=1, max_size=25
+    ),
+    extra=st.integers(0, 80),
+    max_chars=st.none() | st.integers(1, 4),
+)
+def test_learning_matches_full_sort_reference(words, extra, max_chars):
+    n_chars = len({c for w in words for c in w})
+    if max_chars is not None:
+        n_chars = min(n_chars, max_chars)
+    target = len(RESERVED_TOKENS) + 2 * n_chars + extra
+    vocab = learn_wordpieces(WordCounts(words, sum(words.values())), target, max_chars=max_chars)
+    assert vocab.pieces == reference_wordpieces(words, target, max_chars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bracketed=st.lists(
+        st.text(alphabet="ab1[]", min_size=1, max_size=6).map(lambda t: f"[{t}]"), max_size=4, unique=True
+    ),
+    rest=st.lists(st.text(alphabet="ab#", min_size=1, max_size=5), max_size=10, unique=True),
+)
+def test_load_reserves_only_the_known_tokens(tmp_path_factory, bracketed, rest):
+    learned = bracketed + [p for p in rest if p not in bracketed]
+    vocab = Vocab(pieces=RESERVED_TOKENS + learned)
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    vocab.save(str(path))
+    loaded = Vocab.load(str(path))
+    assert loaded.pieces == vocab.pieces
+    assert loaded.reserved == RESERVED_TOKENS
+    assert loaded.reserved_ids() == set(range(len(RESERVED_TOKENS)))
 
 
 class TestTokenize:
