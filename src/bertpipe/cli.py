@@ -211,9 +211,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline_run(args) -> int:
     config = load_config(args.config)
-    results = run_pipeline(
-        config, args.out, events=_emit_event, force=args.force, jobs=args.jobs
-    )
+    results = run_pipeline(config, args.out, events=_emit_event, force=args.force)
     for result in results:
         print(f"{result.name}: {result.status}")
     return EXIT_OK
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="duplicate content threshold")
     p.add_argument("--granularity", choices=["sentence", "paragraph"], default="sentence")
     p.add_argument("--lang", required=True, help="ISO language code of the corpus")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; run is sequential")
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=_cmd_dedup)
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-language sample budget; one per input file, in order",
     )
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; run is sequential")
     pb.add_argument("inputs", nargs="+", help="one corpus file per --budget")
     pb.add_argument("output", help="vocabulary file to write")
     pb.set_defaults(func=_cmd_vocab_build)
@@ -277,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dupe-factor", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schema", default=None, help="sidecar schema path (default data.schema.json next to the output)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; run is sequential")
     p.add_argument("docs", help="input documents: one sentence per line, blank line between documents")
     p.add_argument("output", help="binary instance stream to write")
     p.set_defaults(func=_cmd_pretrain_data)
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("config")
     pr.add_argument("--out", required=True, help="artifact directory")
     pr.add_argument("--force", action="store_true", help="re-run stages even if up to date")
-    pr.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; run is sequential")
     pr.set_defaults(func=_cmd_pipeline_run)
 
     p = sub.add_parser("version", help="print tool and schema versions")

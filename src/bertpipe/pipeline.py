@@ -22,6 +22,7 @@ from . import __version__
 from .corpus import Granularity, TextUnit, read_units, write_units
 from .dedup import dedup_corpus
 from .pretrain import (
+    GenerationStats,
     MaskingConfig,
     phase_datasets,
     read_documents,
@@ -106,7 +107,7 @@ def load_config(path: str) -> PipelineConfig:
     try:
         jsonschema.validate(raw, config_schema())
     except jsonschema.ValidationError as e:
-        raise ConfigError(f"config does not match schema: {e.message}") from e
+        raise ConfigError(f"config does not match schema at {e.json_path}: {e.message}") from e
 
     codes = [lang["code"] for lang in raw["languages"]]
     if len(set(codes)) != len(codes):
@@ -203,14 +204,8 @@ def run_pipeline(
     out_dir: str,
     events: EventSink | None = None,
     force: bool = False,
-    jobs: int = 1,
 ) -> list[StageResult]:
-    """Run all stages, writing artifacts and a manifest under out_dir.
-
-    `jobs` is accepted for interface stability; the current implementation
-    executes stages and units sequentially, which is already deterministic.
-    """
-    del jobs
+    """Run all stages, writing artifacts and a manifest under out_dir."""
     emit = events if events is not None else (lambda e: None)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("dedup", "sample", "pretrain"):
@@ -387,7 +382,17 @@ def _stage_pretrain(config, out_dir, rec, emit):
         for lang in config.languages:
             documents.extend(read_documents(os.path.join(out_dir, f"dedup/{lang.code}.txt")))
         plan = make_plan(_kept_tokens(config, out_dir), list(config.phases))
-        streams = phase_datasets(documents, vocab, plan, config.masking)
+        stats = GenerationStats()
+        streams = phase_datasets(documents, vocab, plan, config.masking, stats)
+        emit(
+            {
+                "event": "pretrain_tokenized",
+                "documents": stats.documents_in,
+                "documents_skipped": stats.documents_skipped,
+                "sentences": stats.sentences,
+                "pieces": stats.pieces,
+            }
+        )
         for k, stream in enumerate(streams):
             out_bin = os.path.join(out_dir, f"pretrain/phase{k}.bin")
             tmp = out_bin + ".tmp"

@@ -6,6 +6,17 @@ next-sentence task, and masked whole words at a time: every piece of a
 selected word is masked, each piece independently drawing the
 mask/random/keep replacement. Instances are padded to max_seq_len.
 
+The corpus is tokenized once into piece ids, and every phase of
+phase_datasets builds its instances from that one copy; each distinct word
+is split once (tokenize_text remembers its pieces on the Vocab). Word
+groups for masking come from the ids: a word starts at every piece that
+does not start with "##" and at the start of each segment. So a corpus
+word spelled "##x", which is the single piece "##x", joins the previous
+word's mask group. The number of masked pieces is
+min(max_predictions_per_seq, floor(mask_prob * (len - 3))) over the
+len - 3 non-special positions; BERT's create_pretraining_data.py uses
+max(1, round(len * mask_prob)) over the whole sequence.
+
 Generation is deterministic: every document derives its own RNG from
 (rng_seed, document ordinal), so output does not depend on worker
 scheduling. The serialized form is a stream of length-prefixed binary
@@ -17,14 +28,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import compress
 from random import Random
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .schedule import TrainingPlan
 from .vocab import Vocab, tokenize_text
 
 SCHEMA_VERSION = 1
+
+# The record stores seq_len and masked_positions as u16.
+MAX_SEQ_LEN = 65535
 
 _LENGTHS = struct.Struct("<HH")  # seq_len, num_masked
 
@@ -81,12 +96,31 @@ class TrainingInstance:
 class GenerationStats:
     documents_in: int = 0
     documents_skipped: int = 0
+    sentences: int = 0
+    pieces: int = 0
     instances: int = 0
 
 
 def _child_seed(seed: int, *parts: int) -> int:
     payload = (str(seed) + ":" + ":".join(str(p) for p in parts)).encode("ascii")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def _check_seq_len(max_seq_len: int) -> None:
+    if not 16 <= max_seq_len <= MAX_SEQ_LEN:
+        raise ValueError(f"max_seq_len must be in [16, {MAX_SEQ_LEN}], got {max_seq_len}")
+
+
+def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
+    """Random.shuffle(items) inlined: the same getrandbits draws, so the same
+    order and the same RNG state, without two method calls per item."""
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int) -> None:
@@ -102,54 +136,55 @@ def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int
             trim_a = not trim_a
 
 
-def _whole_word_groups(pieces: list[str]) -> list[list[int]]:
-    """Positions grouped into words: an initial piece plus its continuations."""
-    groups: list[list[int]] = []
-    for i, piece in enumerate(pieces):
-        if piece in ("[CLS]", "[SEP]"):
-            continue
-        if groups and piece.startswith("##") and i - 1 == groups[-1][-1]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def _mask_tokens(
-    pieces: list[str],
-    vocab: Vocab,
+    ids: list[int],
+    sep_a: int,
+    word_initial: bytes,
+    mask_id: int,
     cfg: MaskingConfig,
     rng: Random,
     random_ids: Sequence[int],
-) -> tuple[list[int], list[int], list[int]]:
-    """Apply whole-word masking; returns (ids, masked_positions, masked_labels)."""
-    ids = [vocab.id_of(p) for p in pieces]
-    usable = sum(1 for p in pieces if p not in ("[CLS]", "[SEP]"))
-    num_to_predict = min(cfg.max_predictions_per_seq, int(cfg.mask_prob * usable))
-    groups = _whole_word_groups(pieces)
-    rng.shuffle(groups)
+) -> tuple[list[int], list[int]]:
+    """Whole-word masking of ids = [CLS] A [SEP] B [SEP], in place.
+
+    sep_a is the position of the first [SEP]; word_initial[id] is 1 unless
+    the piece starts with "##". Returns (masked_positions, masked_labels).
+    """
+    n = len(ids)
+    num_to_predict = min(cfg.max_predictions_per_seq, int(cfg.mask_prob * (n - 3)))
+    # A word starts at every initial piece and at the start of A and of B,
+    # and ends where the next word, [SEP] or the end begins. Word w is
+    # bounds[w]:bounds[w + 1]; the words are shuffled as indices into bounds.
+    flags = bytearray(map(word_initial.__getitem__, ids))
+    flags[1] = flags[sep_a + 1] = 1
+    bounds = list(compress(range(n), flags))
+    words = list(range(1, len(bounds) - 1))
+    del words[bounds.index(sep_a) - 1]
+    _shuffle(words, rng.getrandbits)
     masked: list[tuple[int, int]] = []
-    for group in groups:
+    for w in words:
         if len(masked) >= num_to_predict:
             break
-        if len(masked) + len(group) > num_to_predict:
+        start, end = bounds[w], bounds[w + 1]
+        if len(masked) + end - start > num_to_predict:
             continue
-        for pos in group:
+        for pos in range(start, end):
             original = ids[pos]
             u = rng.random()
             if u < cfg.replace_mask:
-                ids[pos] = vocab.mask_id
+                ids[pos] = mask_id
             elif u < cfg.replace_mask + cfg.replace_random:
                 ids[pos] = random_ids[rng.randrange(len(random_ids))]
             masked.append((pos, original))
     masked.sort()
-    return ids, [p for p, _ in masked], [l for _, l in masked]
+    return [p for p, _ in masked], [l for _, l in masked]
 
 
 def _instances_from_document(
-    all_docs: list[list[list[str]]],
+    all_docs: list[list[list[int]]],
     doc_index: int,
     vocab: Vocab,
+    word_initial: bytes,
     max_seq_len: int,
     cfg: MaskingConfig,
     rng: Random,
@@ -157,7 +192,7 @@ def _instances_from_document(
 ) -> Iterator[TrainingInstance]:
     document = all_docs[doc_index]
     max_num_tokens = max_seq_len - 3
-    current_chunk: list[list[str]] = []
+    current_chunk: list[list[int]] = []
     current_length = 0
     i = 0
     while i < len(document):
@@ -169,11 +204,11 @@ def _instances_from_document(
                 a_end = 1
                 if len(current_chunk) >= 2:
                     a_end = rng.randint(1, len(current_chunk) - 1)
-                tokens_a: list[str] = []
+                tokens_a: list[int] = []
                 for j in range(a_end):
                     tokens_a.extend(current_chunk[j])
 
-                tokens_b: list[str] = []
+                tokens_b: list[int] = []
                 is_next = True
                 if len(current_chunk) == 1 or rng.random() < 0.5:
                     is_next = False
@@ -197,10 +232,10 @@ def _instances_from_document(
 
                 _truncate_pair(tokens_a, tokens_b, max_num_tokens)
                 if tokens_a and tokens_b:
-                    pieces = ["[CLS]", *tokens_a, "[SEP]", *tokens_b, "[SEP]"]
+                    ids = [vocab.cls_id, *tokens_a, vocab.sep_id, *tokens_b, vocab.sep_id]
                     segments = [0] * (len(tokens_a) + 2) + [1] * (len(tokens_b) + 1)
-                    ids, positions, labels = _mask_tokens(
-                        pieces, vocab, cfg, rng, random_ids
+                    positions, labels = _mask_tokens(
+                        ids, len(tokens_a) + 1, word_initial, vocab.mask_id, cfg, rng, random_ids
                     )
                     pad = max_seq_len - len(ids)
                     yield TrainingInstance(
@@ -216,6 +251,50 @@ def _instances_from_document(
         i += 1
 
 
+def _tokenize_documents(
+    documents: Iterable[Sequence[str]], vocab: Vocab, stats: GenerationStats
+) -> list[list[list[int]]]:
+    """Documents as lists of sentences of piece ids; empty sentences and
+    documents without a tokenizable sentence are dropped."""
+    piece_id = vocab.piece_ids.__getitem__
+    tokenized: list[list[list[int]]] = []
+    for doc in documents:
+        stats.documents_in += 1
+        sentences = [list(map(piece_id, tokenize_text(s, vocab))) for s in doc]
+        sentences = [s for s in sentences if s]
+        if sentences:
+            tokenized.append(sentences)
+            stats.sentences += len(sentences)
+            stats.pieces += sum(map(len, sentences))
+        else:
+            stats.documents_skipped += 1
+    return tokenized
+
+
+def _generate(
+    tokenized: list[list[list[int]]],
+    vocab: Vocab,
+    max_seq_len: int,
+    cfg: MaskingConfig,
+    stats: GenerationStats,
+) -> Iterator[TrainingInstance]:
+    reserved = vocab.reserved_ids()
+    random_ids = [i for i in range(len(vocab)) if i not in reserved]
+    if not random_ids:
+        raise ValueError("vocabulary has no non-reserved pieces")
+    prefix = vocab.continuation_prefix
+    word_initial = bytes(not p.startswith(prefix) for p in vocab.pieces)
+
+    for pass_idx in range(cfg.dupe_factor):
+        for doc_index in range(len(tokenized)):
+            rng = Random(_child_seed(cfg.rng_seed, doc_index, pass_idx))
+            for instance in _instances_from_document(
+                tokenized, doc_index, vocab, word_initial, max_seq_len, cfg, rng, random_ids
+            ):
+                stats.instances += 1
+                yield instance
+
+
 def build_instances(
     documents: Iterable[Sequence[str]],
     vocab: Vocab,
@@ -229,31 +308,10 @@ def build_instances(
     stats. Instances come out grouped by document ordinal, repeated
     dupe_factor times over the corpus with independent derived RNGs.
     """
-    if max_seq_len < 16:
-        raise ValueError(f"max_seq_len must be >= 16, got {max_seq_len}")
+    _check_seq_len(max_seq_len)
     stats = stats if stats is not None else GenerationStats()
-    tokenized: list[list[list[str]]] = []
-    for doc in documents:
-        stats.documents_in += 1
-        sentences = [tokenize_text(s, vocab) for s in doc]
-        sentences = [s for s in sentences if s]
-        if sentences:
-            tokenized.append(sentences)
-        else:
-            stats.documents_skipped += 1
-
-    random_ids = [i for i in range(len(vocab)) if i not in vocab.reserved_ids()]
-    if not random_ids:
-        raise ValueError("vocabulary has no non-reserved pieces")
-
-    for pass_idx in range(cfg.dupe_factor):
-        for doc_index in range(len(tokenized)):
-            rng = Random(_child_seed(cfg.rng_seed, doc_index, pass_idx))
-            for instance in _instances_from_document(
-                tokenized, doc_index, vocab, max_seq_len, cfg, rng, random_ids
-            ):
-                stats.instances += 1
-                yield instance
+    tokenized = _tokenize_documents(documents, vocab, stats)
+    return _generate(tokenized, vocab, max_seq_len, cfg, stats)
 
 
 def phase_datasets(
@@ -261,15 +319,24 @@ def phase_datasets(
     vocab: Vocab,
     plan: TrainingPlan,
     cfg: MaskingConfig,
+    stats: GenerationStats | None = None,
 ) -> list[Iterator[TrainingInstance]]:
-    """One independent instance stream per phase, at that phase's sequence length."""
+    """One independent instance stream per phase, at that phase's sequence length.
+
+    The documents are tokenized once, here, and shared by every stream.
+    """
     if not plan.phases:
         raise ValueError("plan has no phases")
-    streams = []
-    for k, phase in enumerate(plan.phases):
-        phase_cfg = replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k))
-        streams.append(build_instances(documents, vocab, phase.seq_len, phase_cfg))
-    return streams
+    for phase in plan.phases:
+        _check_seq_len(phase.seq_len)
+    stats = stats if stats is not None else GenerationStats()
+    tokenized = _tokenize_documents(documents, vocab, stats)
+    return [
+        _generate(
+            tokenized, vocab, phase.seq_len, replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k)), stats
+        )
+        for k, phase in enumerate(plan.phases)
+    ]
 
 
 def read_documents(path: str) -> list[list[str]]:

@@ -72,6 +72,10 @@ class Vocab:
     continuation_prefix: str = CONTINUATION_PREFIX
     target_size: int = 0
     piece_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    # word -> its pieces, filled by tokenize_text; pieces never change after init
+    word_pieces: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(set(self.pieces)) != len(self.pieces):
@@ -85,9 +89,6 @@ class Vocab:
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.piece_ids
-
-    def id_of(self, piece: str) -> int:
-        return self.piece_ids[piece]
 
     @property
     def pad_id(self) -> int:
@@ -256,6 +257,9 @@ def learn_wordpieces(
         )
 
     initial, continuation = _candidate_counts(counts.counts)
+    # A training word may spell a reserved token; it is never a learned piece.
+    for token in reserved:
+        initial.pop(token, None)
     alphabet = set(chars)
 
     def optional():
@@ -286,13 +290,15 @@ def learn_wordpieces(
 def tokenize(word: str, vocab: Vocab) -> list[str]:
     """Greedy longest-match-first wordpiece split of a single word.
 
-    Non-initial matches carry the continuation prefix. A position with no
-    matching piece maps the whole word to [UNK].
+    Non-initial matches carry the continuation prefix. Reserved tokens never
+    match, so a word spelled "[SEP]" splits into ordinary pieces. A position
+    with no matching piece maps the whole word to [UNK].
     """
     if not word:
         raise ValueError("empty word")
     prefix = vocab.continuation_prefix
     ids = vocab.piece_ids
+    reserved = vocab.reserved
     pieces: list[str] = []
     start = 0
     length = len(word)
@@ -301,7 +307,7 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
         match = None
         while end > start:
             piece = word[start:end] if start == 0 else prefix + word[start:end]
-            if piece in ids:
+            if piece in ids and piece not in reserved:
                 match = piece
                 break
             end -= 1
@@ -313,8 +319,16 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
 
 
 def tokenize_text(text: str, vocab: Vocab) -> list[str]:
-    """Tokenize whitespace-separated text into wordpieces."""
+    """Tokenize whitespace-separated text into wordpieces.
+
+    Each distinct word is split once per Vocab and remembered in
+    vocab.word_pieces.
+    """
+    memo = vocab.word_pieces
     out: list[str] = []
     for word in text.split():
-        out.extend(tokenize(word, vocab))
+        pieces = memo.get(word)
+        if pieces is None:
+            pieces = memo[word] = tuple(tokenize(word, vocab))
+        out.extend(pieces)
     return out

@@ -119,3 +119,36 @@ def test_version_reports_the_schema_version_in_the_schema_title():
         title = json.load(f)["title"]
     assert version == 2
     assert title.endswith(f"(schema version {version})")
+
+
+def write_config(tmp_path, phases=({"epochs": 1, "batch_size": 8, "seq_len": 32},)):
+    write_corpora(tmp_path)
+    config = {
+        "languages": [
+            {"code": "en", "corpus": ["en.txt"], "vocab_budget": 50},
+            {"code": "fi", "corpus": ["fi.txt"], "vocab_budget": 50},
+        ],
+        "dedup": {"n": 3, "threshold": 0.5, "granularity": "sentence"},
+        "vocab": {"target_size": 60, "seed": 0},
+        "phases": list(phases),
+        "masking": {},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def test_removed_jobs_flag_is_a_validation_error(tmp_path):
+    config = write_config(tmp_path)
+    done = bertpipe_cli("pipeline", "run", config, "--out", str(tmp_path / "out"), "--jobs", "2")
+    assert done.returncode == 1
+    assert "--jobs" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_seq_len_beyond_u16_is_rejected_by_name(tmp_path):
+    config = write_config(tmp_path, phases=[{"epochs": 1, "batch_size": 8, "seq_len": 65536}])
+    done = bertpipe_cli("pipeline", "run", config, "--out", str(tmp_path / "out"))
+    assert done.returncode == 1
+    assert "seq_len" in done.stderr
+    assert not (tmp_path / "out").exists()

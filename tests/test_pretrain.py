@@ -1,10 +1,15 @@
+import hashlib
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bertpipe import pretrain
 from bertpipe.pretrain import (
+    MAX_SEQ_LEN,
     GenerationStats,
     MaskingConfig,
     TrainingInstance,
@@ -18,7 +23,7 @@ from bertpipe.pretrain import (
     write_schema,
 )
 from bertpipe.schedule import make_plan
-from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces
+from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces, tokenize_text
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +165,56 @@ class TestBuildInstances:
         with pytest.raises(ValueError):
             list(build_instances([["a"]], vocab, 8, MaskingConfig()))
 
+    def test_masked_count_floors_over_non_special_positions(self):
+        # With one-piece words, masking stops exactly at its target count.
+        vocab = Vocab(RESERVED_TOKENS + list("abcdefgh"))
+        docs = make_docs(list("abcdefgh"), random.Random(17), n_docs=20, sents=(1, 3), words=(1, 12))
+        for cap in (4, 20):
+            cfg = MaskingConfig(rng_seed=7, mask_prob=0.2, max_predictions_per_seq=cap)
+            counts = set()
+            for inst in build_instances(docs, vocab, 64, cfg):
+                expected = min(cap, int(0.2 * (inst.content_length() - 3)))
+                assert len(inst.masked_positions) == expected
+                counts.add(expected)
+            assert len(counts) > 2
+
+    def test_max_seq_len_above_u16_rejected(self, toy_vocab):
+        vocab, lexicon = toy_vocab
+        docs = [[lexicon[0]]]
+        instances = list(build_instances(docs, vocab, MAX_SEQ_LEN, MaskingConfig()))
+        assert [len(i.token_ids) for i in instances] == [MAX_SEQ_LEN]
+        with pytest.raises(ValueError, match="max_seq_len"):
+            build_instances(docs, vocab, MAX_SEQ_LEN + 1, MaskingConfig())
+        plan = make_plan(1e6, [(1, 8, 128), (1, 8, MAX_SEQ_LEN + 1)])
+        with pytest.raises(ValueError, match="max_seq_len"):
+            phase_datasets(docs, vocab, plan, MaskingConfig())
+
+    def test_reserved_words_stay_out_of_content(self):
+        lexicon = ["[SEP]", "[MASK]", "[CLS]", "[PAD]", "[UNK]", "ab", "ba", "abba", "##b"]
+        rng = random.Random(3)
+        docs = make_docs(lexicon, rng, n_docs=12, words=(2, 9))
+        counts = {}
+        for doc in docs:
+            for word in " ".join(doc).split():
+                counts[word] = counts.get(word, 0) + 1
+        vocab = learn_wordpieces(WordCounts(counts, sum(counts.values())), target_size=80)
+        reserved = vocab.reserved_ids()
+        instances = list(build_instances(docs, vocab, 48, MaskingConfig(rng_seed=2, dupe_factor=3)))
+        assert instances
+        bracket_words = 0
+        for inst in instances:
+            originals = restore_original_ids(inst)
+            content = inst.content_length()
+            sep_a = inst.segment_ids.index(1) - 1
+            layout = {0: vocab.cls_id, sep_a: vocab.sep_id, content - 1: vocab.sep_id}
+            layout.update((p, vocab.pad_id) for p in range(content, len(originals)))
+            assert [(p, t) for p, t in enumerate(originals) if t in reserved] == sorted(layout.items())
+            for pos, tid in enumerate(inst.token_ids):
+                if tid in reserved and pos not in layout:
+                    assert tid == vocab.mask_id and pos in inst.masked_positions
+            bracket_words += sum(vocab.pieces[t].startswith("[") and t not in reserved for t in originals)
+        assert bracket_words > 0
+
     def test_dupe_factor_multiplies_passes(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(8), n_docs=5)
@@ -214,6 +269,40 @@ class TestPhaseDatasets:
             return out
 
         assert serialize() == serialize()
+
+    def test_documents_are_tokenized_once_for_all_phases(self, toy_vocab, monkeypatch):
+        vocab, lexicon = toy_vocab
+        docs = make_docs(lexicon, random.Random(16), n_docs=6) + [["", " "]]
+        calls = []
+
+        def counting(text, vocab):
+            calls.append(text)
+            return tokenize_text(text, vocab)
+
+        monkeypatch.setattr(pretrain, "tokenize_text", counting)
+        plan = make_plan(1e6, [(1, 8, 32), (1, 8, 64), (1, 8, 128)])
+        stats = GenerationStats()
+        streams = phase_datasets(docs, vocab, plan, MaskingConfig(rng_seed=6), stats)
+        sentences = [s for doc in docs for s in doc]
+        assert calls == sentences
+        assert (stats.documents_in, stats.documents_skipped) == (7, 1)
+        assert stats.sentences == len(sentences) - 2
+        assert stats.pieces == sum(len(tokenize_text(s, vocab)) for s in sentences)
+        assert stats.instances == 0
+        n = sum(len(list(stream)) for stream in streams)
+        assert calls == sentences
+        assert stats.instances == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 600), seed=st.integers())
+def test_inline_shuffle_draws_like_random_shuffle(n, seed):
+    expected, rng = random.Random(seed), random.Random(seed)
+    want, got = list(range(n)), list(range(n))
+    expected.shuffle(want)
+    pretrain._shuffle(got, rng.getrandbits)
+    assert got == want
+    assert rng.getstate() == expected.getstate()
 
 
 class TestSerialization:
@@ -282,3 +371,54 @@ def test_read_documents(tmp_path):
     path = tmp_path / "docs.txt"
     path.write_text("s one\ns two\n\n\ns three\n", encoding="utf-8")
     assert read_documents(str(path)) == [["s one", "s two"], ["s three"]]
+
+
+# Pieces of a hand-written vocabulary: every letter a-h as an initial and a
+# continuation piece, some longer pieces so that most words split into
+# several, and "##x" so that the corpus word spelled "##x" is one piece.
+PINNED_PIECES = [
+    *RESERVED_TOKENS,
+    *"abcdefgh",
+    *("##" + c for c in "abcdefgh"),
+    "ab", "ba", "cab", "dead", "fed", "gag", "##ab", "##de", "##fgh", "##ce", "##x",
+]
+
+
+def pinned_corpus():
+    """Fixed documents: multi-piece words, one "##x" word, one [UNK] word
+    and one document without any tokenizable sentence."""
+    rng = random.Random(2020)
+    lexicon = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 9))) for _ in range(40)]
+    lexicon += ["##x", "zz"]
+    docs = [
+        [" ".join(rng.choice(lexicon) for _ in range(rng.randint(2, 16))) for _ in range(rng.randint(1, 7))]
+        for _ in range(11)
+    ]
+    docs.insert(4, ["  ", ""])
+    return docs
+
+
+def stream_sha256(stream) -> str:
+    buf = io.BytesIO()
+    write_instances(stream, buf)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Instance bytes pinned by sha256: a refactor of generation must keep them."""
+
+    CFG = MaskingConfig(rng_seed=1234, dupe_factor=2, max_predictions_per_seq=7)
+
+    def test_phase_datasets_bytes(self):
+        vocab = Vocab(PINNED_PIECES)
+        plan = make_plan(1e6, [(1, 8, 32), (1, 8, 64)])
+        streams = phase_datasets(pinned_corpus(), vocab, plan, self.CFG)
+        assert [stream_sha256(s) for s in streams] == [
+            "d2e9e04da39109174f7a792932d40053f2a5a2c4e222c69f42e19151b359c37d",
+            "5a4f3845b1ed54f314372eb76520bc7fb04daac5e5ad109381b40d50d26bd977",
+        ]
+
+    def test_build_instances_bytes(self):
+        vocab = Vocab(PINNED_PIECES)
+        stream = build_instances(pinned_corpus(), vocab, 48, self.CFG)
+        assert stream_sha256(stream) == "670a5488bdf343a30c0cb6385ad208d06b1f7daa3c37316f6ada15b27fb9b9f5"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bertpipe import vocab as vocab_module
 from bertpipe.corpus import TextUnit
 from bertpipe.vocab import (
     CONTINUATION_PREFIX,
@@ -18,6 +19,7 @@ from bertpipe.vocab import (
     learn_wordpieces,
     sample_subset,
     tokenize,
+    tokenize_text,
 )
 
 from conftest import oracle_tokenize
@@ -147,6 +149,12 @@ class TestLearnWordpieces:
         assert tokenize("zz", vocab) == ["[UNK]"]
         assert tokenize("aa", vocab) != ["[UNK]"]
 
+    def test_word_spelling_a_reserved_token_is_not_learned_again(self):
+        vocab = learn_wordpieces(WordCounts({"[MASK]": 5, "ab": 3}, 8), 60)
+        assert vocab.pieces.count("[MASK]") == 1
+        assert vocab.pieces.index("[MASK]") < len(RESERVED_TOKENS)
+        assert "[MAS" in vocab
+
     def test_learning_is_deterministic_and_file_byte_identical(self, tmp_path):
         rng = random.Random(3)
         words = {
@@ -186,7 +194,13 @@ def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: in
         return -cand[piece] * len(piece.removeprefix("##")), piece
 
     optional = sorted(
-        (p for p in cand if p not in mandatory and set(p.removeprefix("##")) <= set(chars)),
+        (
+            p
+            for p in cand
+            if p not in mandatory
+            and p not in RESERVED_TOKENS
+            and set(p.removeprefix("##")) <= set(chars)
+        ),
         key=key,
     )
     budget = target_size - len(RESERVED_TOKENS) - len(mandatory)
@@ -196,7 +210,10 @@ def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: in
 @settings(max_examples=200, deadline=None)
 @given(
     words=st.dictionaries(
-        st.text(alphabet="ab#é", min_size=1, max_size=70), st.integers(1, 40), min_size=1, max_size=25
+        st.text(alphabet="ab#é", min_size=1, max_size=70) | st.sampled_from(RESERVED_TOKENS),
+        st.integers(1, 40),
+        min_size=1,
+        max_size=25,
     ),
     extra=st.integers(0, 80),
     max_chars=st.none() | st.integers(1, 4),
@@ -264,6 +281,25 @@ class TestTokenize:
         assert pieces == ["play", "##ing"]
         assert "".join(p.removeprefix("##") for p in pieces) == "playing"
 
+    def test_reserved_tokens_never_match(self):
+        vocab = self.vocab_with("ab", "ba", "[MA", "##SK]", "[SE", "##P")
+        assert tokenize("[MASK]", vocab) == ["[MA", "##SK]"]
+        assert tokenize("[SEP]", vocab) == ["[SE", "##P", "##]"]
+        assert tokenize_text("ab [MASK] ba", vocab) == ["ab", "[MA", "##SK]", "ba"]
+        assert tokenize("[CLS]", vocab) == ["[UNK]"]
+
+    def test_tokenize_text_splits_each_word_once(self, monkeypatch):
+        vocab = self.vocab_with("ab", "ba")
+        calls = []
+
+        def counting(word, vocab):
+            calls.append(word)
+            return tokenize(word, vocab)
+
+        monkeypatch.setattr(vocab_module, "tokenize", counting)
+        assert tokenize_text("ab ba ab", vocab) + tokenize_text("ba ab", vocab) == ["ab", "ba", "ab", "ba", "ab"]
+        assert calls == ["ab", "ba"]
+
     def test_enlarging_vocab_can_increase_piece_count(self):
         # Greedy longest-match is not monotone: a new piece can divert the
         # match away from a longer continuation. Pinned so the behavior is
@@ -303,3 +339,17 @@ def test_round_trip_unless_unk(seed, word):
     pieces = tokenize(word, vocab)
     if pieces != ["[UNK]"]:
         assert "".join(p.removeprefix(CONTINUATION_PREFIX) for p in pieces) == word
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    texts=st.lists(st.text(alphabet="abcdz ", max_size=30), min_size=1, max_size=6),
+)
+def test_tokenize_text_remembers_each_word_split(seed, texts):
+    vocab = random_vocab(random.Random(seed))
+    for text in texts * 2:
+        expected = [p for word in text.split() for p in tokenize(word, vocab)]
+        assert tokenize_text(text, vocab) == expected
+    words = {w for text in texts for w in text.split()}
+    assert vocab.word_pieces == {w: tuple(tokenize(w, vocab)) for w in words}
