@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .corpus import Granularity, TextUnit
-from .dedup import DedupStats, ShingleIndex, dedup_corpus, duplicate_fraction, shingle
-from .pretrain import MaskingConfig, TrainingInstance, build_instances, phase_datasets
+from .dedup import DedupStats, dedup_corpus, shingle
+from .pretrain import MaskingConfig, TrainingInstance, phase_datasets
 from .schedule import PhaseSpec, TrainingPlan, make_plan, steps_for
 from .vocab import LanguageBudget, Vocab, WordCounts, count_words, learn_wordpieces, sample_subset, tokenize
 
@@ -14,17 +14,14 @@ __all__ = [
     "LanguageBudget",
     "MaskingConfig",
     "PhaseSpec",
-    "ShingleIndex",
     "TextUnit",
     "TrainingInstance",
     "TrainingPlan",
     "Vocab",
     "WordCounts",
     "__version__",
-    "build_instances",
     "count_words",
     "dedup_corpus",
-    "duplicate_fraction",
     "learn_wordpieces",
     "make_plan",
     "phase_datasets",

@@ -1,4 +1,13 @@
-"""Single entry point exposing the pipeline stages as subcommands.
+"""Command-line entry point of bertpipe.
+
+Commands:
+  pipeline run     run every stage from a config file (dedup, sample,
+                   vocab, pretrain_data, schedule), skipping up-to-date ones
+  vocab tokenize   wordpiece-tokenize lines from stdin with a vocab file
+  schedule         compute training-step counts per phase from a token count
+  eval             score NER, POS or DP predictions against gold annotations
+  report           render a cross-lingual transfer matrix from eval reports
+  version          print tool and config schema versions
 
 Human-readable summaries go to standard output; during pipeline runs,
 line-delimited JSON events go to standard error. Exit codes: 0 success,
@@ -9,22 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
-from .corpus import Granularity, read_units, write_units
-from .dedup import DEFAULT_N, DEFAULT_THRESHOLD, dedup_corpus
 from .evaluation.ner import LabelMap, harmonize, ner_scores, parse_ner
 from .evaluation.report import EvalReport, load_reports, save_reports, transfer_matrix
 from .evaluation.ud import attachment_scores, parse_conllu, upos_accuracy
-from .pretrain import (
-    MaskingConfig,
-    build_instances,
-    read_documents,
-    write_instances,
-    write_schema,
-)
 from .pipeline import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
@@ -33,15 +32,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .schedule import make_plan
-from .vocab import (
-    DEFAULT_SIZE_TOLERANCE,
-    LanguageBudget,
-    Vocab,
-    count_words,
-    learn_wordpieces,
-    sample_subset,
-    tokenize_text,
-)
+from .vocab import Vocab, tokenize_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,46 +51,6 @@ def _emit_event(event: dict) -> None:
     print(json.dumps(event, sort_keys=True), file=sys.stderr)
 
 
-def _cmd_dedup(args) -> int:
-    granularity = Granularity(args.granularity)
-    units = read_units(args.input, args.lang, granularity)
-    kept, stats = dedup_corpus(units, n=args.n, threshold=args.threshold)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-        write_units(kept, f, granularity)
-    print(json.dumps(stats.as_dict(), sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_vocab_build(args) -> int:
-    budgets = []
-    for spec in args.budget:
-        lang, _, amount = spec.partition("=")
-        if not lang or not amount:
-            raise ConfigError(f"budget must look like lang=tokens, got {spec!r}")
-        try:
-            budgets.append(LanguageBudget(lang, int(amount)))
-        except ValueError as e:
-            raise ConfigError(f"bad budget {spec!r}: {e}") from e
-    if len(budgets) != len(args.inputs):
-        raise ConfigError(
-            f"{len(args.inputs)} input files but {len(budgets)} budgets; "
-            "pass one --budget per input, in order"
-        )
-    subsets = []
-    for i, (path, budget) in enumerate(zip(args.inputs, budgets)):
-        units = read_units(path, budget.lang)
-        subsets.append(sample_subset(units, budget, seed=args.seed + i))
-    counts = count_words(subsets)
-    vocab = learn_wordpieces(
-        counts,
-        target_size=args.target_size,
-        size_tolerance=args.tolerance,
-    )
-    vocab.save(args.output)
-    print(f"wrote {len(vocab)} pieces to {args.output} (target {args.target_size})")
-    return EXIT_OK
-
-
 def _cmd_vocab_tokenize(args) -> int:
     vocab = Vocab.load(args.vocab)
     for line in sys.stdin:
@@ -108,26 +59,6 @@ def _cmd_vocab_tokenize(args) -> int:
             print()
             continue
         print(" ".join(tokenize_text(line, vocab)))
-    return EXIT_OK
-
-
-def _cmd_pretrain_data(args) -> int:
-    vocab = Vocab.load(args.vocab)
-    cfg = MaskingConfig(
-        mask_prob=args.mask_prob,
-        max_predictions_per_seq=args.max_predictions,
-        rng_seed=args.seed,
-        dupe_factor=args.dupe_factor,
-    )
-    documents = read_documents(args.docs)
-    stream = build_instances(documents, vocab, args.max_seq_len, cfg)
-    with open(args.output, "wb") as f:
-        count = write_instances(stream, f)
-    schema_path = args.schema
-    if schema_path is None:
-        schema_path = os.path.join(os.path.dirname(os.path.abspath(args.output)), "data.schema.json")
-    write_schema(schema_path)
-    print(f"wrote {count} instances to {args.output}")
     return EXIT_OK
 
 
@@ -231,51 +162,16 @@ def _cmd_version(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bertpipe", description=__doc__)
+    parser = _Parser(
+        prog="bertpipe", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dedup", help="remove near-duplicate units from a corpus")
-    p.add_argument("--n", type=int, default=DEFAULT_N, help="shingle order (tokens per n-gram)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="duplicate content threshold")
-    p.add_argument("--granularity", choices=["sentence", "paragraph"], default="sentence")
-    p.add_argument("--lang", required=True, help="ISO language code of the corpus")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=_cmd_dedup)
 
     p = sub.add_parser("vocab", help="wordpiece vocabulary operations")
     vocab_sub = p.add_subparsers(dest="vocab_command", required=True)
-
-    pb = vocab_sub.add_parser("build", help="learn a wordpiece vocabulary from corpora")
-    pb.add_argument("--target-size", type=int, required=True)
-    pb.add_argument("--tolerance", type=float, default=DEFAULT_SIZE_TOLERANCE)
-    pb.add_argument(
-        "--budget",
-        action="append",
-        required=True,
-        metavar="LANG=TOKENS",
-        help="per-language sample budget; one per input file, in order",
-    )
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("inputs", nargs="+", help="one corpus file per --budget")
-    pb.add_argument("output", help="vocabulary file to write")
-    pb.set_defaults(func=_cmd_vocab_build)
-
     pt = vocab_sub.add_parser("tokenize", help="wordpiece-tokenize words from stdin")
     pt.add_argument("--vocab", required=True)
     pt.set_defaults(func=_cmd_vocab_tokenize)
-
-    p = sub.add_parser("pretrain-data", help="generate whole-word-masked MLM instances")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--max-seq-len", type=int, default=128)
-    p.add_argument("--mask-prob", type=float, default=0.15)
-    p.add_argument("--max-predictions", type=int, default=20)
-    p.add_argument("--dupe-factor", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--schema", default=None, help="sidecar schema path (default data.schema.json next to the output)")
-    p.add_argument("docs", help="input documents: one sentence per line, blank line between documents")
-    p.add_argument("output", help="binary instance stream to write")
-    p.set_defaults(func=_cmd_pretrain_data)
 
     p = sub.add_parser("schedule", help="compute training-step counts per phase")
     p.add_argument("--tokens", type=float, required=True, help="training-corpus token count")

@@ -90,7 +90,3 @@ def write_units(units: Iterable[TextUnit], out: TextIO, granularity: Granularity
             out.write("\n")
         out.write(unit.text + "\n")
         first = False
-
-
-def total_tokens(units: Iterable[TextUnit]) -> int:
-    return sum(u.token_count() for u in units)

@@ -10,7 +10,7 @@ per-language: an index is never shared across languages.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import TextUnit
@@ -40,32 +40,6 @@ def shingle(unit: TextUnit, n: int) -> list[int]:
     if len(tokens) < n:
         return [fingerprint(tokens)]
     return [fingerprint(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-class ShingleIndex:
-    """Set of shingle fingerprints of previously kept content."""
-
-    def __init__(self, n: int = DEFAULT_N):
-        if n < 1:
-            raise ValueError(f"shingle order must be >= 1, got {n}")
-        self.n = n
-        self.seen: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self.seen)
-
-    def add(self, fingerprints: Iterable[int]) -> None:
-        self.seen.update(fingerprints)
-
-    def add_unit(self, unit: TextUnit) -> None:
-        self.add(shingle(unit, self.n))
-
-
-def duplicate_fraction(unit: TextUnit, index: ShingleIndex) -> float:
-    """Fraction of the unit's shingles already present in the index."""
-    prints = shingle(unit, index.n)
-    seen = sum(1 for p in prints if p in index.seen)
-    return seen / len(prints)
 
 
 @dataclass
@@ -101,23 +75,18 @@ def dedup_corpus(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     stats = DedupStats()
-    index = ShingleIndex(n)
+    seen: set[int] = set()  # fingerprints of the kept units' shingles
     kept: list[TextUnit] = []
     for unit in units:
         ntok = unit.token_count()
         stats.units_in += 1
         stats.tokens_in += ntok
         prints = shingle(unit, n)
-        if index.seen:
-            seen = sum(1 for p in prints if p in index.seen)
-            drop = seen / len(prints) >= threshold
-        else:
-            drop = False
-        if drop:
+        if seen and sum(1 for p in prints if p in seen) / len(prints) >= threshold:
             stats.units_dropped += 1
         else:
             stats.units_kept += 1
             stats.tokens_kept += ntok
-            index.add(prints)
+            seen.update(prints)
             kept.append(unit)
     return kept, stats

@@ -31,9 +31,8 @@ import struct
 from dataclasses import dataclass, replace
 from itertools import compress
 from random import Random
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .schedule import TrainingPlan
 from .vocab import Vocab, tokenize_text
 
 SCHEMA_VERSION = 1
@@ -295,47 +294,30 @@ def _generate(
                 yield instance
 
 
-def build_instances(
-    documents: Iterable[Sequence[str]],
-    vocab: Vocab,
-    max_seq_len: int,
-    cfg: MaskingConfig,
-    stats: GenerationStats | None = None,
-) -> Iterator[TrainingInstance]:
-    """Generate MLM instances over whole documents of sentences.
-
-    Documents with zero tokenizable sentences are skipped and counted in
-    stats. Instances come out grouped by document ordinal, repeated
-    dupe_factor times over the corpus with independent derived RNGs.
-    """
-    _check_seq_len(max_seq_len)
-    stats = stats if stats is not None else GenerationStats()
-    tokenized = _tokenize_documents(documents, vocab, stats)
-    return _generate(tokenized, vocab, max_seq_len, cfg, stats)
-
-
 def phase_datasets(
     documents: Sequence[Sequence[str]],
     vocab: Vocab,
-    plan: TrainingPlan,
+    seq_lens: Sequence[int],
     cfg: MaskingConfig,
     stats: GenerationStats | None = None,
 ) -> list[Iterator[TrainingInstance]]:
     """One independent instance stream per phase, at that phase's sequence length.
 
     The documents are tokenized once, here, and shared by every stream.
+    Documents with zero tokenizable sentences are skipped and counted in
+    stats. Phase k draws from its own seed derived from (rng_seed, k), and
+    its instances come out grouped by document ordinal, repeated dupe_factor
+    times over the corpus with independent derived RNGs.
     """
-    if not plan.phases:
-        raise ValueError("plan has no phases")
-    for phase in plan.phases:
-        _check_seq_len(phase.seq_len)
+    if not seq_lens:
+        raise ValueError("no phases")
+    for seq_len in seq_lens:
+        _check_seq_len(seq_len)
     stats = stats if stats is not None else GenerationStats()
     tokenized = _tokenize_documents(documents, vocab, stats)
     return [
-        _generate(
-            tokenized, vocab, phase.seq_len, replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k)), stats
-        )
-        for k, phase in enumerate(plan.phases)
+        _generate(tokenized, vocab, seq_len, replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k)), stats)
+        for k, seq_len in enumerate(seq_lens)
     ]
 
 
@@ -375,10 +357,10 @@ def instance_schema() -> dict:
     }
 
 
-def write_schema(path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(instance_schema(), f, indent=2, sort_keys=True)
-        f.write("\n")
+def write_schema(out: TextIO) -> None:
+    """Write the data.schema.json sidecar to an open text file."""
+    json.dump(instance_schema(), out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def pack_instance(instance: TrainingInstance) -> bytes:

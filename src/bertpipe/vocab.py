@@ -14,8 +14,8 @@ on the cutoff, it left the cutoff at 1 on every benchmark corpus, and where
 it did move the cutoff it could keep a lower-scoring piece over a higher one.
 
 The vocab file format is one piece per line, UTF-8, reserved tokens first;
-the line index is the token id. pretrain-data consumes this format
-bit-exactly.
+the line index is the token id. The `pretrain_data` stage consumes this
+format bit-exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .corpus import TextUnit
 
@@ -113,10 +113,10 @@ class Vocab:
     def reserved_ids(self) -> set[int]:
         return {self.piece_ids[t] for t in self.reserved}
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for piece in self.pieces:
-                f.write(piece + "\n")
+    def save(self, out: TextIO) -> None:
+        """Write the vocab file format to an open text file (see load)."""
+        for piece in self.pieces:
+            out.write(piece + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
@@ -179,27 +179,6 @@ def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
     return WordCounts(dict(counts), total)
 
 
-def _mandatory_chars(counts: dict[str, int], max_chars: int | None) -> tuple[list[str], bool]:
-    """Sorted characters forced into the vocabulary, and whether max_chars dropped any.
-
-    Each kept character enters as an initial and a continuation piece.
-    """
-    char_counts: Counter[str] = Counter()
-    for word, count in counts.items():
-        for ch in word:
-            char_counts[ch] += count
-    if max_chars is None or len(char_counts) <= max_chars:
-        return sorted(char_counts), False
-    logger.warning(
-        "character cap %d below alphabet size %d; %d rare characters fall back to %s",
-        max_chars,
-        len(char_counts),
-        len(char_counts) - max_chars,
-        UNK,
-    )
-    return sorted(sorted(char_counts, key=lambda c: (-char_counts[c], c))[:max_chars]), True
-
-
 def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str]]:
     """Occurrence counts of every substring piece of the training words.
 
@@ -234,46 +213,40 @@ def learn_wordpieces(
     counts: WordCounts,
     target_size: int,
     size_tolerance: float = DEFAULT_SIZE_TOLERANCE,
-    reserved: Sequence[str] = RESERVED_TOKENS,
-    max_chars: int | None = None,
 ) -> Vocab:
     """Learn a wordpiece vocabulary of target_size pieces.
 
-    The single-character pieces of every training character (capped to the
-    max_chars most frequent) are mandatory and never dropped, which keeps
+    RESERVED_TOKENS come first. The initial and continuation pieces of
+    every training character are mandatory and never dropped, which keeps
     every training word tokenizable. The rest of the budget goes to the
     top-k other substring pieces by count * length, ties broken by the
     piece string. The whole vocabulary is then ordered by the same key. If
     the corpus has fewer candidates than the budget, every candidate is
     kept and the shortfall is logged.
     """
-    reserved = list(reserved)
-    chars, capped = _mandatory_chars(counts.counts, max_chars)
-    floor_size = len(reserved) + 2 * len(chars)
+    chars = sorted({ch for word in counts.counts for ch in word})
+    floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
     if target_size < floor_size:
         raise ValueError(
             f"target below alphabet size: target {target_size} < "
-            f"{len(reserved)} reserved + {2 * len(chars)} character pieces"
+            f"{len(RESERVED_TOKENS)} reserved + {2 * len(chars)} character pieces"
         )
 
     initial, continuation = _candidate_counts(counts.counts)
     # A training word may spell a reserved token; it is never a learned piece.
-    for token in reserved:
+    for token in RESERVED_TOKENS:
         initial.pop(token, None)
-    alphabet = set(chars)
-
-    def optional():
-        # Single characters are mandatory, or dropped by max_chars along
-        # with every piece that contains them.
-        for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
-            for raw, count in cand.items():
-                if len(raw) != 1 and (not capped or alphabet.issuperset(raw)):
-                    yield -count * len(raw), prefix + raw
-
-    kept = heapq.nsmallest(target_size - floor_size, optional())
+    # Single characters are the mandatory pieces.
+    optional = (
+        (-count * len(raw), prefix + raw)
+        for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX))
+        for raw, count in cand.items()
+        if len(raw) != 1
+    )
+    kept = heapq.nsmallest(target_size - floor_size, optional)
     mandatory = [(-initial[c], c) for c in chars]
     mandatory += [(-continuation[c], CONTINUATION_PREFIX + c) for c in chars]
-    pieces = reserved + [piece for _, piece in sorted(mandatory + kept)]
+    pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]
 
     achieved = len(pieces)
     if abs(achieved - target_size) > size_tolerance * target_size:
@@ -284,7 +257,7 @@ def learn_wordpieces(
             target_size,
             100 * size_tolerance,
         )
-    return Vocab(pieces=pieces, reserved=reserved, target_size=target_size)
+    return Vocab(pieces=pieces, target_size=target_size)
 
 
 def tokenize(word: str, vocab: Vocab) -> list[str]:

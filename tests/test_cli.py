@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import bertpipe
 from bertpipe.corpus import read_units
-from bertpipe.vocab import LanguageBudget, count_words, learn_wordpieces, sample_subset
+from bertpipe.evaluation.report import load_reports
+from bertpipe.schedule import make_plan
+from bertpipe.vocab import count_words, learn_wordpieces
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bertpipe.__file__)))
 
@@ -46,32 +50,28 @@ def test_import_is_silent_and_starts_no_thread():
     assert done.stderr == ""
 
 
-def test_vocab_build_equals_library_learning(tmp_path):
-    paths = write_corpora(tmp_path)
-    out = tmp_path / "vocab.txt"
-    done = bertpipe_cli(
-        "vocab", "build", "--target-size", "90", "--budget", "en=20", "--budget", "fi=15",
-        "--seed", "3", *paths, str(out),
-    )
+def test_help_lists_exactly_the_kept_commands():
+    done = bertpipe_cli("--help")
     assert done.returncode == 0, done.stderr
+    assert "{vocab,schedule,eval,report,pipeline,version}" in done.stdout
 
-    budgets = [LanguageBudget("en", 20), LanguageBudget("fi", 15)]
-    subsets = [
-        sample_subset(read_units(path, b.lang), b, seed=3 + i)
-        for i, (path, b) in enumerate(zip(paths, budgets))
-    ]
-    expected = learn_wordpieces(count_words(subsets), target_size=90)
-    assert out.read_text(encoding="utf-8") == "".join(p + "\n" for p in expected.pieces)
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dedup", "--lang", "en", "in.txt", "out.txt"], ["vocab", "build", "out.txt"], ["pretrain-data", "out.bin"]],
+)
+def test_removed_stage_commands_are_a_validation_error(tmp_path, argv):
+    done = bertpipe_cli(*argv)
+    assert done.returncode == 1
+    assert "invalid choice" in done.stderr
 
 
 def test_vocab_tokenize_round_trips_a_word(tmp_path):
     paths = write_corpora(tmp_path)
     vocab = tmp_path / "vocab.txt"
-    built = bertpipe_cli(
-        "vocab", "build", "--target-size", "60", "--budget", "en=50", "--budget", "fi=50",
-        *paths, str(vocab),
-    )
-    assert built.returncode == 0, built.stderr
+    counts = count_words([read_units(path, lang) for path, lang in zip(paths, CORPORA)])
+    with open(vocab, "w", encoding="utf-8", newline="\n") as f:
+        learn_wordpieces(counts, target_size=60).save(f)
     done = bertpipe_cli("vocab", "tokenize", "--vocab", str(vocab), stdin="kissan\n")
     assert done.returncode == 0, done.stderr
     pieces = done.stdout.split()
@@ -79,15 +79,43 @@ def test_vocab_tokenize_round_trips_a_word(tmp_path):
     assert "".join(p.removeprefix("##") for p in pieces) == "kissan"
 
 
-def test_removed_max_iterations_flag_is_a_validation_error(tmp_path):
-    paths = write_corpora(tmp_path)
+def test_schedule_prints_the_plan():
     done = bertpipe_cli(
-        "vocab", "build", "--target-size", "60", "--max-iterations", "4",
-        "--budget", "en=50", "--budget", "fi=50", *paths, str(tmp_path / "vocab.txt"),
+        "schedule", "--tokens", "1e6", "--phase", "epochs=40,batch=1024,seqlen=128",
+        "--phase", "epochs=4,batch=256,seqlen=512",
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == make_plan(1e6, [(40, 1024, 128), (4, 256, 512)]).as_dict()
+
+
+def test_eval_report_round_trips_one_report(tmp_path):
+    gold = tmp_path / "gold.tsv"
+    pred = tmp_path / "pred.tsv"
+    gold.write_text("Ana\tPER\nin\tO\nTartu\tLOC\n\nACME\tORG\n", encoding="utf-8")
+    pred.write_text("Ana\tPER\nin\tO\nTartu\tO\n\nACME\tORG\n", encoding="utf-8")
+    one = tmp_path / "one.json"
+    done = bertpipe_cli(
+        "eval", "ner", "--gold", str(gold), "--pred", str(pred), "--train-lang", "et",
+        "--test-lang", "et", "--model", "m", "--out", str(one),
+    )
+    assert done.returncode == 0, done.stderr
+    [report] = load_reports(str(one))
+    assert json.loads(done.stdout) == report.as_dict()
+    combined = tmp_path / "all.json"
+    done = bertpipe_cli("report", "--task", "ner", "--json", str(combined), str(one))
+    assert done.returncode == 0, done.stderr
+    assert load_reports(str(combined)) == [report]
+    assert done.stdout.splitlines()[-1] == "| et    | et   | 0.667 |"
+
+
+def test_removed_max_iterations_flag_is_a_validation_error(tmp_path):
+    config = write_config(tmp_path)
+    done = bertpipe_cli(
+        "pipeline", "run", config, "--out", str(tmp_path / "out"), "--max-iterations", "4"
     )
     assert done.returncode == 1
     assert "--max-iterations" in done.stderr
-    assert not (tmp_path / "vocab.txt").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_with_max_iterations_is_rejected_by_name(tmp_path):

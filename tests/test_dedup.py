@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bertpipe.corpus import TextUnit
-from bertpipe.dedup import ShingleIndex, dedup_corpus, duplicate_fraction, shingle
+from bertpipe.dedup import dedup_corpus, shingle
 
 from conftest import make_dedup_corpus, oracle_dedup, oracle_shingles
 
@@ -35,27 +35,28 @@ class TestShingle:
 
 
 class TestDuplicateFraction:
+    """The fraction of a unit's shingles already kept, seen through dedup_corpus."""
+
     def test_empty_index_gives_zero(self):
-        assert duplicate_fraction(unit(0, "a b c"), ShingleIndex(2)) == 0.0
+        # nothing kept yet: fraction 0 is below even threshold 0
+        kept, _ = dedup_corpus([unit(0, "a b c")], n=2, threshold=0.0)
+        assert [u.id for u in kept] == [0]
 
     def test_identical_unit_gives_one(self):
-        index = ShingleIndex(2)
-        index.add_unit(unit(0, "a b c d e"))
-        assert duplicate_fraction(unit(1, "a b c d e"), index) == 1.0
+        kept, _ = dedup_corpus([unit(0, "a b c d e"), unit(1, "a b c d e")], n=2, threshold=1.0)
+        assert [u.id for u in kept] == [0]
 
     def test_nine_of_ten_shingles_seen(self):
         # 18 tokens -> 10 shingles at n=9; editing the final token leaves
         # exactly one window new
         tokens = [f"t{i}" for i in range(18)]
         edited = tokens[:-1] + ["other"]
-        index = ShingleIndex(9)
-        index.add_unit(unit(0, " ".join(tokens)))
-        probe = unit(1, " ".join(edited))
-        got = duplicate_fraction(probe, index)
-        grams = oracle_shingles(probe.text, 9)
+        grams = oracle_shingles(" ".join(edited), 9)
         seen = set(oracle_shingles(" ".join(tokens), 9))
-        expect = sum(1 for g in grams if g in seen) / len(grams)
-        assert got == expect == 0.9
+        assert sum(1 for g in grams if g in seen) / len(grams) == 0.9
+        units = [unit(0, " ".join(tokens)), unit(1, " ".join(edited))]
+        assert [u.id for u in dedup_corpus(units, n=9, threshold=0.9)[0]] == [0]
+        assert [u.id for u in dedup_corpus(units, n=9, threshold=0.91)[0]] == [0, 1]
 
 
 class TestDedupCorpus:

@@ -1,8 +1,12 @@
 """The pipeline run in-process, read through its event channel."""
 
 import json
+from dataclasses import replace
 
-from bertpipe.pipeline import STAGES, StageError, load_config, run_pipeline
+import pytest
+
+from bertpipe import pipeline
+from bertpipe.pipeline import STAGES, StageError, file_sha256, load_config, run_pipeline
 from bertpipe.pretrain import read_documents
 from bertpipe.vocab import Vocab, tokenize_text
 
@@ -56,3 +60,80 @@ def test_pretrain_tokenized_event_counts_the_tokenized_corpus(tmp_path):
     kinds = [e["event"] for e in events]
     assert kinds.index("pretrain_tokenized") < kinds.index("pretrain_phase")
     assert [e["phase"] for e in events if e["event"] == "pretrain_phase"] == [0, 1]
+
+
+def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):
+    def failing(instances, out):
+        out.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_instances", failing)
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(write_config(tmp_path), str(out))
+    assert failure.value.stage == "pretrain_data"
+    assert list(out.rglob("*.tmp")) == []
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.fixture
+def completing(monkeypatch):
+    """The schedule stage's event names an undefined `n_tok`; give it one."""
+    monkeypatch.setattr(pipeline, "n_tok", 0, raising=False)
+
+
+def statuses(results):
+    return {r.name: r.status for r in results}
+
+
+def rerun_stages(config, out_dir):
+    return [name for name, status in statuses(run_pipeline(config, out_dir)).items() if status == "completed"]
+
+
+def test_identical_rerun_skips_every_stage(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    assert rerun_stages(config, str(out)) == list(STAGES)
+    manifest = (out / "manifest.json").read_bytes()
+    assert statuses(run_pipeline(config, str(out))) == dict.fromkeys(STAGES, "skipped (up-to-date)")
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_changed_vocab_size_reruns_vocab_and_pretrain_data(tmp_path, completing):
+    config, out = write_config(tmp_path), str(tmp_path / "out")
+    run_pipeline(config, out)
+    larger = replace(config, vocab=replace(config.vocab, target_size=config.vocab.target_size + 5))
+    assert rerun_stages(larger, out) == ["vocab", "pretrain_data"]
+
+
+def test_deleted_output_reruns_its_stage(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    (out / "vocab.txt").unlink()
+    # the rewritten vocab.txt has the same bytes, so pretrain_data stays up to date
+    assert rerun_stages(config, str(out)) == ["vocab"]
+    (out / "plan.json").unlink()
+    assert rerun_stages(config, str(out)) == ["schedule"]
+
+
+def test_unreadable_manifest_reruns_every_stage(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    (out / "manifest.json").write_text("{not json", encoding="utf-8")
+    assert rerun_stages(config, str(out)) == list(STAGES)
+
+
+def test_each_file_is_hashed_at_most_once_per_run(tmp_path, completing, monkeypatch):
+    config, out = write_config(tmp_path), str(tmp_path / "out")
+    hashed = []
+
+    def counting(path):
+        hashed.append(path)
+        return file_sha256(path)
+
+    monkeypatch.setattr(pipeline, "file_sha256", counting)
+    for _ in range(2):  # a full run, then a run that skips every stage
+        hashed.clear()
+        run_pipeline(config, out)
+        with open(f"{out}/manifest.json", encoding="utf-8") as f:
+            outputs = [rel for stage in json.load(f)["stages"] for rel in stage["outputs"]]
+        assert len(hashed) == len(set(hashed)) == len(CORPORA) + len(outputs)

@@ -13,7 +13,6 @@ from bertpipe.pretrain import (
     GenerationStats,
     MaskingConfig,
     TrainingInstance,
-    build_instances,
     instance_schema,
     pack_instance,
     phase_datasets,
@@ -22,7 +21,6 @@ from bertpipe.pretrain import (
     write_instances,
     write_schema,
 )
-from bertpipe.schedule import make_plan
 from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces, tokenize_text
 
 
@@ -71,10 +69,12 @@ def word_groups(ids, vocab: Vocab):
 
 
 class TestBuildInstances:
+    """Instance building, through phase_datasets with one phase."""
+
     def test_packing_bounds(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(1))
-        instances = list(build_instances(docs, vocab, 128, MaskingConfig(rng_seed=5)))
+        instances = list(phase_datasets(docs, vocab, [128], MaskingConfig(rng_seed=5))[0])
         assert instances
         for inst in instances:
             assert len(inst.token_ids) <= 128
@@ -87,7 +87,7 @@ class TestBuildInstances:
     def test_no_masked_position_on_cls_or_sep(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(2))
-        for inst in build_instances(docs, vocab, 64, MaskingConfig(rng_seed=3)):
+        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=3))[0]:
             originals = restore_original_ids(inst)
             for pos in inst.masked_positions:
                 assert originals[pos] not in (vocab.cls_id, vocab.sep_id, vocab.pad_id)
@@ -96,7 +96,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(3), n_docs=40)
         checked_multi = 0
-        for inst in build_instances(docs, vocab, 128, MaskingConfig(rng_seed=11)):
+        for inst in phase_datasets(docs, vocab, [128], MaskingConfig(rng_seed=11))[0]:
             originals = restore_original_ids(inst)
             masked = set(inst.masked_positions)
             for group in word_groups(originals, vocab):
@@ -113,7 +113,7 @@ class TestBuildInstances:
         keep_all = MaskingConfig(
             replace_mask=0.0, replace_random=0.0, keep_original=1.0, rng_seed=8
         )
-        for inst in build_instances(docs, vocab, 64, keep_all):
+        for inst in phase_datasets(docs, vocab, [64], keep_all)[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] == label
 
@@ -125,7 +125,7 @@ class TestBuildInstances:
         )
         reserved = vocab.reserved_ids()
         seen_replacement = 0
-        for inst in build_instances(docs, vocab, 64, random_all):
+        for inst in phase_datasets(docs, vocab, [64], random_all)[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] not in reserved
                 if inst.token_ids[pos] != label:
@@ -138,7 +138,7 @@ class TestBuildInstances:
         mask_all = MaskingConfig(
             replace_mask=1.0, replace_random=0.0, keep_original=0.0, rng_seed=10
         )
-        for inst in build_instances(docs, vocab, 64, mask_all):
+        for inst in phase_datasets(docs, vocab, [64], mask_all)[0]:
             for pos in inst.masked_positions:
                 assert inst.token_ids[pos] == vocab.mask_id
 
@@ -146,24 +146,24 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(7))
         cfg = MaskingConfig(rng_seed=21)
-        a = list(build_instances(docs, vocab, 96, cfg))
-        b = list(build_instances(docs, vocab, 96, cfg))
+        a = list(phase_datasets(docs, vocab, [96], cfg)[0])
+        b = list(phase_datasets(docs, vocab, [96], cfg)[0])
         assert a == b
-        c = list(build_instances(docs, vocab, 96, MaskingConfig(rng_seed=22)))
+        c = list(phase_datasets(docs, vocab, [96], MaskingConfig(rng_seed=22))[0])
         assert a != c
 
     def test_document_without_tokenizable_sentences_is_skipped(self, toy_vocab):
         vocab, lexicon = toy_vocab
         stats = GenerationStats()
         docs = [[" ", ""], [lexicon[0] + " " + lexicon[1]] * 4]
-        list(build_instances(docs, vocab, 32, MaskingConfig(rng_seed=1), stats))
+        list(phase_datasets(docs, vocab, [32], MaskingConfig(rng_seed=1), stats)[0])
         assert stats.documents_in == 2
         assert stats.documents_skipped == 1
 
     def test_short_max_seq_len_rejected(self, toy_vocab):
         vocab, _ = toy_vocab
         with pytest.raises(ValueError):
-            list(build_instances([["a"]], vocab, 8, MaskingConfig()))
+            phase_datasets([["a"]], vocab, [8], MaskingConfig())
 
     def test_masked_count_floors_over_non_special_positions(self):
         # With one-piece words, masking stops exactly at its target count.
@@ -172,7 +172,7 @@ class TestBuildInstances:
         for cap in (4, 20):
             cfg = MaskingConfig(rng_seed=7, mask_prob=0.2, max_predictions_per_seq=cap)
             counts = set()
-            for inst in build_instances(docs, vocab, 64, cfg):
+            for inst in phase_datasets(docs, vocab, [64], cfg)[0]:
                 expected = min(cap, int(0.2 * (inst.content_length() - 3)))
                 assert len(inst.masked_positions) == expected
                 counts.add(expected)
@@ -181,13 +181,12 @@ class TestBuildInstances:
     def test_max_seq_len_above_u16_rejected(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = [[lexicon[0]]]
-        instances = list(build_instances(docs, vocab, MAX_SEQ_LEN, MaskingConfig()))
+        instances = list(phase_datasets(docs, vocab, [MAX_SEQ_LEN], MaskingConfig())[0])
         assert [len(i.token_ids) for i in instances] == [MAX_SEQ_LEN]
         with pytest.raises(ValueError, match="max_seq_len"):
-            build_instances(docs, vocab, MAX_SEQ_LEN + 1, MaskingConfig())
-        plan = make_plan(1e6, [(1, 8, 128), (1, 8, MAX_SEQ_LEN + 1)])
+            phase_datasets(docs, vocab, [MAX_SEQ_LEN + 1], MaskingConfig())
         with pytest.raises(ValueError, match="max_seq_len"):
-            phase_datasets(docs, vocab, plan, MaskingConfig())
+            phase_datasets(docs, vocab, [128, MAX_SEQ_LEN + 1], MaskingConfig())
 
     def test_reserved_words_stay_out_of_content(self):
         lexicon = ["[SEP]", "[MASK]", "[CLS]", "[PAD]", "[UNK]", "ab", "ba", "abba", "##b"]
@@ -199,7 +198,7 @@ class TestBuildInstances:
                 counts[word] = counts.get(word, 0) + 1
         vocab = learn_wordpieces(WordCounts(counts, sum(counts.values())), target_size=80)
         reserved = vocab.reserved_ids()
-        instances = list(build_instances(docs, vocab, 48, MaskingConfig(rng_seed=2, dupe_factor=3)))
+        instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(rng_seed=2, dupe_factor=3))[0])
         assert instances
         bracket_words = 0
         for inst in instances:
@@ -218,9 +217,9 @@ class TestBuildInstances:
     def test_dupe_factor_multiplies_passes(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(8), n_docs=5)
-        once = list(build_instances(docs, vocab, 64, MaskingConfig(rng_seed=2)))
+        once = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=2))[0])
         twice = list(
-            build_instances(docs, vocab, 64, MaskingConfig(rng_seed=2, dupe_factor=2))
+            phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=2, dupe_factor=2))[0]
         )
         assert len(twice) >= 2 * len(once) - len(docs)  # chunking identical per pass
         assert twice[: len(once)] == once
@@ -229,7 +228,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(9))
         cfg = MaskingConfig(rng_seed=4, max_predictions_per_seq=5)
-        for inst in build_instances(docs, vocab, 128, cfg):
+        for inst in phase_datasets(docs, vocab, [128], cfg)[0]:
             usable = inst.content_length() - 3
             assert len(inst.masked_positions) <= min(5, int(0.15 * usable))
 
@@ -238,8 +237,7 @@ class TestPhaseDatasets:
     def test_one_stream_per_phase_with_phase_lengths(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(10))
-        plan = make_plan(3.7e9, [(40, 1024, 128), (4, 256, 512)])
-        streams = phase_datasets(docs, vocab, plan, MaskingConfig(rng_seed=6))
+        streams = phase_datasets(docs, vocab, [128, 512], MaskingConfig(rng_seed=6))
         lengths = []
         for stream in streams:
             batch = list(stream)
@@ -250,19 +248,17 @@ class TestPhaseDatasets:
     def test_single_phase_plan_single_stream(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(11), n_docs=5)
-        plan = make_plan(1e6, [(1, 8, 32)])
-        streams = phase_datasets(docs, vocab, plan, MaskingConfig(rng_seed=6))
+        streams = phase_datasets(docs, vocab, [32], MaskingConfig(rng_seed=6))
         assert len(streams) == 1
         assert all(len(i.token_ids) == 32 for i in streams[0])
 
     def test_streams_serialize_identically_for_same_seed(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(12), n_docs=8)
-        plan = make_plan(1e6, [(1, 8, 64), (1, 8, 128)])
 
         def serialize():
             out = []
-            for stream in phase_datasets(docs, vocab, plan, MaskingConfig(rng_seed=33)):
+            for stream in phase_datasets(docs, vocab, [64, 128], MaskingConfig(rng_seed=33)):
                 buf = io.BytesIO()
                 write_instances(stream, buf)
                 out.append(buf.getvalue())
@@ -280,9 +276,8 @@ class TestPhaseDatasets:
             return tokenize_text(text, vocab)
 
         monkeypatch.setattr(pretrain, "tokenize_text", counting)
-        plan = make_plan(1e6, [(1, 8, 32), (1, 8, 64), (1, 8, 128)])
         stats = GenerationStats()
-        streams = phase_datasets(docs, vocab, plan, MaskingConfig(rng_seed=6), stats)
+        streams = phase_datasets(docs, vocab, [32, 64, 128], MaskingConfig(rng_seed=6), stats)
         sentences = [s for doc in docs for s in doc]
         assert calls == sentences
         assert (stats.documents_in, stats.documents_skipped) == (7, 1)
@@ -309,7 +304,7 @@ class TestSerialization:
     def test_round_trip(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(13), n_docs=6)
-        instances = list(build_instances(docs, vocab, 64, MaskingConfig(rng_seed=5)))
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
         buf = io.BytesIO()
         assert write_instances(instances, buf) == len(instances)
         path_bytes = buf.getvalue()
@@ -318,7 +313,7 @@ class TestSerialization:
     def test_read_back_equals_written(self, toy_vocab, tmp_path):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(14), n_docs=6)
-        instances = list(build_instances(docs, vocab, 64, MaskingConfig(rng_seed=5)))
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
         path = tmp_path / "insts.bin"
         with open(path, "wb") as f:
             write_instances(instances, f)
@@ -327,7 +322,7 @@ class TestSerialization:
     def test_truncated_record_detected(self, toy_vocab, tmp_path):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(15), n_docs=2)
-        instances = list(build_instances(docs, vocab, 64, MaskingConfig(rng_seed=5)))
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
         payload = pack_instance(instances[0])
         path = tmp_path / "broken.bin"
         path.write_bytes(payload[: len(payload) - 3])
@@ -336,7 +331,8 @@ class TestSerialization:
 
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"
-        write_schema(str(path))
+        with open(path, "w", encoding="utf-8") as f:
+            write_schema(f)
         schema = json.loads(path.read_text())
         names = [f["name"] for f in schema["record"]]
         assert names == [
@@ -411,14 +407,8 @@ class TestPinnedBytes:
 
     def test_phase_datasets_bytes(self):
         vocab = Vocab(PINNED_PIECES)
-        plan = make_plan(1e6, [(1, 8, 32), (1, 8, 64)])
-        streams = phase_datasets(pinned_corpus(), vocab, plan, self.CFG)
+        streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [stream_sha256(s) for s in streams] == [
             "d2e9e04da39109174f7a792932d40053f2a5a2c4e222c69f42e19151b359c37d",
             "5a4f3845b1ed54f314372eb76520bc7fb04daac5e5ad109381b40d50d26bd977",
         ]
-
-    def test_build_instances_bytes(self):
-        vocab = Vocab(PINNED_PIECES)
-        stream = build_instances(pinned_corpus(), vocab, 48, self.CFG)
-        assert stream_sha256(stream) == "670a5488bdf343a30c0cb6385ad208d06b1f7daa3c37316f6ada15b27fb9b9f5"

@@ -143,12 +143,6 @@ class TestLearnWordpieces:
         vocab = learn_wordpieces(wc, target_size=800, size_tolerance=0.02)
         assert abs(len(vocab) - 800) <= 0.02 * 800
 
-    def test_character_cap_overflows_to_unk(self):
-        wc = WordCounts({"aa": 100, "bb": 100, "zz": 1}, 201)
-        vocab = learn_wordpieces(wc, target_size=30, max_chars=2)
-        assert tokenize("zz", vocab) == ["[UNK]"]
-        assert tokenize("aa", vocab) != ["[UNK]"]
-
     def test_word_spelling_a_reserved_token_is_not_learned_again(self):
         vocab = learn_wordpieces(WordCounts({"[MASK]": 5, "ab": 3}, 8), 60)
         assert vocab.pieces.count("[MASK]") == 1
@@ -166,15 +160,16 @@ class TestLearnWordpieces:
         two = learn_wordpieces(wc, target_size=100)
         assert one.pieces == two.pieces
         p1, p2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        one.save(str(p1))
-        two.save(str(p2))
+        for vocab, path in ((one, p1), (two, p2)):
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                vocab.save(f)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = Vocab.load(str(p1))
         assert loaded.pieces == one.pieces
         assert loaded.reserved == RESERVED_TOKENS
 
 
-def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: int | None) -> list[str]:
+def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
     """Every substring piece counted by hand, sorted in full, then truncated."""
     cand = Counter()
     for word, count in counts.items():
@@ -183,26 +178,13 @@ def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: in
         for i in range(len(word)):
             for j in range(i + 1, min(len(word), i + MAX_PIECE_CHARS) + 1):
                 cand[word[i:j] if i == 0 else "##" + word[i:j]] += count
-    char_counts = Counter()
-    for word, count in counts.items():
-        for ch in word:
-            char_counts[ch] += count
-    chars = sorted(char_counts, key=lambda c: (-char_counts[c], c))[:max_chars]
+    chars = sorted({ch for word in counts for ch in word})
     mandatory = chars + ["##" + c for c in chars]
 
     def key(piece):
         return -cand[piece] * len(piece.removeprefix("##")), piece
 
-    optional = sorted(
-        (
-            p
-            for p in cand
-            if p not in mandatory
-            and p not in RESERVED_TOKENS
-            and set(p.removeprefix("##")) <= set(chars)
-        ),
-        key=key,
-    )
+    optional = sorted((p for p in cand if p not in mandatory and p not in RESERVED_TOKENS), key=key)
     budget = target_size - len(RESERVED_TOKENS) - len(mandatory)
     return RESERVED_TOKENS + sorted(mandatory + optional[:budget], key=key)
 
@@ -216,15 +198,11 @@ def reference_wordpieces(counts: dict[str, int], target_size: int, max_chars: in
         max_size=25,
     ),
     extra=st.integers(0, 80),
-    max_chars=st.none() | st.integers(1, 4),
 )
-def test_learning_matches_full_sort_reference(words, extra, max_chars):
-    n_chars = len({c for w in words for c in w})
-    if max_chars is not None:
-        n_chars = min(n_chars, max_chars)
-    target = len(RESERVED_TOKENS) + 2 * n_chars + extra
-    vocab = learn_wordpieces(WordCounts(words, sum(words.values())), target, max_chars=max_chars)
-    assert vocab.pieces == reference_wordpieces(words, target, max_chars)
+def test_learning_matches_full_sort_reference(words, extra):
+    target = len(RESERVED_TOKENS) + 2 * len({c for w in words for c in w}) + extra
+    vocab = learn_wordpieces(WordCounts(words, sum(words.values())), target)
+    assert vocab.pieces == reference_wordpieces(words, target)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,7 +216,8 @@ def test_load_reserves_only_the_known_tokens(tmp_path_factory, bracketed, rest):
     learned = bracketed + [p for p in rest if p not in bracketed]
     vocab = Vocab(pieces=RESERVED_TOKENS + learned)
     path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
-    vocab.save(str(path))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        vocab.save(f)
     loaded = Vocab.load(str(path))
     assert loaded.pieces == vocab.pieces
     assert loaded.reserved == RESERVED_TOKENS
