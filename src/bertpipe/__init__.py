@@ -6,12 +6,11 @@ from .corpus import Granularity, TextUnit
 from .dedup import DedupStats, dedup_corpus, shingle
 from .pretrain import MaskingConfig, TrainingInstance, phase_datasets
 from .schedule import PhaseSpec, TrainingPlan, make_plan, steps_for
-from .vocab import LanguageBudget, Vocab, WordCounts, count_words, learn_wordpieces, sample_subset, tokenize
+from .vocab import Vocab, WordCounts, count_words, learn_wordpieces, sample_subset, tokenize
 
 __all__ = [
     "DedupStats",
     "Granularity",
-    "LanguageBudget",
     "MaskingConfig",
     "PhaseSpec",
     "TextUnit",

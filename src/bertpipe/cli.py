@@ -21,6 +21,7 @@ import json
 import sys
 
 from . import __version__
+from .corpus import normalize
 from .evaluation.ner import LabelMap, harmonize, ner_scores, parse_ner
 from .evaluation.report import EvalReport, load_reports, save_reports, transfer_matrix
 from .evaluation.ud import attachment_scores, parse_conllu, upos_accuracy
@@ -54,7 +55,7 @@ def _emit_event(event: dict) -> None:
 def _cmd_vocab_tokenize(args) -> int:
     vocab = Vocab.load(args.vocab)
     for line in sys.stdin:
-        line = line.strip()
+        line = normalize(line)
         if not line:
             print()
             continue
@@ -81,7 +82,10 @@ def _parse_phase(spec: str) -> tuple[float, int, int]:
 
 def _cmd_schedule(args) -> int:
     phases = [_parse_phase(p) for p in args.phase]
-    plan = make_plan(args.tokens, phases)
+    try:
+        plan = make_plan(args.tokens, phases)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

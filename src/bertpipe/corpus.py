@@ -1,8 +1,11 @@
-"""Text units: the atoms of deduplication, sampling, and vocabulary learning.
+"""The corpus text format: the one place that reads corpus files.
 
-A corpus file is UTF-8 plain text. In sentence granularity every non-blank
-line is one unit; in paragraph granularity consecutive non-blank lines form
-one unit and blank lines separate units.
+A corpus file is UTF-8 plain text with one sentence per line and a blank
+(or whitespace-only) line between documents. Every line is stripped and
+NFC-normalized when it is read, so the composed and decomposed spellings of
+a letter such as ä, õ or š are the same text to every later stage. In
+sentence granularity every line is one unit; in paragraph granularity each
+document's lines, joined by a space, are one unit.
 """
 
 from __future__ import annotations
@@ -20,57 +23,40 @@ class Granularity(str, Enum):
 
 @dataclass(frozen=True)
 class TextUnit:
-    """A sentence or paragraph with a language tag.
+    """A sentence or paragraph with a language tag; `text` is stripped,
+    non-empty and NFC-normalized."""
 
-    `text` is non-empty after whitespace normalization; `id` is unique and
-    monotonically increasing within a corpus.
-    """
-
-    id: int
     lang: str
     text: str
-    granularity: Granularity = Granularity.SENTENCE
 
     def tokens(self) -> list[str]:
-        """Whitespace tokens of the NFC-normalized text (cased)."""
-        return unicodedata.normalize("NFC", self.text).split()
-
-    def token_count(self) -> int:
-        return len(self.tokens())
+        """Whitespace tokens of the text (cased)."""
+        return self.text.split()
 
 
-def iter_units(
-    lines: Iterable[str],
-    lang: str,
-    granularity: Granularity = Granularity.SENTENCE,
-    start_id: int = 0,
-) -> Iterator[TextUnit]:
-    """Yield units from an iterable of lines (newlines optional).
+def normalize(line: str) -> str:
+    """A line of text as every stage sees it: stripped and NFC-normalized."""
+    return unicodedata.normalize("NFC", line.strip())
 
-    Blank lines are unit separators in paragraph mode and ignored in
-    sentence mode. Units that are empty after stripping are never yielded.
-    """
-    next_id = start_id
-    if granularity is Granularity.SENTENCE:
-        for line in lines:
-            text = line.strip()
-            if not text:
-                continue
-            yield TextUnit(next_id, lang, text, granularity)
-            next_id += 1
-        return
 
-    pending: list[str] = []
-    for line in lines:
-        text = line.strip()
-        if text:
-            pending.append(text)
-        elif pending:
-            yield TextUnit(next_id, lang, " ".join(pending), granularity)
-            next_id += 1
-            pending = []
-    if pending:
-        yield TextUnit(next_id, lang, " ".join(pending), granularity)
+def _documents(path: str) -> Iterator[list[str]]:
+    """Each document of a corpus file as its normalized non-blank lines."""
+    lines: list[str] = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = normalize(line)
+            if line:
+                lines.append(line)
+            elif lines:
+                yield lines
+                lines = []
+    if lines:
+        yield lines
+
+
+def read_documents(path: str) -> list[list[str]]:
+    """Documents of a corpus file, each a list of its sentences."""
+    return list(_documents(path))
 
 
 def read_units(
@@ -78,8 +64,9 @@ def read_units(
     lang: str,
     granularity: Granularity = Granularity.SENTENCE,
 ) -> list[TextUnit]:
-    with open(path, "r", encoding="utf-8") as f:
-        return list(iter_units(f, lang, granularity))
+    if granularity is Granularity.SENTENCE:
+        return [TextUnit(lang, line) for doc in _documents(path) for line in doc]
+    return [TextUnit(lang, " ".join(doc)) for doc in _documents(path)]
 
 
 def write_units(units: Iterable[TextUnit], out: TextIO, granularity: Granularity) -> None:

@@ -27,8 +27,8 @@ def fingerprint(tokens: Sequence[str]) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def shingle(unit: TextUnit, n: int) -> list[int]:
-    """Fingerprints of the unit's n-grams of whitespace tokens.
+def shingle(tokens: Sequence[str], n: int) -> list[int]:
+    """Fingerprints of the n-grams of a unit's whitespace tokens.
 
     Returns T - n + 1 fingerprints for a unit of T tokens. Units shorter
     than n hash as a single whole-unit shingle so that exact short
@@ -36,7 +36,6 @@ def shingle(unit: TextUnit, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"shingle order must be >= 1, got {n}")
-    tokens = unit.tokens()
     if len(tokens) < n:
         return [fingerprint(tokens)]
     return [fingerprint(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
@@ -65,7 +64,7 @@ def dedup_corpus(
     n: int = DEFAULT_N,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[list[TextUnit], DedupStats]:
-    """Greedy first-wins pass over units in id order.
+    """Greedy first-wins pass over units in input order.
 
     A unit is dropped iff its duplicate fraction against the shingles of
     previously kept units is >= threshold. The first unit is always kept
@@ -78,15 +77,15 @@ def dedup_corpus(
     seen: set[int] = set()  # fingerprints of the kept units' shingles
     kept: list[TextUnit] = []
     for unit in units:
-        ntok = unit.token_count()
+        tokens = unit.tokens()
         stats.units_in += 1
-        stats.tokens_in += ntok
-        prints = shingle(unit, n)
+        stats.tokens_in += len(tokens)
+        prints = shingle(tokens, n)
         if seen and sum(1 for p in prints if p in seen) / len(prints) >= threshold:
             stats.units_dropped += 1
         else:
             stats.units_kept += 1
-            stats.tokens_kept += ntok
+            stats.tokens_kept += len(tokens)
             seen.update(prints)
             kept.append(unit)
     return kept, stats

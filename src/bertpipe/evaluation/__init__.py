@@ -1,17 +1,14 @@
 from .ner import (
-    CorpusStats,
     LabelMap,
     NerSentence,
     harmonize,
     ner_scores,
-    ner_stats,
     parse_ner,
 )
 from .report import EvalReport, transfer_matrix
 from .ud import UdToken, attachment_scores, parse_conllu, upos_accuracy
 
 __all__ = [
-    "CorpusStats",
     "EvalReport",
     "LabelMap",
     "NerSentence",
@@ -19,7 +16,6 @@ __all__ = [
     "attachment_scores",
     "harmonize",
     "ner_scores",
-    "ner_stats",
     "parse_conllu",
     "parse_ner",
     "transfer_matrix",

@@ -193,40 +193,3 @@ def ner_scores(
         model_name=model_name,
         metrics=metrics,
     )
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Entity-token counts and their density over all tokens."""
-
-    per: int
-    loc: int
-    org: int
-    n_tokens: int
-
-    @property
-    def density(self) -> float:
-        return (self.per + self.loc + self.org) / self.n_tokens if self.n_tokens else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "PER": self.per,
-            "LOC": self.loc,
-            "ORG": self.org,
-            "density": self.density,
-            "N": self.n_tokens,
-        }
-
-
-def ner_stats(sentences: Iterable[NerSentence]) -> CorpusStats:
-    """Label counts over a harmonized corpus."""
-    counts = {label: 0 for label in ENTITY_LABELS}
-    total = 0
-    for sentence in sentences:
-        for label in sentence.labels:
-            if label in counts:
-                counts[label] += 1
-            elif label != "O":
-                raise ValueError(f"unharmonized label {label!r}")
-            total += 1
-    return CorpusStats(counts["PER"], counts["LOC"], counts["ORG"], total)

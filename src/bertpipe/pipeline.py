@@ -30,20 +30,12 @@ from typing import IO, Callable, Iterator, NamedTuple
 import jsonschema
 
 from . import __version__
-from .corpus import Granularity, TextUnit, read_units, write_units
+from .corpus import Granularity, read_documents, read_units, write_units
 from .dedup import dedup_corpus
-from .pretrain import (
-    GenerationStats,
-    MaskingConfig,
-    phase_datasets,
-    read_documents,
-    write_instances,
-    write_schema,
-)
+from .pretrain import GenerationStats, MaskingConfig, phase_datasets, write_instances, write_schema
 from .schedule import make_plan
 from .vocab import (
     DEFAULT_SIZE_TOLERANCE,
-    LanguageBudget,
     Vocab,
     count_words,
     learn_wordpieces,
@@ -190,15 +182,11 @@ def _lang_files(config: PipelineConfig, *patterns: str) -> list[str]:
 
 def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     for lang in config.languages:
-        units: list[TextUnit] = []
-        for path in lang.corpus:
-            start = len(units)
-            units.extend(
-                TextUnit(start + i, lang.code, u.text, u.granularity)
-                for i, u in enumerate(
-                    read_units(config.corpus_path(path), lang.code, config.dedup.granularity)
-                )
-            )
+        units = [
+            unit
+            for path in lang.corpus
+            for unit in read_units(config.corpus_path(path), lang.code, config.dedup.granularity)
+        ]
         kept, stats = dedup_corpus(units, config.dedup.n, config.dedup.threshold)
         with _atomic(os.path.join(out_dir, f"dedup/{lang.code}.txt"), "w") as f:
             write_units(kept, f, config.dedup.granularity)
@@ -211,9 +199,7 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         units = read_units(
             os.path.join(out_dir, f"dedup/{lang.code}.txt"), lang.code, config.dedup.granularity
         )
-        subset = sample_subset(
-            units, LanguageBudget(lang.code, lang.vocab_budget), seed=config.vocab.seed + i
-        )
+        subset = sample_subset(units, lang.vocab_budget, seed=config.vocab.seed + i)
         with _atomic(os.path.join(out_dir, f"sample/{lang.code}.txt"), "w") as f:
             write_units(subset, f, config.dedup.granularity)
         emit({"event": "sample_lang", "lang": lang.code, "units": len(subset)})
@@ -349,6 +335,22 @@ _STAGES = (
 STAGES = tuple(stage.name for stage in _STAGES)
 
 
+def _previous_stages(manifest_path: str) -> dict[str, dict]:
+    """The stage records of the last complete run by name; none when the
+    manifest is missing or is not an object holding a list of stage objects,
+    each with a name and an object of output hashes."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            stages = json.load(f)["stages"]
+        if isinstance(stages, list) and all(
+            isinstance(s, dict) and isinstance(s.get("outputs"), dict) for s in stages
+        ):
+            return {s["name"]: s for s in stages}
+    except (OSError, ValueError, LookupError, TypeError):
+        pass
+    return {}
+
+
 @dataclass
 class StageResult:
     name: str
@@ -368,13 +370,7 @@ def run_pipeline(
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    previous: dict[str, dict] = {}
-    if not force and os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as f:
-                previous = {s["name"]: s for s in json.load(f).get("stages", [])}
-        except (OSError, json.JSONDecodeError, KeyError):
-            previous = {}
+    previous = {} if force else _previous_stages(manifest_path)
 
     # path -> sha256, so that a stage's outputs are not hashed again as the
     # next stage's inputs; a stage drops its outputs before rewriting them
@@ -388,7 +384,7 @@ def run_pipeline(
     def up_to_date(prev: dict | None, params: dict, inputs: dict[str, str]) -> bool:
         if prev is None or prev.get("params") != params or prev.get("inputs") != inputs:
             return False
-        for rel, recorded in prev.get("outputs", {}).items():
+        for rel, recorded in prev["outputs"].items():
             path = os.path.join(out_dir, rel)
             if not os.path.exists(path) or digest(path) != recorded:
                 return False

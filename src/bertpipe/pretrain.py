@@ -33,7 +33,7 @@ from itertools import compress
 from random import Random
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .vocab import Vocab, tokenize_text
+from .vocab import CONTINUATION_PREFIX, Vocab, tokenize_text
 
 SCHEMA_VERSION = 1
 
@@ -281,8 +281,7 @@ def _generate(
     random_ids = [i for i in range(len(vocab)) if i not in reserved]
     if not random_ids:
         raise ValueError("vocabulary has no non-reserved pieces")
-    prefix = vocab.continuation_prefix
-    word_initial = bytes(not p.startswith(prefix) for p in vocab.pieces)
+    word_initial = bytes(not p.startswith(CONTINUATION_PREFIX) for p in vocab.pieces)
 
     for pass_idx in range(cfg.dupe_factor):
         for doc_index in range(len(tokenized)):
@@ -319,23 +318,6 @@ def phase_datasets(
         _generate(tokenized, vocab, seq_len, replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k)), stats)
         for k, seq_len in enumerate(seq_lens)
     ]
-
-
-def read_documents(path: str) -> list[list[str]]:
-    """Documents from a text file: one sentence per line, blank line between docs."""
-    docs: list[list[str]] = []
-    current: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                current.append(line)
-            elif current:
-                docs.append(current)
-                current = []
-    if current:
-        docs.append(current)
-    return docs
 
 
 def instance_schema() -> dict:

@@ -45,22 +45,9 @@ MAX_CANDIDATE_WORD_CHARS = 64
 DEFAULT_SIZE_TOLERANCE = 0.02
 
 
-@dataclass(frozen=True)
-class LanguageBudget:
-    """Tokens to sample from one language for vocabulary learning."""
-
-    lang: str
-    token_budget: int
-
-    def __post_init__(self):
-        if self.token_budget <= 0:
-            raise ValueError(f"token budget must be positive, got {self.token_budget}")
-
-
 @dataclass
 class WordCounts:
     counts: dict[str, int]
-    total_tokens: int
 
 
 @dataclass
@@ -69,8 +56,6 @@ class Vocab:
 
     pieces: list[str]
     reserved: list[str] = field(default_factory=lambda: list(RESERVED_TOKENS))
-    continuation_prefix: str = CONTINUATION_PREFIX
-    target_size: int = 0
     piece_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     # word -> its pieces, filled by tokenize_text; pieces never change after init
     word_pieces: dict[str, tuple[str, ...]] = field(
@@ -127,27 +112,28 @@ class Vocab:
         # Only the known reserved tokens count: a learned piece such as
         # "[1]" may directly follow them.
         reserved = list(itertools.takewhile(lambda p: p in RESERVED_TOKENS, pieces))
-        return cls(pieces=pieces, reserved=reserved, target_size=len(pieces))
+        return cls(pieces=pieces, reserved=reserved)
 
 
-def sample_subset(
-    corpus: Sequence[TextUnit], budget: LanguageBudget, seed: int
-) -> list[TextUnit]:
+def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> list[TextUnit]:
     """Uniform-random units until the cumulative token count reaches the budget.
 
     Deterministic given the seed; selected units are returned in corpus
     order. A budget at or above the corpus size returns the whole corpus
     (the shortfall is logged).
     """
+    if token_budget <= 0:
+        raise ValueError(f"token budget must be positive, got {token_budget}")
     if not corpus:
         raise ValueError("empty corpus")
-    corpus_tokens = sum(u.token_count() for u in corpus)
-    if budget.token_budget >= corpus_tokens:
-        if budget.token_budget > corpus_tokens:
+    lengths = [len(u.tokens()) for u in corpus]
+    corpus_tokens = sum(lengths)
+    if token_budget >= corpus_tokens:
+        if token_budget > corpus_tokens:
             logger.warning(
                 "budget for %s exceeds corpus size (%d > %d tokens); taking whole corpus",
-                budget.lang,
-                budget.token_budget,
+                corpus[0].lang,
+                token_budget,
                 corpus_tokens,
             )
         return list(corpus)
@@ -158,8 +144,8 @@ def sample_subset(
     cum = 0
     for idx in order:
         picked.append(idx)
-        cum += corpus[idx].token_count()
-        if cum >= budget.token_budget:
+        cum += lengths[idx]
+        if cum >= token_budget:
             break
     picked.sort()
     return [corpus[i] for i in picked]
@@ -168,15 +154,12 @@ def sample_subset(
 def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
     """Merged whitespace-token counts over all per-language subsets."""
     counts: Counter[str] = Counter()
-    total = 0
     for subset in subsets:
         for unit in subset:
-            tokens = unit.tokens()
-            counts.update(tokens)
-            total += len(tokens)
-    if total == 0:
+            counts.update(unit.tokens())
+    if not counts:
         raise ValueError("at least one unit required")
-    return WordCounts(dict(counts), total)
+    return WordCounts(dict(counts))
 
 
 def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str]]:
@@ -257,7 +240,7 @@ def learn_wordpieces(
             target_size,
             100 * size_tolerance,
         )
-    return Vocab(pieces=pieces, target_size=target_size)
+    return Vocab(pieces=pieces)
 
 
 def tokenize(word: str, vocab: Vocab) -> list[str]:
@@ -269,7 +252,6 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
     """
     if not word:
         raise ValueError("empty word")
-    prefix = vocab.continuation_prefix
     ids = vocab.piece_ids
     reserved = vocab.reserved
     pieces: list[str] = []
@@ -279,7 +261,7 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
         end = length
         match = None
         while end > start:
-            piece = word[start:end] if start == 0 else prefix + word[start:end]
+            piece = word[start:end] if start == 0 else CONTINUATION_PREFIX + word[start:end]
             if piece in ids and piece not in reserved:
                 match = piece
                 break

@@ -23,17 +23,17 @@ def oracle_shingles(text: str, n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def oracle_dedup(units: list[TextUnit], n: int, threshold: float) -> list[int]:
-    """Ids kept by a literal re-statement of the greedy first-wins rule."""
+def oracle_dedup(texts: list[str], n: int, threshold: float) -> list[str]:
+    """Texts kept by a literal re-statement of the greedy first-wins rule."""
     seen: set[tuple[str, ...]] = set()
-    kept: list[int] = []
-    for unit in units:
-        grams = oracle_shingles(unit.text, n)
+    kept: list[str] = []
+    for text in texts:
+        grams = oracle_shingles(text, n)
         if seen:
             fraction = sum(1 for g in grams if g in seen) / len(grams)
             if fraction >= threshold:
                 continue
-        kept.append(unit.id)
+        kept.append(text)
         seen.update(grams)
     return kept
 
@@ -58,7 +58,7 @@ def make_dedup_corpus(rng: random.Random, size: int, lang: str = "xx") -> list[T
                 units.append(" ".join(rng.choice(vocab) for _ in range(rng.randint(3, 25))))
         else:
             units.append(" ".join(rng.choice(vocab) for _ in range(rng.randint(3, 25))))
-    return [TextUnit(i, lang, text) for i, text in enumerate(units)]
+    return [TextUnit(lang, text) for text in units]
 
 
 # ------------------------------------------------------------ tokenizer oracle

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -17,9 +18,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(bertpipe.__file__)))
 
 
 def run_python(*args, stdin=None):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], input=stdin, capture_output=True, encoding="utf-8", env=env, timeout=120
     )
 
 
@@ -66,17 +67,31 @@ def test_removed_stage_commands_are_a_validation_error(tmp_path, argv):
     assert "invalid choice" in done.stderr
 
 
-def test_vocab_tokenize_round_trips_a_word(tmp_path):
+def write_vocab(tmp_path):
     paths = write_corpora(tmp_path)
     vocab = tmp_path / "vocab.txt"
     counts = count_words([read_units(path, lang) for path, lang in zip(paths, CORPORA)])
     with open(vocab, "w", encoding="utf-8", newline="\n") as f:
         learn_wordpieces(counts, target_size=60).save(f)
-    done = bertpipe_cli("vocab", "tokenize", "--vocab", str(vocab), stdin="kissan\n")
+    return str(vocab)
+
+
+def test_vocab_tokenize_round_trips_a_word(tmp_path):
+    done = bertpipe_cli("vocab", "tokenize", "--vocab", write_vocab(tmp_path), stdin="kissan\n")
     assert done.returncode == 0, done.stderr
     pieces = done.stdout.split()
     assert "[UNK]" not in pieces
     assert "".join(p.removeprefix("##") for p in pieces) == "kissan"
+
+
+def test_vocab_tokenize_reads_decomposed_input_as_composed(tmp_path):
+    vocab = write_vocab(tmp_path)
+    composed = "\n".join(CORPORA["fi"]) + "\n"
+    nfc = bertpipe_cli("vocab", "tokenize", "--vocab", vocab, stdin=composed)
+    nfd = bertpipe_cli("vocab", "tokenize", "--vocab", vocab, stdin=unicodedata.normalize("NFD", composed))
+    assert nfc.returncode == nfd.returncode == 0, nfd.stderr
+    assert nfd.stdout == nfc.stdout
+    assert "[UNK]" not in nfc.stdout
 
 
 def test_schedule_prints_the_plan():
@@ -86,6 +101,16 @@ def test_schedule_prints_the_plan():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == make_plan(1e6, [(40, 1024, 128), (4, 256, 512)]).as_dict()
+
+
+@pytest.mark.parametrize(
+    "tokens, phase", [("0", "epochs=1,batch=8,seqlen=128"), ("1e6", "epochs=1,batch=0,seqlen=128")]
+)
+def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase):
+    done = bertpipe_cli("schedule", "--tokens", tokens, "--phase", phase)
+    assert done.returncode == 1
+    assert "validation error: invalid phase" in done.stderr
+    assert done.stdout == ""
 
 
 def test_eval_report_round_trips_one_report(tmp_path):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from bertpipe.evaluation.ner import (
     NerSentence,
     harmonize,
     ner_scores,
-    ner_stats,
     parse_ner,
 )
 
@@ -195,37 +193,3 @@ def test_scores_match_oracle(seed, n_sentences):
         oracle_macro_f1(flat_gold, flat_pred), rel=1e-12
     )
     assert all(0.0 <= v <= 1.0 for v in report.metrics.values())
-
-
-class TestNerStats:
-    def test_croatian_shaped_fixture(self):
-        stats = make_stats_fixture(10241, 7445, 11216, 506457)
-        assert round(stats.density, 3) == 0.057
-        assert stats.n_tokens == 506457
-
-    def test_english_shaped_fixture(self):
-        stats = make_stats_fixture(17050, 12316, 14613, 301418)
-        assert round(stats.density, 3) == 0.146
-
-    def test_all_o_corpus(self):
-        stats = ner_stats([sentence(("O", "O", "O"))])
-        assert stats.density == 0.0
-
-    def test_density_identity_is_exact(self):
-        stats = make_stats_fixture(13, 7, 5, 1000)
-        exact = Fraction(13 + 7 + 5, 1000)
-        assert abs(stats.density - float(exact)) <= 1e-12 * float(exact)
-
-    def test_unharmonized_label_rejected(self):
-        with pytest.raises(ValueError, match="B-PER"):
-            ner_stats([sentence(("B-PER",))])
-
-
-def make_stats_fixture(per, loc, org, n):
-    labels = ["PER"] * per + ["LOC"] * loc + ["ORG"] * org
-    labels += ["O"] * (n - len(labels))
-    chunk = 10000
-    sentences = [
-        sentence(labels[i : i + chunk]) for i in range(0, len(labels), chunk)
-    ]
-    return ner_stats(sentences)

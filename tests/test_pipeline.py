@@ -1,13 +1,15 @@
 """The pipeline run in-process, read through its event channel."""
 
 import json
+import unicodedata
 from dataclasses import replace
 
 import pytest
 
 from bertpipe import pipeline
+from bertpipe.corpus import read_documents
 from bertpipe.pipeline import STAGES, StageError, file_sha256, load_config, run_pipeline
-from bertpipe.pretrain import read_documents
+from bertpipe.pretrain import read_instances
 from bertpipe.vocab import Vocab, tokenize_text
 
 CORPORA = {
@@ -120,6 +122,50 @@ def test_unreadable_manifest_reruns_every_stage(tmp_path, completing):
     run_pipeline(config, str(out))
     (out / "manifest.json").write_text("{not json", encoding="utf-8")
     assert rerun_stages(config, str(out)) == list(STAGES)
+
+
+@pytest.mark.parametrize("manifest", ["[]", '{"stages": [1]}'])
+def test_manifest_without_stage_objects_reruns_every_stage(tmp_path, completing, manifest):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    (out / "manifest.json").write_text(manifest, encoding="utf-8")
+    assert rerun_stages(config, str(out)) == list(STAGES)
+
+
+def test_stage_record_without_output_hashes_reruns_every_stage(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"][0]["outputs"] = []
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert rerun_stages(config, str(out)) == list(STAGES)
+
+
+def artifacts(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_decomposed_corpus_gives_the_artifacts_of_its_composed_twin(tmp_path, completing):
+    outs = {}
+    for form in ("NFC", "NFD"):
+        base = tmp_path / form
+        base.mkdir()
+        config = write_config(base)
+        for lang in CORPORA:
+            path = base / f"{lang}.txt"
+            path.write_text(unicodedata.normalize(form, path.read_text(encoding="utf-8")), encoding="utf-8")
+        run_pipeline(config, str(base / "out"))
+        outs[form] = artifacts(base / "out")
+    assert (tmp_path / "NFD" / "fi.txt").read_bytes() != (tmp_path / "NFC" / "fi.txt").read_bytes()
+    del outs["NFC"]["manifest.json"], outs["NFD"]["manifest.json"]
+    assert outs["NFD"] == outs["NFC"]
+
+    unk = Vocab.load(str(tmp_path / "NFD" / "out" / "vocab.txt")).unk_id
+    phases = sorted((tmp_path / "NFD" / "out" / "pretrain").glob("phase*.bin"))
+    assert len(phases) == 2
+    for path in phases:
+        for instance in read_instances(str(path)):
+            assert unk not in instance.token_ids + instance.masked_labels
 
 
 def test_each_file_is_hashed_at_most_once_per_run(tmp_path, completing, monkeypatch):

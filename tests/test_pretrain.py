@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bertpipe import pretrain
+from bertpipe.corpus import read_documents
 from bertpipe.pretrain import (
     MAX_SEQ_LEN,
     GenerationStats,
@@ -16,7 +17,6 @@ from bertpipe.pretrain import (
     instance_schema,
     pack_instance,
     phase_datasets,
-    read_documents,
     read_instances,
     write_instances,
     write_schema,
@@ -31,7 +31,7 @@ def toy_vocab():
     for _ in range(500):
         w = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 9)))
         words[w] = words.get(w, 0) + rng.randint(1, 40)
-    wc = WordCounts(words, sum(words.values()))
+    wc = WordCounts(words)
     return learn_wordpieces(wc, target_size=220), sorted(words)
 
 
@@ -196,7 +196,7 @@ class TestBuildInstances:
         for doc in docs:
             for word in " ".join(doc).split():
                 counts[word] = counts.get(word, 0) + 1
-        vocab = learn_wordpieces(WordCounts(counts, sum(counts.values())), target_size=80)
+        vocab = learn_wordpieces(WordCounts(counts), target_size=80)
         reserved = vocab.reserved_ids()
         instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(rng_seed=2, dupe_factor=3))[0])
         assert instances

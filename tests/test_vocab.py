@@ -12,7 +12,6 @@ from bertpipe.vocab import (
     MAX_CANDIDATE_WORD_CHARS,
     MAX_PIECE_CHARS,
     RESERVED_TOKENS,
-    LanguageBudget,
     Vocab,
     WordCounts,
     count_words,
@@ -26,50 +25,52 @@ from conftest import oracle_tokenize
 
 
 def units_of(texts, lang="xx"):
-    return [TextUnit(i, lang, t) for i, t in enumerate(texts)]
+    return [TextUnit(lang, t) for t in texts]
 
 
 class TestSampleSubset:
     def test_uniform_unit_lengths_hit_budget_exactly(self):
         corpus = units_of([" ".join(f"w{i}_{j}" for j in range(10)) for i in range(100)])
-        subset = sample_subset(corpus, LanguageBudget("xx", 500), seed=5)
+        subset = sample_subset(corpus, 500, seed=5)
         assert len(subset) == 50
-        assert sum(u.token_count() for u in subset) == 500
+        assert sum(len(u.tokens()) for u in subset) == 500
 
     def test_budget_at_least_corpus_returns_everything(self):
         corpus = units_of(["a b c", "d e"])
-        assert sample_subset(corpus, LanguageBudget("xx", 5), seed=0) == corpus
-        assert sample_subset(corpus, LanguageBudget("xx", 50), seed=0) == corpus
+        assert sample_subset(corpus, 5, seed=0) == corpus
+        assert sample_subset(corpus, 50, seed=0) == corpus
 
     def test_fixed_seed_is_deterministic(self):
         corpus = units_of([f"w{i} w{i} w{i}" for i in range(200)])
-        budget = LanguageBudget("xx", 90)
-        assert sample_subset(corpus, budget, seed=42) == sample_subset(corpus, budget, seed=42)
+        assert sample_subset(corpus, 90, seed=42) == sample_subset(corpus, 90, seed=42)
 
     def test_least_cumulative_value_at_or_above_budget(self):
         rng = random.Random(9)
         corpus = units_of([" ".join("t" for _ in range(rng.randint(1, 7))) for _ in range(300)])
-        subset = sample_subset(corpus, LanguageBudget("xx", 100), seed=1)
-        total = sum(u.token_count() for u in subset)
-        largest = max(u.token_count() for u in subset)
+        subset = sample_subset(corpus, 100, seed=1)
+        total = sum(len(u.tokens()) for u in subset)
+        largest = max(len(u.tokens()) for u in subset)
         assert 100 <= total < 100 + largest
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            sample_subset([], LanguageBudget("xx", 10), seed=0)
+            sample_subset([], 10, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="token budget must be positive"):
+            sample_subset(units_of(["a b"]), budget, seed=0)
 
 
 class TestCountWords:
     def test_simple_counts(self):
         wc = count_words([units_of(["a a b"])])
         assert wc.counts == {"a": 2, "b": 1}
-        assert wc.total_tokens == 3
 
     def test_additive_over_disjoint_subsets(self):
         merged = count_words([units_of(["x y"]), units_of(["z z"])])
         left = count_words([units_of(["x y"])])
         right = count_words([units_of(["z z"])])
-        assert merged.total_tokens == left.total_tokens + right.total_tokens
         assert merged.counts == {**left.counts, **right.counts}
 
     def test_matches_sequential_recount_oracle(self):
@@ -84,7 +85,6 @@ class TestCountWords:
         for t in texts:
             oracle.update(t.split())
         assert wc.counts == dict(oracle)
-        assert wc.total_tokens == sum(oracle.values())
 
     def test_no_units_rejected(self):
         with pytest.raises(ValueError):
@@ -93,18 +93,18 @@ class TestCountWords:
 
 class TestLearnWordpieces:
     def test_minimal_vocabulary_is_reserved_plus_alphabet(self):
-        wc = WordCounts({"ab": 5, "ba": 3}, 8)
+        wc = WordCounts({"ab": 5, "ba": 3})
         vocab = learn_wordpieces(wc, target_size=len(RESERVED_TOKENS) + 4)
         assert set(vocab.pieces) == set(RESERVED_TOKENS) | {"a", "b", "##a", "##b"}
         assert vocab.pieces[:5] == RESERVED_TOKENS
 
     def test_target_below_alphabet_rejected(self):
-        wc = WordCounts({"abc": 1}, 1)
+        wc = WordCounts({"abc": 1})
         with pytest.raises(ValueError, match="target below alphabet size"):
             learn_wordpieces(wc, target_size=len(RESERVED_TOKENS) + 5)
 
     def test_repeated_word_yields_covering_piece(self):
-        wc = WordCounts({"aaaa": 1000}, 1000)
+        wc = WordCounts({"aaaa": 1000})
         vocab = learn_wordpieces(wc, target_size=20)
         # score = count * content length; enumerate the candidates by hand
         candidates = {}
@@ -125,7 +125,7 @@ class TestLearnWordpieces:
     def test_character_coverage_means_no_unk_on_training_words(self):
         rng = random.Random(13)
         words = {"".join(rng.choice("abcdef") for _ in range(rng.randint(1, 9))): rng.randint(1, 30) for _ in range(400)}
-        wc = WordCounts(words, sum(words.values()))
+        wc = WordCounts(words)
         vocab = learn_wordpieces(wc, target_size=120)
         for word in words:
             pieces = tokenize(word, vocab)
@@ -139,12 +139,12 @@ class TestLearnWordpieces:
             "".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 10))): rng.randint(1, 99)
             for _ in range(2000)
         }
-        wc = WordCounts(words, sum(words.values()))
+        wc = WordCounts(words)
         vocab = learn_wordpieces(wc, target_size=800, size_tolerance=0.02)
         assert abs(len(vocab) - 800) <= 0.02 * 800
 
     def test_word_spelling_a_reserved_token_is_not_learned_again(self):
-        vocab = learn_wordpieces(WordCounts({"[MASK]": 5, "ab": 3}, 8), 60)
+        vocab = learn_wordpieces(WordCounts({"[MASK]": 5, "ab": 3}), 60)
         assert vocab.pieces.count("[MASK]") == 1
         assert vocab.pieces.index("[MASK]") < len(RESERVED_TOKENS)
         assert "[MAS" in vocab
@@ -155,7 +155,7 @@ class TestLearnWordpieces:
             "".join(rng.choice("abcd") for _ in range(rng.randint(1, 8))): rng.randint(1, 50)
             for _ in range(300)
         }
-        wc = WordCounts(words, sum(words.values()))
+        wc = WordCounts(words)
         one = learn_wordpieces(wc, target_size=100)
         two = learn_wordpieces(wc, target_size=100)
         assert one.pieces == two.pieces
@@ -201,7 +201,7 @@ def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
 )
 def test_learning_matches_full_sort_reference(words, extra):
     target = len(RESERVED_TOKENS) + 2 * len({c for w in words for c in w}) + extra
-    vocab = learn_wordpieces(WordCounts(words, sum(words.values())), target)
+    vocab = learn_wordpieces(WordCounts(words), target)
     assert vocab.pieces == reference_wordpieces(words, target)
 
 
