@@ -7,7 +7,12 @@ Commands:
   schedule         compute training-step counts per phase from a token count
   eval             score NER, POS or DP predictions against gold annotations
   report           render a cross-lingual transfer matrix from eval reports
-  version          print tool and config schema versions
+  version          print the tool version and the config format version
+
+The config file of `pipeline run` is documented on
+bertpipe.pipeline.PipelineConfig; a config that breaks a rule there is a
+validation error naming the offending key's path, such as
+$.phases[0].seq_len.
 
 Human-readable summaries go to standard output; during pipeline runs,
 line-delimited JSON events go to standard error. Exit codes: 0 success,
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--force", action="store_true", help="re-run stages even if up to date")
     pr.set_defaults(func=_cmd_pipeline_run)
 
-    p = sub.add_parser("version", help="print tool and schema versions")
+    p = sub.add_parser("version", help="print tool and config format versions")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_version)
 

@@ -21,28 +21,30 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from typing import IO, Callable, Iterator, NamedTuple
-
-import jsonschema
 
 from . import __version__
 from .corpus import Granularity, read_documents, read_units, write_units
 from .dedup import dedup_corpus
-from .pretrain import GenerationStats, MaskingConfig, phase_datasets, write_instances, write_schema
-from .schedule import make_plan
-from .vocab import (
-    DEFAULT_SIZE_TOLERANCE,
-    Vocab,
-    count_words,
-    learn_wordpieces,
-    sample_subset,
+from .pretrain import (
+    MAX_SEQ_LEN,
+    FieldError,
+    GenerationStats,
+    MaskingConfig,
+    phase_datasets,
+    write_instances,
+    write_schema,
 )
+from .schedule import make_plan
+from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
 EventSink = Callable[[dict], None]
@@ -65,6 +67,10 @@ class LanguageConfig:
     corpus: tuple[str, ...]
     vocab_budget: int
 
+    def __post_init__(self):
+        if self.vocab_budget < 1:
+            raise FieldError("vocab_budget", f"must be >= 1, got {self.vocab_budget}")
+
 
 @dataclass(frozen=True)
 class DedupConfig:
@@ -72,80 +78,164 @@ class DedupConfig:
     threshold: float
     granularity: Granularity
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise FieldError("n", f"must be >= 1, got {self.n}")
+        if not 0 <= self.threshold <= 1:
+            raise FieldError("threshold", f"must be in [0, 1], got {self.threshold}")
+
 
 @dataclass(frozen=True)
 class VocabConfig:
     target_size: int
     seed: int
-    tolerance: float = DEFAULT_SIZE_TOLERANCE
+
+    def __post_init__(self):
+        if self.target_size < 1:
+            raise FieldError("target_size", f"must be >= 1, got {self.target_size}")
+
+
+@dataclass(frozen=True)
+class PhaseConfig:
+    epochs: float
+    batch_size: int
+    seq_len: int
+
+    def __post_init__(self):
+        if not self.epochs > 0:
+            raise FieldError("epochs", f"must be > 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise FieldError("batch_size", f"must be >= 1, got {self.batch_size}")
+        if not 16 <= self.seq_len <= MAX_SEQ_LEN:
+            raise FieldError("seq_len", f"must be in [16, {MAX_SEQ_LEN}], got {self.seq_len}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A pipeline run's settings; the config file is this object as JSON.
+
+    Each key of the file is a field name below, nested as the fields are: an
+    object for each config dataclass, an array for each tuple. A key with a
+    default may be left out, every other key is required, and any other key
+    is an error. Numbers must be finite, an integer key takes only JSON
+    integers (not 5.0, not true), and strings and arrays must be non-empty.
+    The bounds are checked by each dataclass's __post_init__.
+
+        languages                 array of objects, one per language
+          code                    string; distinct over all languages
+          corpus                  array of corpus file paths, relative to the
+                                  config file's directory; distinct over all
+                                  languages
+          vocab_budget            integer >= 1: words sampled for the vocab
+        dedup
+          n                       integer >= 1: shingle order
+          threshold               number in [0, 1]: a unit is dropped when at
+                                  least this fraction of its shingles was seen
+          granularity             "sentence" or "paragraph"
+        vocab
+          target_size             integer >= 1: vocabulary size
+          seed                    integer: seed of the per-language samples
+        phases                    array of objects, one per training phase
+          epochs                  number > 0
+          batch_size              integer >= 1
+          seq_len                 integer in [16, 65535]
+        masking                   object; every key has a default
+          mask_prob               number in (0, 1); 0.15
+          replace_mask            number in [0, 1]; 0.8
+          replace_random          number in [0, 1]; 0.1
+          keep_original           number in [0, 1]; 0.1. The three sum to 1.
+          max_predictions_per_seq integer >= 0; 20
+          dupe_factor             integer >= 1; 1
+          seed                    integer; 0
+
+    base_dir is not a key of the file: load_config sets it to the config
+    file's directory.
+    """
+
     languages: tuple[LanguageConfig, ...]
     dedup: DedupConfig
     vocab: VocabConfig
-    phases: tuple[tuple[float, int, int], ...]
+    phases: tuple[PhaseConfig, ...]
     masking: MaskingConfig
-    base_dir: str = "."
+    base_dir: str = field(default=".", metadata={"key": False})
+
+    def __post_init__(self):
+        codes, paths = set(), set()
+        for i, lang in enumerate(self.languages):
+            if lang.code in codes:
+                raise FieldError(f"languages[{i}].code", f"repeats language code {lang.code!r}")
+            codes.add(lang.code)
+            for j, path in enumerate(lang.corpus):
+                if path in paths:
+                    raise FieldError(
+                        f"languages[{i}].corpus[{j}]", f"repeats {path!r}; corpus paths must be distinct"
+                    )
+                paths.add(path)
 
     def corpus_path(self, relpath: str) -> str:
         return relpath if os.path.isabs(relpath) else os.path.join(self.base_dir, relpath)
 
 
-def config_schema() -> dict:
-    text = resources.files("bertpipe").joinpath("config.schema.json").read_text("utf-8")
-    return json.loads(text)
+def _read(tp, value, path: str):
+    """The JSON value at path as an instance of type tp; raises ConfigError.
+
+    JSON integers stay int in float fields, so that `"epochs": 1` is written
+    back to plan.json as 1.
+    """
+
+    def fail(where: str, message: str) -> ConfigError:
+        return ConfigError(f"config does not match schema at {where}: {message}")
+
+    def expect(ok: bool, what: str) -> None:
+        if not ok:
+            raise fail(path, f"expected {what}, got {json.dumps(value)}")
+
+    if is_dataclass(tp):
+        expect(isinstance(value, dict), "an object")
+        keys = {f.name: f for f in fields(tp) if f.metadata.get("key", True)}
+        for key in value:
+            if key not in keys:
+                raise fail(f"{path}.{key}", "unknown key")
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for name, f in keys.items():
+            if name in value:
+                kwargs[name] = _read(hints[name], value[name], f"{path}.{name}")
+            elif f.default is MISSING:
+                raise fail(f"{path}.{name}", "missing key")
+        try:
+            return tp(**kwargs)
+        except FieldError as e:
+            raise fail(f"{path}.{e.key}", e.message) from e
+        except ValueError as e:
+            raise fail(path, str(e)) from e
+    if typing.get_origin(tp) is tuple:
+        expect(isinstance(value, list) and len(value) > 0, "a non-empty array")
+        return tuple(_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if issubclass(tp, Enum):
+        choices = [member.value for member in tp]
+        expect(value in choices, f"one of {json.dumps(choices)}")
+        return tp(value)
+    if tp is str:
+        expect(isinstance(value, str) and len(value) > 0, "a non-empty string")
+    elif tp is int:
+        expect(isinstance(value, int) and not isinstance(value, bool), "an integer")
+    elif tp is float:
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        expect(finite and not isinstance(value, bool), "a finite number")
+    return value
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Parse and validate a pipeline config file; raises ConfigError."""
+    """Read and validate a pipeline config file; raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError: not UTF-8 or not JSON; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    try:
-        jsonschema.validate(raw, config_schema())
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config does not match schema at {e.json_path}: {e.message}") from e
-
-    codes = [lang["code"] for lang in raw["languages"]]
-    if len(set(codes)) != len(codes):
-        raise ConfigError(f"duplicate language code in {codes}")
-    paths = [p for lang in raw["languages"] for p in lang["corpus"]]
-    if len(set(paths)) != len(paths):
-        raise ConfigError("corpus paths must be distinct")
-
-    masking_raw = dict(raw["masking"])
-    if "seed" in masking_raw:
-        masking_raw["rng_seed"] = masking_raw.pop("seed")
-    try:
-        masking = MaskingConfig(**masking_raw)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-    return PipelineConfig(
-        languages=tuple(
-            LanguageConfig(lang["code"], tuple(lang["corpus"]), lang["vocab_budget"])
-            for lang in raw["languages"]
-        ),
-        dedup=DedupConfig(
-            n=raw["dedup"]["n"],
-            threshold=raw["dedup"]["threshold"],
-            granularity=Granularity(raw["dedup"]["granularity"]),
-        ),
-        vocab=VocabConfig(
-            target_size=raw["vocab"]["target_size"],
-            seed=raw["vocab"]["seed"],
-            tolerance=raw["vocab"].get("tolerance", DEFAULT_SIZE_TOLERANCE),
-        ),
-        phases=tuple(
-            (p["epochs"], p["batch_size"], p["seq_len"]) for p in raw["phases"]
-        ),
-        masking=masking,
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
+    config = _read(PipelineConfig, raw, "$")
+    return replace(config, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def file_sha256(path: str) -> str:
@@ -210,11 +300,7 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         read_units(os.path.join(out_dir, f"sample/{lang.code}.txt"), lang.code, config.dedup.granularity)
         for lang in config.languages
     ]
-    vocab = learn_wordpieces(
-        count_words(subsets),
-        target_size=config.vocab.target_size,
-        size_tolerance=config.vocab.tolerance,
-    )
+    vocab = learn_wordpieces(count_words(subsets), target_size=config.vocab.target_size)
     with _atomic(os.path.join(out_dir, "vocab.txt"), "w") as f:
         vocab.save(f)
     emit({"event": "vocab_built", "size": len(vocab)})
@@ -225,7 +311,7 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
     documents = []
     for rel in _lang_files(config, "dedup/{}.txt"):
         documents.extend(read_documents(os.path.join(out_dir, rel)))
-    seq_lens = [seq_len for _, _, seq_len in config.phases]
+    seq_lens = [phase.seq_len for phase in config.phases]
     stats = GenerationStats()
     streams = phase_datasets(documents, vocab, seq_lens, config.masking, stats)
     emit(
@@ -250,7 +336,7 @@ def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
     for rel in _lang_files(config, "dedup/{}.stats.json"):
         with open(os.path.join(out_dir, rel), "r", encoding="utf-8") as f:
             kept += json.load(f)["tokens_kept"]
-    plan = make_plan(kept, list(config.phases))
+    plan = make_plan(kept, [astuple(phase) for phase in config.phases])
     _write_json(os.path.join(out_dir, "plan.json"), plan.as_dict())
     emit({"event": "schedule", "total_steps": plan.total_steps, "tokens": n_tok})
 
@@ -295,11 +381,7 @@ _STAGES = (
     ),
     _Stage(
         "vocab",
-        params=lambda c: {
-            "target_size": c.vocab.target_size,
-            "tolerance": c.vocab.tolerance,
-            "seed": c.vocab.seed,
-        },
+        params=lambda c: asdict(c.vocab),
         inputs=lambda c: _same(_lang_files(c, "sample/{}.txt")),
         outputs=lambda c: ["vocab.txt"],
         run=_run_vocab,
@@ -307,14 +389,8 @@ _STAGES = (
     _Stage(
         "pretrain_data",
         params=lambda c: {
-            "phases": [{"seq_len": seq_len} for _, _, seq_len in c.phases],
-            "mask_prob": c.masking.mask_prob,
-            "replace_mask": c.masking.replace_mask,
-            "replace_random": c.masking.replace_random,
-            "keep_original": c.masking.keep_original,
-            "max_predictions_per_seq": c.masking.max_predictions_per_seq,
-            "dupe_factor": c.masking.dupe_factor,
-            "seed": c.masking.rng_seed,
+            "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
+            **asdict(c.masking),
         },
         inputs=lambda c: _same(_lang_files(c, "dedup/{}.txt") + ["vocab.txt"]),
         outputs=lambda c: [f"pretrain/phase{k}.bin" for k in range(len(c.phases))]
@@ -323,9 +399,7 @@ _STAGES = (
     ),
     _Stage(
         "schedule",
-        params=lambda c: {
-            "phases": [{"epochs": e, "batch_size": b, "seq_len": l} for e, b, l in c.phases]
-        },
+        params=lambda c: {"phases": [asdict(phase) for phase in c.phases]},
         inputs=lambda c: _same(_lang_files(c, "dedup/{}.stats.json")),
         outputs=lambda c: ["plan.json"],
         run=_run_schedule,

@@ -18,7 +18,7 @@ len - 3 non-special positions; BERT's create_pretraining_data.py uses
 max(1, round(len * mask_prob)) over the whole sequence.
 
 Generation is deterministic: every document derives its own RNG from
-(rng_seed, document ordinal), so output does not depend on worker
+(seed, document ordinal), so output does not depend on worker
 scheduling. The serialized form is a stream of length-prefixed binary
 records described by a data.schema.json sidecar.
 """
@@ -43,6 +43,16 @@ MAX_SEQ_LEN = 65535
 _LENGTHS = struct.Struct("<HH")  # seq_len, num_masked
 
 
+class FieldError(ValueError):
+    """A config field out of its bounds. `key` is the field's path within its
+    config object, such as "replace_mask" or "languages[1].code"."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+        self.message = message
+
+
 @dataclass(frozen=True)
 class MaskingConfig:
     mask_prob: float = 0.15
@@ -50,19 +60,22 @@ class MaskingConfig:
     replace_random: float = 0.1
     keep_original: float = 0.1
     max_predictions_per_seq: int = 20
-    rng_seed: int = 0
+    seed: int = 0
     dupe_factor: int = 1
 
     def __post_init__(self):
+        if not 0.0 < self.mask_prob < 1.0:
+            raise FieldError("mask_prob", f"must be in (0, 1), got {self.mask_prob}")
+        for key in ("replace_mask", "replace_random", "keep_original"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise FieldError(key, f"must be in [0, 1], got {getattr(self, key)}")
         total = self.replace_mask + self.replace_random + self.keep_original
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"replacement probabilities must sum to 1, got {total}")
-        if not 0.0 < self.mask_prob < 1.0:
-            raise ValueError(f"mask_prob must be in (0, 1), got {self.mask_prob}")
         if self.max_predictions_per_seq < 0:
-            raise ValueError("max_predictions_per_seq must be >= 0")
+            raise FieldError("max_predictions_per_seq", f"must be >= 0, got {self.max_predictions_per_seq}")
         if self.dupe_factor < 1:
-            raise ValueError("dupe_factor must be >= 1")
+            raise FieldError("dupe_factor", f"must be >= 1, got {self.dupe_factor}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +298,7 @@ def _generate(
 
     for pass_idx in range(cfg.dupe_factor):
         for doc_index in range(len(tokenized)):
-            rng = Random(_child_seed(cfg.rng_seed, doc_index, pass_idx))
+            rng = Random(_child_seed(cfg.seed, doc_index, pass_idx))
             for instance in _instances_from_document(
                 tokenized, doc_index, vocab, word_initial, max_seq_len, cfg, rng, random_ids
             ):
@@ -304,7 +317,7 @@ def phase_datasets(
 
     The documents are tokenized once, here, and shared by every stream.
     Documents with zero tokenizable sentences are skipped and counted in
-    stats. Phase k draws from its own seed derived from (rng_seed, k), and
+    stats. Phase k draws from its own seed derived from (seed, k), and
     its instances come out grouped by document ordinal, repeated dupe_factor
     times over the corpus with independent derived RNGs.
     """
@@ -315,7 +328,7 @@ def phase_datasets(
     stats = stats if stats is not None else GenerationStats()
     tokenized = _tokenize_documents(documents, vocab, stats)
     return [
-        _generate(tokenized, vocab, seq_len, replace(cfg, rng_seed=_child_seed(cfg.rng_seed, k)), stats)
+        _generate(tokenized, vocab, seq_len, replace(cfg, seed=_child_seed(cfg.seed, k)), stats)
         for k, seq_len in enumerate(seq_lens)
     ]
 

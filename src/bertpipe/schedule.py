@@ -21,7 +21,14 @@ class PhaseSpec:
     seq_len: int
 
     def validate(self) -> None:
-        if self.n_tok <= 0 or self.epochs <= 0 or self.batch_size <= 0 or self.seq_len <= 0:
+        """Counts must be positive; token and epoch counts also finite (NaN fails
+        every comparison, so it is rejected too)."""
+        if not (
+            0 < self.n_tok < math.inf
+            and 0 < self.epochs < math.inf
+            and self.batch_size > 0
+            and self.seq_len > 0
+        ):
             raise ValueError(f"invalid phase: {self}")
 
 

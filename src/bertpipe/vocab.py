@@ -42,7 +42,9 @@ UNK = "[UNK]"
 MAX_PIECE_CHARS = 16
 MAX_CANDIDATE_WORD_CHARS = 64
 
-DEFAULT_SIZE_TOLERANCE = 0.02
+# learn_wordpieces logs a warning when the vocabulary size misses its target
+# by more than this fraction; the pieces do not depend on it.
+SIZE_TOLERANCE = 0.02
 
 
 @dataclass
@@ -192,11 +194,7 @@ def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str
     return initial, continuation
 
 
-def learn_wordpieces(
-    counts: WordCounts,
-    target_size: int,
-    size_tolerance: float = DEFAULT_SIZE_TOLERANCE,
-) -> Vocab:
+def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     """Learn a wordpiece vocabulary of target_size pieces.
 
     RESERVED_TOKENS come first. The initial and continuation pieces of
@@ -232,13 +230,13 @@ def learn_wordpieces(
     pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]
 
     achieved = len(pieces)
-    if abs(achieved - target_size) > size_tolerance * target_size:
+    if abs(achieved - target_size) > SIZE_TOLERANCE * target_size:
         logger.warning(
             "vocabulary size %d misses target %d beyond tolerance %.1f%% "
             "(corpus too small for the target)",
             achieved,
             target_size,
-            100 * size_tolerance,
+            100 * SIZE_TOLERANCE,
         )
     return Vocab(pieces=pieces)
 

@@ -11,6 +11,7 @@ import pytest
 import bertpipe
 from bertpipe.corpus import read_units
 from bertpipe.evaluation.report import load_reports
+from bertpipe.pipeline import CONFIG_SCHEMA_VERSION
 from bertpipe.schedule import make_plan
 from bertpipe.vocab import count_words, learn_wordpieces
 
@@ -44,10 +45,10 @@ def write_corpora(tmp_path):
 
 
 def test_import_is_silent_and_starts_no_thread():
-    probe = "import threading, bertpipe.cli; print(threading.active_count())"
+    probe = "import sys, threading, bertpipe.cli; print(threading.active_count(), 'jsonschema' in sys.modules)"
     done = run_python("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "1\n"
+    assert done.stdout == "1 False\n"
     assert done.stderr == ""
 
 
@@ -104,7 +105,14 @@ def test_schedule_prints_the_plan():
 
 
 @pytest.mark.parametrize(
-    "tokens, phase", [("0", "epochs=1,batch=8,seqlen=128"), ("1e6", "epochs=1,batch=0,seqlen=128")]
+    "tokens, phase",
+    [
+        ("0", "epochs=1,batch=8,seqlen=128"),
+        ("1e6", "epochs=1,batch=0,seqlen=128"),
+        ("inf", "epochs=1,batch=8,seqlen=128"),
+        ("nan", "epochs=1,batch=8,seqlen=128"),
+        ("1e6", "epochs=inf,batch=8,seqlen=128"),
+    ],
 )
 def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase):
     done = bertpipe_cli("schedule", "--tokens", tokens, "--phase", phase)
@@ -163,15 +171,10 @@ def test_config_with_max_iterations_is_rejected_by_name(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_version_reports_the_schema_version_in_the_schema_title():
+def test_version_reports_the_config_schema_version():
     done = bertpipe_cli("version", "--json")
     assert done.returncode == 0, done.stderr
-    version = json.loads(done.stdout)["config_schema_version"]
-    schema_path = os.path.join(os.path.dirname(bertpipe.__file__), "config.schema.json")
-    with open(schema_path, encoding="utf-8") as f:
-        title = json.load(f)["title"]
-    assert version == 2
-    assert title.endswith(f"(schema version {version})")
+    assert json.loads(done.stdout)["config_schema_version"] == CONFIG_SCHEMA_VERSION == 3
 
 
 def write_config(tmp_path, phases=({"epochs": 1, "batch_size": 8, "seq_len": 32},)):
@@ -205,3 +208,17 @@ def test_seq_len_beyond_u16_is_rejected_by_name(tmp_path):
     assert done.returncode == 1
     assert "seq_len" in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_run_needs_no_jsonschema(tmp_path):
+    config = write_config(tmp_path)
+    (tmp_path / "invalid").mkdir()
+    invalid = write_config(tmp_path / "invalid", phases=[{"epochs": 1, "batch_size": 8, "seq_len": 8}])
+    probe = "import sys; sys.modules['jsonschema'] = None; from bertpipe.cli import main; sys.exit(main())"
+    done = run_python("-c", probe, "pipeline", "run", config, "--out", str(tmp_path / "out"))
+    # every stage before schedule completes; schedule's crash is a known defect
+    assert done.returncode == 2, done.stderr
+    assert "stage 'schedule' failed" in done.stderr
+    done = run_python("-c", probe, "pipeline", "run", invalid, "--out", str(tmp_path / "invalid" / "out"))
+    assert done.returncode == 1
+    assert "config does not match schema at $.phases[0].seq_len" in done.stderr

@@ -1,0 +1,187 @@
+"""The config file's rules: one violating config per rule, each rejected at
+the path of the offending key."""
+
+import json
+import math
+
+import pytest
+
+from bertpipe.cli import main
+from bertpipe.pipeline import ConfigError, load_config
+from bertpipe.pretrain import MaskingConfig
+
+DROP = object()
+
+
+def valid_config():
+    return {
+        "languages": [
+            {"code": "en", "corpus": ["en.txt"], "vocab_budget": 50},
+            {"code": "fi", "corpus": ["fi.txt"], "vocab_budget": 50},
+        ],
+        "dedup": {"n": 3, "threshold": 0.5, "granularity": "sentence"},
+        "vocab": {"target_size": 60, "seed": 0},
+        "phases": [{"epochs": 1, "batch_size": 8, "seq_len": 32}],
+        "masking": {},
+    }
+
+
+def write_config(tmp_path, edits):
+    """The valid config with each (keys, value) edit applied; DROP deletes the
+    key, and empty keys replace the whole config."""
+    config = valid_config()
+    for keys, value in edits:
+        if not keys:
+            config = value
+            continue
+        *parents, last = keys
+        target = config
+        for key in parents:
+            target = target[key]
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def replacement(mask, random, keep):
+    keys = ("replace_mask", "replace_random", "keep_original")
+    return [(("masking", key), value) for key, value in zip(keys, (mask, random, keep))]
+
+
+def rule(path, *edits):
+    return pytest.param(path, edits, id=f"{path} {edits}")
+
+
+L0, P0 = ("languages", 0), ("phases", 0)
+
+RULES = [
+    # the config object
+    rule("$", ((), [])),
+    *[rule(f"$.{key}", ((key,), DROP)) for key in ("languages", "dedup", "vocab", "phases", "masking")],
+    rule("$.extra", (("extra",), 1)),
+    rule("$.base_dir", (("base_dir",), ".")),
+    # languages
+    rule("$.languages", (("languages",), {})),
+    rule("$.languages", (("languages",), [])),
+    rule("$.languages[0]", (L0, "en")),
+    *[rule(f"$.languages[0].{key}", ((*L0, key), DROP)) for key in ("code", "corpus", "vocab_budget")],
+    rule("$.languages[0].extra", ((*L0, "extra"), 1)),
+    rule("$.languages[0].code", ((*L0, "code"), "")),
+    rule("$.languages[0].code", ((*L0, "code"), 1)),
+    rule("$.languages[0].corpus", ((*L0, "corpus"), "en.txt")),
+    rule("$.languages[0].corpus", ((*L0, "corpus"), [])),
+    rule("$.languages[0].corpus[0]", ((*L0, "corpus"), [""])),
+    rule("$.languages[0].corpus[0]", ((*L0, "corpus"), [None])),
+    rule("$.languages[0].vocab_budget", ((*L0, "vocab_budget"), 0)),
+    rule("$.languages[0].vocab_budget", ((*L0, "vocab_budget"), 1.5)),
+    rule("$.languages[0].vocab_budget", ((*L0, "vocab_budget"), True)),
+    rule("$.languages[0].vocab_budget", ((*L0, "vocab_budget"), "50")),
+    rule("$.languages[1].code", (("languages", 1, "code"), "en")),
+    rule("$.languages[1].corpus[0]", (("languages", 1, "corpus"), ["en.txt"])),
+    rule("$.languages[0].corpus[1]", ((*L0, "corpus"), ["en.txt", "en.txt"])),
+    # dedup
+    rule("$.dedup", (("dedup",), [])),
+    *[rule(f"$.dedup.{key}", (("dedup", key), DROP)) for key in ("n", "threshold", "granularity")],
+    rule("$.dedup.extra", (("dedup", "extra"), 1)),
+    rule("$.dedup.n", (("dedup", "n"), 0)),
+    rule("$.dedup.n", (("dedup", "n"), 2.5)),
+    rule("$.dedup.n", (("dedup", "n"), True)),
+    rule("$.dedup.threshold", (("dedup", "threshold"), -0.1)),
+    rule("$.dedup.threshold", (("dedup", "threshold"), 1.1)),
+    rule("$.dedup.threshold", (("dedup", "threshold"), "0.5")),
+    rule("$.dedup.threshold", (("dedup", "threshold"), True)),
+    rule("$.dedup.threshold", (("dedup", "threshold"), math.inf)),
+    rule("$.dedup.granularity", (("dedup", "granularity"), "word")),
+    rule("$.dedup.granularity", (("dedup", "granularity"), 1)),
+    # vocab
+    rule("$.vocab", (("vocab",), 60)),
+    *[rule(f"$.vocab.{key}", (("vocab", key), DROP)) for key in ("target_size", "seed")],
+    rule("$.vocab.tolerance", (("vocab", "tolerance"), 0.02)),
+    rule("$.vocab.max_iterations", (("vocab", "max_iterations"), 4)),
+    rule("$.vocab.target_size", (("vocab", "target_size"), 0)),
+    rule("$.vocab.target_size", (("vocab", "target_size"), 60.5)),
+    rule("$.vocab.seed", (("vocab", "seed"), 0.5)),
+    rule("$.vocab.seed", (("vocab", "seed"), "0")),
+    # phases
+    rule("$.phases", (("phases",), {})),
+    rule("$.phases", (("phases",), [])),
+    rule("$.phases[0]", (P0, [1, 8, 32])),
+    *[rule(f"$.phases[0].{key}", ((*P0, key), DROP)) for key in ("epochs", "batch_size", "seq_len")],
+    rule("$.phases[0].extra", ((*P0, "extra"), 1)),
+    rule("$.phases[0].epochs", ((*P0, "epochs"), 0)),
+    rule("$.phases[0].epochs", ((*P0, "epochs"), -1.5)),
+    rule("$.phases[0].epochs", ((*P0, "epochs"), "1")),
+    rule("$.phases[0].epochs", ((*P0, "epochs"), True)),
+    rule("$.phases[0].batch_size", ((*P0, "batch_size"), 0)),
+    rule("$.phases[0].batch_size", ((*P0, "batch_size"), 8.5)),
+    rule("$.phases[0].seq_len", ((*P0, "seq_len"), 15)),
+    rule("$.phases[0].seq_len", ((*P0, "seq_len"), 65536)),
+    rule("$.phases[1].seq_len", (("phases",), [valid_config()["phases"][0], {"epochs": 1, "batch_size": 8}])),
+    # masking
+    rule("$.masking", (("masking",), None)),
+    rule("$.masking.rng_seed", (("masking", "rng_seed"), 0)),
+    rule("$.masking.mask_prob", (("masking", "mask_prob"), 0)),
+    rule("$.masking.mask_prob", (("masking", "mask_prob"), 1)),
+    rule("$.masking.mask_prob", (("masking", "mask_prob"), -math.inf)),
+    rule("$.masking.mask_prob", (("masking", "mask_prob"), True)),
+    # each triple sums to 1, so only the [0, 1] bound of each value rejects it
+    rule("$.masking.replace_mask", *replacement(1.5, -0.5, 0)),
+    rule("$.masking.replace_random", *replacement(0, 1.5, -0.5)),
+    rule("$.masking.keep_original", *replacement(1, 0.5, -0.5)),
+    rule("$.masking.replace_random", (("masking", "replace_random"), math.inf)),
+    rule("$.masking", (("masking", "replace_mask"), 0.5)),
+    rule("$.masking.max_predictions_per_seq", (("masking", "max_predictions_per_seq"), -1)),
+    rule("$.masking.max_predictions_per_seq", (("masking", "max_predictions_per_seq"), 1.5)),
+    rule("$.masking.dupe_factor", (("masking", "dupe_factor"), 0)),
+    rule("$.masking.seed", (("masking", "seed"), 0.5)),
+]
+
+
+@pytest.mark.parametrize("path, edits", RULES)
+def test_each_rule_rejects_its_violation_at_the_offending_path(tmp_path, path, edits):
+    with pytest.raises(ConfigError) as rejected:
+        load_config(write_config(tmp_path, edits))
+    assert str(rejected.value).startswith(f"config does not match schema at {path}: ")
+
+
+def test_valid_config_is_read_as_written(tmp_path):
+    config = load_config(write_config(tmp_path, []))
+    assert config.base_dir == str(tmp_path)
+    assert [lang.corpus for lang in config.languages] == [("en.txt",), ("fi.txt",)]
+    assert config.masking == MaskingConfig()
+    # a JSON integer stays an int in a number key, as plan.json writes it back
+    assert type(config.phases[0].epochs) is int
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"languages": "\xff"}', b'{"languages": [', b"", b"[" * 100_000],
+    ids=["not UTF-8", "truncated", "empty", "nested too deeply"],
+)
+def test_unreadable_config_is_a_validation_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["pipeline", "run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "validation error: cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, keys, value",
+    [
+        ("$.dedup.threshold", ("dedup", "threshold"), math.nan),
+        ("$.phases[0].epochs", (*P0, "epochs"), math.nan),
+        ("$.masking.replace_mask", ("masking", "replace_mask"), math.nan),
+        ("$.phases[0].epochs", (*P0, "epochs"), math.inf),
+        ("$.languages[0].vocab_budget", (*L0, "vocab_budget"), 5.0),
+        ("$.phases[0].batch_size", (*P0, "batch_size"), 5.0),
+    ],
+)
+def test_non_finite_and_integral_float_numbers_are_a_validation_error(tmp_path, capsys, path, keys, value):
+    config = write_config(tmp_path, [(keys, value)])
+    assert main(["pipeline", "run", config, "--out", str(tmp_path / "out")]) == 1
+    assert f"validation error: config does not match schema at {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -74,7 +74,7 @@ class TestBuildInstances:
     def test_packing_bounds(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(1))
-        instances = list(phase_datasets(docs, vocab, [128], MaskingConfig(rng_seed=5))[0])
+        instances = list(phase_datasets(docs, vocab, [128], MaskingConfig(seed=5))[0])
         assert instances
         for inst in instances:
             assert len(inst.token_ids) <= 128
@@ -87,7 +87,7 @@ class TestBuildInstances:
     def test_no_masked_position_on_cls_or_sep(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(2))
-        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=3))[0]:
+        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=3))[0]:
             originals = restore_original_ids(inst)
             for pos in inst.masked_positions:
                 assert originals[pos] not in (vocab.cls_id, vocab.sep_id, vocab.pad_id)
@@ -96,7 +96,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(3), n_docs=40)
         checked_multi = 0
-        for inst in phase_datasets(docs, vocab, [128], MaskingConfig(rng_seed=11))[0]:
+        for inst in phase_datasets(docs, vocab, [128], MaskingConfig(seed=11))[0]:
             originals = restore_original_ids(inst)
             masked = set(inst.masked_positions)
             for group in word_groups(originals, vocab):
@@ -111,7 +111,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(4), n_docs=10)
         keep_all = MaskingConfig(
-            replace_mask=0.0, replace_random=0.0, keep_original=1.0, rng_seed=8
+            replace_mask=0.0, replace_random=0.0, keep_original=1.0, seed=8
         )
         for inst in phase_datasets(docs, vocab, [64], keep_all)[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
@@ -121,7 +121,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(5), n_docs=10)
         random_all = MaskingConfig(
-            replace_mask=0.0, replace_random=1.0, keep_original=0.0, rng_seed=9
+            replace_mask=0.0, replace_random=1.0, keep_original=0.0, seed=9
         )
         reserved = vocab.reserved_ids()
         seen_replacement = 0
@@ -136,7 +136,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(6), n_docs=10)
         mask_all = MaskingConfig(
-            replace_mask=1.0, replace_random=0.0, keep_original=0.0, rng_seed=10
+            replace_mask=1.0, replace_random=0.0, keep_original=0.0, seed=10
         )
         for inst in phase_datasets(docs, vocab, [64], mask_all)[0]:
             for pos in inst.masked_positions:
@@ -145,18 +145,18 @@ class TestBuildInstances:
     def test_deterministic_under_fixed_seed(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(7))
-        cfg = MaskingConfig(rng_seed=21)
+        cfg = MaskingConfig(seed=21)
         a = list(phase_datasets(docs, vocab, [96], cfg)[0])
         b = list(phase_datasets(docs, vocab, [96], cfg)[0])
         assert a == b
-        c = list(phase_datasets(docs, vocab, [96], MaskingConfig(rng_seed=22))[0])
+        c = list(phase_datasets(docs, vocab, [96], MaskingConfig(seed=22))[0])
         assert a != c
 
     def test_document_without_tokenizable_sentences_is_skipped(self, toy_vocab):
         vocab, lexicon = toy_vocab
         stats = GenerationStats()
         docs = [[" ", ""], [lexicon[0] + " " + lexicon[1]] * 4]
-        list(phase_datasets(docs, vocab, [32], MaskingConfig(rng_seed=1), stats)[0])
+        list(phase_datasets(docs, vocab, [32], MaskingConfig(seed=1), stats)[0])
         assert stats.documents_in == 2
         assert stats.documents_skipped == 1
 
@@ -170,7 +170,7 @@ class TestBuildInstances:
         vocab = Vocab(RESERVED_TOKENS + list("abcdefgh"))
         docs = make_docs(list("abcdefgh"), random.Random(17), n_docs=20, sents=(1, 3), words=(1, 12))
         for cap in (4, 20):
-            cfg = MaskingConfig(rng_seed=7, mask_prob=0.2, max_predictions_per_seq=cap)
+            cfg = MaskingConfig(seed=7, mask_prob=0.2, max_predictions_per_seq=cap)
             counts = set()
             for inst in phase_datasets(docs, vocab, [64], cfg)[0]:
                 expected = min(cap, int(0.2 * (inst.content_length() - 3)))
@@ -198,7 +198,7 @@ class TestBuildInstances:
                 counts[word] = counts.get(word, 0) + 1
         vocab = learn_wordpieces(WordCounts(counts), target_size=80)
         reserved = vocab.reserved_ids()
-        instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(rng_seed=2, dupe_factor=3))[0])
+        instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(seed=2, dupe_factor=3))[0])
         assert instances
         bracket_words = 0
         for inst in instances:
@@ -217,9 +217,9 @@ class TestBuildInstances:
     def test_dupe_factor_multiplies_passes(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(8), n_docs=5)
-        once = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=2))[0])
+        once = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=2))[0])
         twice = list(
-            phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=2, dupe_factor=2))[0]
+            phase_datasets(docs, vocab, [64], MaskingConfig(seed=2, dupe_factor=2))[0]
         )
         assert len(twice) >= 2 * len(once) - len(docs)  # chunking identical per pass
         assert twice[: len(once)] == once
@@ -227,7 +227,7 @@ class TestBuildInstances:
     def test_masked_count_respects_caps(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(9))
-        cfg = MaskingConfig(rng_seed=4, max_predictions_per_seq=5)
+        cfg = MaskingConfig(seed=4, max_predictions_per_seq=5)
         for inst in phase_datasets(docs, vocab, [128], cfg)[0]:
             usable = inst.content_length() - 3
             assert len(inst.masked_positions) <= min(5, int(0.15 * usable))
@@ -237,7 +237,7 @@ class TestPhaseDatasets:
     def test_one_stream_per_phase_with_phase_lengths(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(10))
-        streams = phase_datasets(docs, vocab, [128, 512], MaskingConfig(rng_seed=6))
+        streams = phase_datasets(docs, vocab, [128, 512], MaskingConfig(seed=6))
         lengths = []
         for stream in streams:
             batch = list(stream)
@@ -248,7 +248,7 @@ class TestPhaseDatasets:
     def test_single_phase_plan_single_stream(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(11), n_docs=5)
-        streams = phase_datasets(docs, vocab, [32], MaskingConfig(rng_seed=6))
+        streams = phase_datasets(docs, vocab, [32], MaskingConfig(seed=6))
         assert len(streams) == 1
         assert all(len(i.token_ids) == 32 for i in streams[0])
 
@@ -258,7 +258,7 @@ class TestPhaseDatasets:
 
         def serialize():
             out = []
-            for stream in phase_datasets(docs, vocab, [64, 128], MaskingConfig(rng_seed=33)):
+            for stream in phase_datasets(docs, vocab, [64, 128], MaskingConfig(seed=33)):
                 buf = io.BytesIO()
                 write_instances(stream, buf)
                 out.append(buf.getvalue())
@@ -277,7 +277,7 @@ class TestPhaseDatasets:
 
         monkeypatch.setattr(pretrain, "tokenize_text", counting)
         stats = GenerationStats()
-        streams = phase_datasets(docs, vocab, [32, 64, 128], MaskingConfig(rng_seed=6), stats)
+        streams = phase_datasets(docs, vocab, [32, 64, 128], MaskingConfig(seed=6), stats)
         sentences = [s for doc in docs for s in doc]
         assert calls == sentences
         assert (stats.documents_in, stats.documents_skipped) == (7, 1)
@@ -304,7 +304,7 @@ class TestSerialization:
     def test_round_trip(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(13), n_docs=6)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
         buf = io.BytesIO()
         assert write_instances(instances, buf) == len(instances)
         path_bytes = buf.getvalue()
@@ -313,7 +313,7 @@ class TestSerialization:
     def test_read_back_equals_written(self, toy_vocab, tmp_path):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(14), n_docs=6)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
         path = tmp_path / "insts.bin"
         with open(path, "wb") as f:
             write_instances(instances, f)
@@ -322,7 +322,7 @@ class TestSerialization:
     def test_truncated_record_detected(self, toy_vocab, tmp_path):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(15), n_docs=2)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(rng_seed=5))[0])
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
         payload = pack_instance(instances[0])
         path = tmp_path / "broken.bin"
         path.write_bytes(payload[: len(payload) - 3])
@@ -403,7 +403,7 @@ def stream_sha256(stream) -> str:
 class TestPinnedBytes:
     """Instance bytes pinned by sha256: a refactor of generation must keep them."""
 
-    CFG = MaskingConfig(rng_seed=1234, dupe_factor=2, max_predictions_per_seq=7)
+    CFG = MaskingConfig(seed=1234, dupe_factor=2, max_predictions_per_seq=7)
 
     def test_phase_datasets_bytes(self):
         vocab = Vocab(PINNED_PIECES)

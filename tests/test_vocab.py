@@ -140,7 +140,7 @@ class TestLearnWordpieces:
             for _ in range(2000)
         }
         wc = WordCounts(words)
-        vocab = learn_wordpieces(wc, target_size=800, size_tolerance=0.02)
+        vocab = learn_wordpieces(wc, target_size=800)
         assert abs(len(vocab) - 800) <= 0.02 * 800
 
     def test_word_spelling_a_reserved_token_is_not_learned_again(self):
