@@ -68,21 +68,24 @@ def _cmd_vocab_tokenize(args) -> int:
     return EXIT_OK
 
 
+_PHASE_KEYS = {"epochs": float, "batch": int, "seqlen": int}
+
+
 def _parse_phase(spec: str) -> tuple[float, int, int]:
+    """epochs=E,batch=B,seqlen=L, each key exactly once, as (E, B, L)."""
     fields = {}
     for part in spec.split(","):
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (s.strip() for s in part.partition("="))
+        if key not in _PHASE_KEYS or key in fields:
+            problem = "repeated" if key in fields else "unknown"
+            raise ConfigError(f"invalid phase {spec!r}: {problem} key {key!r}")
+        fields[key] = value
     try:
-        return (
-            float(fields["epochs"]),
-            int(fields["batch"]),
-            int(fields["seqlen"]),
-        )
-    except (KeyError, ValueError) as e:
-        raise ConfigError(
-            f"phase must look like epochs=40,batch=1024,seqlen=128, got {spec!r}"
-        ) from e
+        return tuple(parse(fields[key]) for key, parse in _PHASE_KEYS.items())
+    except KeyError as e:
+        raise ConfigError(f"invalid phase {spec!r}: missing key {e.args[0]!r}") from e
+    except ValueError as e:
+        raise ConfigError(f"invalid phase {spec!r}: {e}") from e
 
 
 def _cmd_schedule(args) -> int:

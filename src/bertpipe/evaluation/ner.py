@@ -69,7 +69,7 @@ class LabelMap:
 
     @classmethod
     def identity(cls) -> "LabelMap":
-        return cls({label: label for label in FOUR_LABELS}, "passthrough")
+        return cls({label: label for label in FOUR_LABELS})
 
     @classmethod
     def load(cls, path: str) -> "LabelMap":

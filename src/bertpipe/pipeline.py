@@ -44,7 +44,7 @@ from .pretrain import (
 from .schedule import make_plan
 from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
 
-CONFIG_SCHEMA_VERSION = 3
+CONFIG_SCHEMA_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 
 EventSink = Callable[[dict], None]
@@ -142,9 +142,10 @@ class PipelineConfig:
         masking                   object; every key has a default
           mask_prob               number in (0, 1); 0.15
           replace_mask            number in [0, 1]; 0.8
-          replace_random          number in [0, 1]; 0.1
-          keep_original           number in [0, 1]; 0.1. The three sum to 1.
-          max_predictions_per_seq integer >= 0; 20
+          replace_random          number in [0, 1]; 0.1. The two sum to at
+                                  most 1, and a masked piece keeps its id
+                                  with probability 1 - replace_mask -
+                                  replace_random
           dupe_factor             integer >= 1; 1
           seed                    integer; 0
 

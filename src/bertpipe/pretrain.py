@@ -12,10 +12,13 @@ is split once (tokenize_text remembers its pieces on the Vocab). Word
 groups for masking come from the ids: a word starts at every piece that
 does not start with "##" and at the start of each segment. So a corpus
 word spelled "##x", which is the single piece "##x", joins the previous
-word's mask group. The number of masked pieces is
-min(max_predictions_per_seq, floor(mask_prob * (len - 3))) over the
-len - 3 non-special positions; BERT's create_pretraining_data.py uses
-max(1, round(len * mask_prob)) over the whole sequence.
+word's mask group. Words are masked in random order, skipping any that
+would overshoot, up to floor(mask_prob * (len - 3)) pieces over the
+len - 3 non-special positions, so the count scales with the phase's
+sequence length. BERT's create_pretraining_data.py uses
+max(1, round(len * mask_prob)) over the whole sequence, capped by a per-run
+maximum because its records are fixed-size arrays; the records here store
+their own masked count.
 
 Generation is deterministic: every document derives its own RNG from
 (seed, document ordinal), so output does not depend on worker
@@ -58,22 +61,18 @@ class MaskingConfig:
     mask_prob: float = 0.15
     replace_mask: float = 0.8
     replace_random: float = 0.1
-    keep_original: float = 0.1
-    max_predictions_per_seq: int = 20
     seed: int = 0
     dupe_factor: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.mask_prob < 1.0:
             raise FieldError("mask_prob", f"must be in (0, 1), got {self.mask_prob}")
-        for key in ("replace_mask", "replace_random", "keep_original"):
+        for key in ("replace_mask", "replace_random"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise FieldError(key, f"must be in [0, 1], got {getattr(self, key)}")
-        total = self.replace_mask + self.replace_random + self.keep_original
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"replacement probabilities must sum to 1, got {total}")
-        if self.max_predictions_per_seq < 0:
-            raise FieldError("max_predictions_per_seq", f"must be >= 0, got {self.max_predictions_per_seq}")
+        total = self.replace_mask + self.replace_random
+        if total > 1.0:
+            raise ValueError(f"replace_mask + replace_random must be at most 1, got {total}")
         if self.dupe_factor < 1:
             raise FieldError("dupe_factor", f"must be >= 1, got {self.dupe_factor}")
 
@@ -99,9 +98,6 @@ class TrainingInstance:
             b <= a for a, b in zip(self.masked_positions, self.masked_positions[1:])
         ) or any(p >= n for p in self.masked_positions):
             raise ValueError("masked positions must be strictly increasing and in range")
-
-    def content_length(self) -> int:
-        return sum(self.input_mask)
 
 
 @dataclass
@@ -163,7 +159,7 @@ def _mask_tokens(
     the piece starts with "##". Returns (masked_positions, masked_labels).
     """
     n = len(ids)
-    num_to_predict = min(cfg.max_predictions_per_seq, int(cfg.mask_prob * (n - 3)))
+    num_to_predict = int(cfg.mask_prob * (n - 3))
     # A word starts at every initial piece and at the start of A and of B,
     # and ends where the next word, [SEP] or the end begins. Word w is
     # bounds[w]:bounds[w + 1]; the words are shuffled as indices into bounds.

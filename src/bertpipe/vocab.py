@@ -74,9 +74,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.piece_ids
-
     @property
     def pad_id(self) -> int:
         return self.piece_ids["[PAD]"]

@@ -2,14 +2,17 @@
 
 The oracles here deliberately avoid the package's own data structures:
 dedup works on explicit n-gram string tuples, tokenization recurses over
-raw substrings, and the metric oracles walk plain lists. They are the
-reference implementations the library is checked against.
+raw substrings, the instance oracle finds each segment in the tokenized
+documents, and the metric oracles walk plain lists. They are the reference
+implementations the library is checked against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import unicodedata
+from collections import defaultdict
 
 from bertpipe.corpus import TextUnit
 
@@ -79,6 +82,94 @@ def oracle_tokenize(word: str, pieces: set[str]) -> list[str]:
         out.append(matched)
         start += len(matched) - 2 if matched.startswith("##") else len(matched)
     return out
+
+
+# ------------------------------------------------------------- instance oracle
+
+def oracle_check_instances(instances, documents, pieces, seq_len, mask_prob):
+    """Check MLM/NSP instances against the documents they were built from.
+
+    documents are lists of sentence strings and pieces is the vocabulary in
+    id order. Each instance's labels are put back at its masked positions,
+    and the result must be [CLS] A [SEP] B [SEP] and then padding. A runs
+    from a sentence start of one document; B continues A in that document
+    when is_next, and otherwise runs from a sentence start of any document.
+    A and B end at a sentence end, except in a full-length instance, where
+    either may be cut short at its end. Masking takes whole words, never a
+    special or padding position, replaces a piece with [MASK], the piece
+    itself or a non-reserved id, and fills greedily: at most
+    floor(mask_prob * (content - 3)) pieces, and fewer only when every
+    unmasked word is longer than the pieces left to fill.
+    """
+    ids = {piece: i for i, piece in enumerate(pieces)}
+    pad, cls, sep, mask = (ids[t] for t in ("[PAD]", "[CLS]", "[SEP]", "[MASK]"))
+    reserved = {pad, cls, sep, mask, ids["[UNK]"]}
+    matchable = {p for p in pieces if ids[p] not in reserved}
+
+    # per document, its pieces as one list; sentence bounds as (document,
+    # offset) pairs, each sentence's start and the document's end among them
+    flat, bounds = [], set()
+    for doc in documents:
+        sentences = [[ids[p] for w in s.split() for p in oracle_tokenize(w, matchable)] for s in doc]
+        sentences = [s for s in sentences if s]
+        if sentences:
+            flat.append([t for s in sentences for t in s])
+            bounds.update((len(flat) - 1, sum(map(len, sentences[:k]))) for k in range(len(sentences) + 1))
+    starts = [(d, o) for d, o in sorted(bounds) if o < len(flat[d])]
+    # sentence starts by their first three pieces, so that a large corpus is
+    # not scanned once per segment
+    index = defaultdict(list)
+    for d, o in starts:
+        index[tuple(flat[d][o : o + 3])].append((d, o))
+
+    def runs_of(segment, full):
+        """The (document, offset) pairs where segment starts a run of sentences
+        that it covers to a sentence end, or, if full, only starts."""
+        candidates = starts if len(segment) < 3 else index.get(tuple(segment[:3]), [])
+        return [
+            (d, o) for d, o in candidates
+            if flat[d][o : o + len(segment)] == segment and (full or (d, o + len(segment)) in bounds)
+        ]
+
+    for inst in instances:
+        tokens = list(inst.token_ids)
+        for pos, label in zip(inst.masked_positions, inst.masked_labels):
+            tokens[pos] = label
+        n = sum(inst.input_mask)
+        sep_a = tokens.index(sep)
+        a, b = tokens[1:sep_a], tokens[sep_a + 1 : n - 1]
+        assert len(tokens) == seq_len and list(inst.input_mask) == [1] * n + [0] * (seq_len - n)
+        assert tokens[0] == cls and tokens[n - 1] == sep and a and b
+        assert tokens[n:] == [pad] * (seq_len - n)
+        assert list(inst.segment_ids) == [0] * (sep_a + 1) + [1] * (n - sep_a - 1) + [0] * (seq_len - n)
+
+        full = n == seq_len
+        a_runs, b_runs = runs_of(a, full), runs_of(b, full)
+        assert a_runs, "A is not a run of sentences of one document"
+        assert b_runs, "B is not a run of sentences of one document"
+        if inst.is_next:
+            assert any(
+                db == d and (ob >= o + len(a) if full else ob == o + len(a))
+                for d, o in a_runs for db, ob in b_runs
+            ), "B does not continue A"
+
+        masked = set(inst.masked_positions)
+        for pos, label in zip(inst.masked_positions, inst.masked_labels):
+            shown = inst.token_ids[pos]
+            assert shown in (mask, label) or shown not in reserved, f"position {pos} shows reserved id {shown}"
+        words = []
+        for pos in [*range(1, sep_a), *range(sep_a + 1, n - 1)]:
+            if pos in (1, sep_a + 1) or not pieces[tokens[pos]].startswith("##"):
+                words.append([])
+            words[-1].append(pos)
+        assert masked <= {pos for word in words for pos in word}, "a special or padding position is masked"
+        assert all(masked.issuperset(w) or masked.isdisjoint(w) for w in words), "a word is masked in part"
+        target = math.floor(mask_prob * (n - 3))
+        assert len(masked) <= target, f"{len(masked)} pieces masked, more than {target}"
+        left = target - len(masked)
+        assert all(len(w) > left for w in words if masked.isdisjoint(w)), (
+            f"{len(masked)} of {target} pieces masked, but an unmasked word fits in the {left} left"
+        )
 
 
 # --------------------------------------------------------------- metric oracles

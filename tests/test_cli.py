@@ -105,19 +105,25 @@ def test_schedule_prints_the_plan():
 
 
 @pytest.mark.parametrize(
-    "tokens, phase",
+    "tokens, phase, reason",
     [
-        ("0", "epochs=1,batch=8,seqlen=128"),
-        ("1e6", "epochs=1,batch=0,seqlen=128"),
-        ("inf", "epochs=1,batch=8,seqlen=128"),
-        ("nan", "epochs=1,batch=8,seqlen=128"),
-        ("1e6", "epochs=inf,batch=8,seqlen=128"),
+        ("0", "epochs=1,batch=8,seqlen=128", ""),
+        ("1e6", "epochs=1,batch=0,seqlen=128", ""),
+        ("inf", "epochs=1,batch=8,seqlen=128", ""),
+        ("nan", "epochs=1,batch=8,seqlen=128", ""),
+        ("1e6", "epochs=inf,batch=8,seqlen=128", ""),
+        ("1e6", "epochs=1,batch=2,seqlen=4,tokens=7,bogus", "unknown key 'tokens'"),
+        ("1e6", "epochs=1,batch=2,seqlen=4,bogus", "unknown key 'bogus'"),
+        ("1e6", "epochs=1,batch=2,seqlen=4,batch=500", "repeated key 'batch'"),
+        ("1e6", "epochs=1,batch=2", "missing key 'seqlen'"),
+        ("1e6", "epochs=1,batch=two,seqlen=4", "invalid literal for int()"),
     ],
 )
-def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase):
+def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase, reason):
     done = bertpipe_cli("schedule", "--tokens", tokens, "--phase", phase)
     assert done.returncode == 1
     assert "validation error: invalid phase" in done.stderr
+    assert reason in done.stderr
     assert done.stdout == ""
 
 
@@ -139,6 +145,29 @@ def test_eval_report_round_trips_one_report(tmp_path):
     assert done.returncode == 0, done.stderr
     assert load_reports(str(combined)) == [report]
     assert done.stdout.splitlines()[-1] == "| et    | et   | 0.667 |"
+
+
+def test_eval_ner_reads_bio_tags_without_a_label_map(tmp_path):
+    def score(gold, pred):
+        (tmp_path / "gold.tsv").write_text(gold, encoding="utf-8")
+        (tmp_path / "pred.tsv").write_text(pred, encoding="utf-8")
+        done = bertpipe_cli(
+            "eval", "ner", "--gold", str(tmp_path / "gold.tsv"), "--pred", str(tmp_path / "pred.tsv"),
+            "--train-lang", "et", "--test-lang", "et", "--model", "m",
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    bio = score(
+        "Ana\tB-PER\nMaria\tI-PER\nin\tO\nTartu\tB-LOC\n\nACME\tB-ORG\n",
+        "Ana\tB-PER\nMaria\tO\nin\tO\nTartu\tB-ORG\n\nACME\tB-ORG\n",
+    )
+    bare = score(
+        "Ana\tPER\nMaria\tPER\nin\tO\nTartu\tLOC\n\nACME\tORG\n",
+        "Ana\tPER\nMaria\tO\nin\tO\nTartu\tORG\n\nACME\tORG\n",
+    )
+    assert bio == bare
+    assert 0 < bio["metrics"]["macro_f1"] < 1
 
 
 def test_removed_max_iterations_flag_is_a_validation_error(tmp_path):
@@ -174,7 +203,7 @@ def test_config_with_max_iterations_is_rejected_by_name(tmp_path):
 def test_version_reports_the_config_schema_version():
     done = bertpipe_cli("version", "--json")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["config_schema_version"] == CONFIG_SCHEMA_VERSION == 3
+    assert json.loads(done.stdout)["config_schema_version"] == CONFIG_SCHEMA_VERSION == 4
 
 
 def write_config(tmp_path, phases=({"epochs": 1, "batch_size": 8, "seq_len": 32},)):

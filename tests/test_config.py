@@ -1,13 +1,17 @@
 """The config file's rules: one violating config per rule, each rejected at
 the path of the offending key."""
 
+import inspect
 import json
 import math
+import re
+import typing
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from bertpipe.cli import main
-from bertpipe.pipeline import ConfigError, load_config
+from bertpipe.pipeline import ConfigError, PipelineConfig, load_config
 from bertpipe.pretrain import MaskingConfig
 
 DROP = object()
@@ -47,9 +51,8 @@ def write_config(tmp_path, edits):
     return str(path)
 
 
-def replacement(mask, random, keep):
-    keys = ("replace_mask", "replace_random", "keep_original")
-    return [(("masking", key), value) for key, value in zip(keys, (mask, random, keep))]
+def replacement(mask, random):
+    return [(("masking", "replace_mask"), mask), (("masking", "replace_random"), random)]
 
 
 def rule(path, *edits):
@@ -128,14 +131,16 @@ RULES = [
     rule("$.masking.mask_prob", (("masking", "mask_prob"), 1)),
     rule("$.masking.mask_prob", (("masking", "mask_prob"), -math.inf)),
     rule("$.masking.mask_prob", (("masking", "mask_prob"), True)),
-    # each triple sums to 1, so only the [0, 1] bound of each value rejects it
-    rule("$.masking.replace_mask", *replacement(1.5, -0.5, 0)),
-    rule("$.masking.replace_random", *replacement(0, 1.5, -0.5)),
-    rule("$.masking.keep_original", *replacement(1, 0.5, -0.5)),
+    # each pair sums to at most 1, so only the [0, 1] bound of each value rejects it
+    rule("$.masking.replace_mask", *replacement(1.5, -0.5)),
+    rule("$.masking.replace_random", *replacement(0.5, -0.5)),
     rule("$.masking.replace_random", (("masking", "replace_random"), math.inf)),
-    rule("$.masking", (("masking", "replace_mask"), 0.5)),
-    rule("$.masking.max_predictions_per_seq", (("masking", "max_predictions_per_seq"), -1)),
-    rule("$.masking.max_predictions_per_seq", (("masking", "max_predictions_per_seq"), 1.5)),
+    rule("$.masking", *replacement(0.95, 0.1)),
+    rule("$.masking", *replacement(1, 0.001)),
+    # removed keys: keep is what the two replacements leave, and the masked
+    # count is a fraction of each instance's length
+    rule("$.masking.keep_original", (("masking", "keep_original"), 0.1)),
+    rule("$.masking.max_predictions_per_seq", (("masking", "max_predictions_per_seq"), 20)),
     rule("$.masking.dupe_factor", (("masking", "dupe_factor"), 0)),
     rule("$.masking.seed", (("masking", "seed"), 0.5)),
 ]
@@ -146,6 +151,12 @@ def test_each_rule_rejects_its_violation_at_the_offending_path(tmp_path, path, e
     with pytest.raises(ConfigError) as rejected:
         load_config(write_config(tmp_path, edits))
     assert str(rejected.value).startswith(f"config does not match schema at {path}: ")
+
+
+@pytest.mark.parametrize("mask, random", [(1, 0), (0, 1), (0, 0), (0.7, 0.3), (0.35, 0.65)])
+def test_replacement_probabilities_summing_to_at_most_1_are_valid(tmp_path, mask, random):
+    masking = load_config(write_config(tmp_path, replacement(mask, random))).masking
+    assert (masking.replace_mask, masking.replace_random) == (mask, random)
 
 
 def test_valid_config_is_read_as_written(tmp_path):
@@ -185,3 +196,35 @@ def test_non_finite_and_integral_float_numbers_are_a_validation_error(tmp_path, 
     assert main(["pipeline", "run", config, "--out", str(tmp_path / "out")]) == 1
     assert f"validation error: config does not match schema at {path}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def config_keys(tp, prefix=""):
+    """Dotted key paths of the config file, walking the dataclass fields as
+    the reader does: tuples by their element type, base_dir skipped."""
+    hints = typing.get_type_hints(tp)
+    for f in fields(tp):
+        if not f.metadata.get("key", True):
+            continue
+        yield prefix + f.name
+        inner = hints[f.name]
+        if typing.get_origin(inner) is tuple:
+            inner = typing.get_args(inner)[0]
+        if is_dataclass(inner):
+            yield from config_keys(inner, f"{prefix}{f.name}.")
+
+
+def documented_keys():
+    """Dotted key paths of the reference in PipelineConfig's docstring: a key
+    line is indented 4 spaces, or 6 for a key of an object, and the lines
+    that continue a description are indented further."""
+    path = []
+    for line in inspect.getdoc(PipelineConfig).splitlines():
+        match = re.match(r" {4}(  )?([a-z_]+)(?: {2,}|$)", line)
+        if match:
+            del path[1 if match[1] else 0 :]
+            path.append(match[2])
+            yield ".".join(path)
+
+
+def test_config_reference_names_exactly_the_config_keys():
+    assert sorted(documented_keys()) == sorted(config_keys(PipelineConfig))

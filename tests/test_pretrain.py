@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import oracle_check_instances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,7 +79,7 @@ class TestBuildInstances:
         assert instances
         for inst in instances:
             assert len(inst.token_ids) <= 128
-            assert inst.content_length() >= 5
+            assert sum(inst.input_mask) >= 5
             assert inst.token_ids[0] == vocab.cls_id
             seps = sum(1 for t in inst.token_ids if t == vocab.sep_id)
             assert seps in (1, 2)
@@ -111,7 +112,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(4), n_docs=10)
         keep_all = MaskingConfig(
-            replace_mask=0.0, replace_random=0.0, keep_original=1.0, seed=8
+            replace_mask=0.0, replace_random=0.0, seed=8
         )
         for inst in phase_datasets(docs, vocab, [64], keep_all)[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
@@ -121,7 +122,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(5), n_docs=10)
         random_all = MaskingConfig(
-            replace_mask=0.0, replace_random=1.0, keep_original=0.0, seed=9
+            replace_mask=0.0, replace_random=1.0, seed=9
         )
         reserved = vocab.reserved_ids()
         seen_replacement = 0
@@ -136,7 +137,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(6), n_docs=10)
         mask_all = MaskingConfig(
-            replace_mask=1.0, replace_random=0.0, keep_original=0.0, seed=10
+            replace_mask=1.0, replace_random=0.0, seed=10
         )
         for inst in phase_datasets(docs, vocab, [64], mask_all)[0]:
             for pos in inst.masked_positions:
@@ -166,17 +167,16 @@ class TestBuildInstances:
             phase_datasets([["a"]], vocab, [8], MaskingConfig())
 
     def test_masked_count_floors_over_non_special_positions(self):
-        # With one-piece words, masking stops exactly at its target count.
+        # With one-piece words, masking stops exactly at its target count,
+        # which at 256 goes past BERT's 128-token cap of 20.
         vocab = Vocab(RESERVED_TOKENS + list("abcdefgh"))
-        docs = make_docs(list("abcdefgh"), random.Random(17), n_docs=20, sents=(1, 3), words=(1, 12))
-        for cap in (4, 20):
-            cfg = MaskingConfig(seed=7, mask_prob=0.2, max_predictions_per_seq=cap)
-            counts = set()
-            for inst in phase_datasets(docs, vocab, [64], cfg)[0]:
-                expected = min(cap, int(0.2 * (inst.content_length() - 3)))
-                assert len(inst.masked_positions) == expected
-                counts.add(expected)
-            assert len(counts) > 2
+        docs = make_docs(list("abcdefgh"), random.Random(17), n_docs=20, sents=(1, 40), words=(1, 12))
+        counts = set()
+        for inst in phase_datasets(docs, vocab, [256], MaskingConfig(seed=7))[0]:
+            expected = int(0.15 * (sum(inst.input_mask) - 3))
+            assert len(inst.masked_positions) == expected
+            counts.add(expected)
+        assert len(counts) > 2 and max(counts) > 20
 
     def test_max_seq_len_above_u16_rejected(self, toy_vocab):
         vocab, lexicon = toy_vocab
@@ -203,7 +203,7 @@ class TestBuildInstances:
         bracket_words = 0
         for inst in instances:
             originals = restore_original_ids(inst)
-            content = inst.content_length()
+            content = sum(inst.input_mask)
             sep_a = inst.segment_ids.index(1) - 1
             layout = {0: vocab.cls_id, sep_a: vocab.sep_id, content - 1: vocab.sep_id}
             layout.update((p, vocab.pad_id) for p in range(content, len(originals)))
@@ -223,14 +223,6 @@ class TestBuildInstances:
         )
         assert len(twice) >= 2 * len(once) - len(docs)  # chunking identical per pass
         assert twice[: len(once)] == once
-
-    def test_masked_count_respects_caps(self, toy_vocab):
-        vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(9))
-        cfg = MaskingConfig(seed=4, max_predictions_per_seq=5)
-        for inst in phase_datasets(docs, vocab, [128], cfg)[0]:
-            usable = inst.content_length() - 3
-            assert len(inst.masked_positions) <= min(5, int(0.15 * usable))
 
 
 class TestPhaseDatasets:
@@ -298,6 +290,30 @@ def test_inline_shuffle_draws_like_random_shuffle(n, seed):
     pretrain._shuffle(got, rng.getrandbits)
     assert got == want
     assert rng.getstate() == expected.getstate()
+
+
+# Documents of words over a-h, every one of which PINNED_PIECES splits
+# without [UNK]; empty sentences stay in, and phase_datasets drops them.
+ORACLE_DOCUMENTS = st.lists(
+    st.lists(
+        st.lists(st.text("abcdefgh", min_size=1, max_size=9), max_size=14).map(" ".join),
+        min_size=1,
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+# At 160 a full instance masks floor(0.15 * 157) = 23 pieces, more than
+# BERT's 128-token cap of 20.
+@pytest.mark.parametrize("seq_len", [32, 160])
+@settings(max_examples=60, deadline=None)
+@given(documents=ORACLE_DOCUMENTS, seed=st.integers(0, 2**32))
+def test_instances_pass_the_independent_oracle(seq_len, documents, seed):
+    cfg = MaskingConfig(seed=seed)
+    [stream] = phase_datasets(documents, Vocab(PINNED_PIECES), [seq_len], cfg)
+    oracle_check_instances(list(stream), documents, PINNED_PIECES, seq_len, cfg.mask_prob)
 
 
 class TestSerialization:
@@ -403,12 +419,12 @@ def stream_sha256(stream) -> str:
 class TestPinnedBytes:
     """Instance bytes pinned by sha256: a refactor of generation must keep them."""
 
-    CFG = MaskingConfig(seed=1234, dupe_factor=2, max_predictions_per_seq=7)
+    CFG = MaskingConfig(seed=1234, dupe_factor=2)
 
     def test_phase_datasets_bytes(self):
         vocab = Vocab(PINNED_PIECES)
         streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [stream_sha256(s) for s in streams] == [
             "d2e9e04da39109174f7a792932d40053f2a5a2c4e222c69f42e19151b359c37d",
-            "5a4f3845b1ed54f314372eb76520bc7fb04daac5e5ad109381b40d50d26bd977",
+            "d1a708083de422d94763f9fa90a4e3246a99d0f3759a6540794a4982cfd171bf",
         ]

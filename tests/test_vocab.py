@@ -119,7 +119,7 @@ class TestLearnWordpieces:
         }
         top_initial = max((p for p in scores if not p.startswith("##")), key=scores.get)
         assert top_initial == "aaaa"
-        assert "aaaa" in vocab
+        assert "aaaa" in vocab.piece_ids
         assert tokenize("aaaa", vocab) == ["aaaa"]
 
     def test_character_coverage_means_no_unk_on_training_words(self):
@@ -147,7 +147,7 @@ class TestLearnWordpieces:
         vocab = learn_wordpieces(WordCounts({"[MASK]": 5, "ab": 3}), 60)
         assert vocab.pieces.count("[MASK]") == 1
         assert vocab.pieces.index("[MASK]") < len(RESERVED_TOKENS)
-        assert "[MAS" in vocab
+        assert "[MAS" in vocab.piece_ids
 
     def test_learning_is_deterministic_and_file_byte_identical(self, tmp_path):
         rng = random.Random(3)
