@@ -27,9 +27,6 @@ import sys
 
 from . import __version__
 from .corpus import normalize
-from .evaluation.ner import LabelMap, harmonize, ner_scores, parse_ner
-from .evaluation.report import EvalReport, load_reports, save_reports, transfer_matrix
-from .evaluation.ud import attachment_scores, parse_conllu, upos_accuracy
 from .pipeline import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
@@ -99,6 +96,10 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation.ner import LabelMap, harmonize, ner_scores, parse_ner
+    from .evaluation.report import save_reports
+    from .evaluation.ud import attachment_scores, parse_conllu, upos_accuracy
+
     if args.task == "ner":
         label_map = LabelMap.load(args.label_map) if args.label_map else LabelMap.identity()
         gold = harmonize(parse_ner(args.gold), label_map)
@@ -135,7 +136,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports: list[EvalReport] = []
+    from .evaluation.report import load_reports, save_reports, transfer_matrix
+
+    reports = []
     for path in args.reports:
         reports.extend(load_reports(path))
     task = {"ner": "NER", "pos": "POS", "dp": "DP"}[args.task]

@@ -2,15 +2,23 @@
 
 A single greedy pass keeps a unit unless the fraction of its shingles
 already seen among previously kept units reaches the duplicate-content
-threshold. Shingles are n-grams of whitespace tokens fingerprinted to
-64 bits; collisions are accepted (negligible at desk scale). Runs are
-per-language: an index is never shared across languages.
+threshold. Runs are per-language: an index is never shared across
+languages.
+
+Shingles are n-grams of whitespace tokens. Each call of `dedup_corpus`
+maps every token type to a small int id once, and a shingle's fingerprint
+is the 64-bit `hash` of its tuple of ids (Onion hashes each token once and
+builds n-gram fingerprints from the per-token hashes; Pomikálek 2011,
+ch. 4). CPython does not salt the hash of ints or of tuples of ints, so
+fingerprints are the same in every process whatever PYTHONHASHSEED is.
+Collisions are accepted (negligible at desk scale).
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 from .corpus import TextUnit
@@ -18,27 +26,20 @@ from .corpus import TextUnit
 DEFAULT_N = 9
 DEFAULT_THRESHOLD = 0.9
 
-_SEP = b"\x1f"  # unit separator; cannot occur inside a whitespace token
 
+def shingle(ids: Sequence[int], n: int) -> list[int]:
+    """Fingerprints of the n-grams of a unit's token ids.
 
-def fingerprint(tokens: Sequence[str]) -> int:
-    """Deterministic 64-bit fingerprint of a token n-gram."""
-    h = hashlib.blake2b(_SEP.join(t.encode("utf-8") for t in tokens), digest_size=8)
-    return int.from_bytes(h.digest(), "little")
-
-
-def shingle(tokens: Sequence[str], n: int) -> list[int]:
-    """Fingerprints of the n-grams of a unit's whitespace tokens.
-
-    Returns T - n + 1 fingerprints for a unit of T tokens. Units shorter
-    than n hash as a single whole-unit shingle so that exact short
-    duplicates are still caught.
+    Returns T - n + 1 fingerprints for a unit of T tokens, each the
+    unsalted 64-bit hash of an id tuple. Units shorter than n hash as a
+    single whole-unit shingle so that exact short duplicates are still
+    caught. Ids are only comparable within one `dedup_corpus` call.
     """
     if n < 1:
         raise ValueError(f"shingle order must be >= 1, got {n}")
-    if len(tokens) < n:
-        return [fingerprint(tokens)]
-    return [fingerprint(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    if len(ids) < n:
+        return [hash(tuple(ids))]
+    return list(map(hash, zip(*[ids[k:] for k in range(n)])))
 
 
 @dataclass
@@ -74,14 +75,15 @@ def dedup_corpus(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     stats = DedupStats()
+    ids: defaultdict[str, int] = defaultdict(count().__next__)  # token type -> id, this call only
     seen: set[int] = set()  # fingerprints of the kept units' shingles
     kept: list[TextUnit] = []
     for unit in units:
         tokens = unit.tokens()
         stats.units_in += 1
         stats.tokens_in += len(tokens)
-        prints = shingle(tokens, n)
-        if seen and sum(1 for p in prints if p in seen) / len(prints) >= threshold:
+        prints = shingle(list(map(ids.__getitem__, tokens)), n)
+        if seen and sum(map(seen.__contains__, prints)) / len(prints) >= threshold:
             stats.units_dropped += 1
         else:
             stats.units_kept += 1

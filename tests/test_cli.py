@@ -45,10 +45,13 @@ def write_corpora(tmp_path):
 
 
 def test_import_is_silent_and_starts_no_thread():
-    probe = "import sys, threading, bertpipe.cli; print(threading.active_count(), 'jsonschema' in sys.modules)"
+    probe = (
+        "import sys, threading, bertpipe.cli;"
+        " print(threading.active_count(), 'jsonschema' in sys.modules, 'bertpipe.evaluation' in sys.modules)"
+    )
     done = run_python("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "1 False\n"
+    assert done.stdout == "1 False False\n"
     assert done.stderr == ""
 
 
@@ -221,6 +224,33 @@ def write_config(tmp_path, phases=({"epochs": 1, "batch_size": 8, "seq_len": 32}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
+
+
+def assert_runtime_error(done, out_dir, message):
+    """Exit 2 with one readable line, no traceback and no half-written file."""
+    assert done.returncode == 2, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not list(out_dir.rglob("*.tmp"))
+
+
+def test_missing_corpus_file_is_a_runtime_error(tmp_path):
+    config = write_config(tmp_path)
+    (tmp_path / "fi.txt").unlink()
+    done = bertpipe_cli("pipeline", "run", config, "--out", str(tmp_path / "out"))
+    assert_runtime_error(done, tmp_path / "out", "stage 'dedup' failed")
+    assert "fi.txt" in done.stderr
+
+
+def test_vocab_below_alphabet_size_is_a_runtime_error(tmp_path):
+    path = tmp_path / "config.json"
+    write_config(tmp_path)
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config["vocab"]["target_size"] = 20
+    path.write_text(json.dumps(config), encoding="utf-8")
+    done = bertpipe_cli("pipeline", "run", str(path), "--out", str(tmp_path / "out"))
+    assert_runtime_error(done, tmp_path / "out", "stage 'vocab' failed: target below alphabet size")
+    assert not (tmp_path / "out" / "vocab.txt").exists()
 
 
 def test_removed_jobs_flag_is_a_validation_error(tmp_path):

@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bertpipe
+from bertpipe import dedup
 from bertpipe.corpus import TextUnit
 from bertpipe.dedup import dedup_corpus, shingle
 
@@ -20,17 +26,91 @@ def texts(units):
 
 class TestShingle:
     def test_count_is_tokens_minus_n_plus_one(self):
-        assert len(shingle("a b c d".split(), 2)) == 3
+        assert len(shingle([0, 1, 2, 3], 2)) == 3
 
     def test_short_unit_hashes_whole_unit(self):
-        assert len(shingle("a b".split(), 9)) == 1
+        assert len(shingle([0, 1], 9)) == 1
 
-    def test_identical_text_identical_fingerprints(self):
-        assert shingle("x y z w".split(), 2) == shingle("x y z w".split(), 2)
+    def test_identical_ids_identical_fingerprints(self):
+        assert shingle([4, 5, 6, 7], 2) == shingle([4, 5, 6, 7], 2)
+
+    def test_repeated_ngram_repeats_its_fingerprint(self):
+        # a b a b a b: (a, b) (b, a) (a, b) (b, a) (a, b)
+        prints = shingle([0, 1, 0, 1, 0, 1], 2)
+        assert len(prints) == 5 and len(set(prints)) == 2
+        assert prints[0] == prints[2] == prints[4] != prints[1] == prints[3]
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            shingle("a b".split(), 0)
+            shingle([0, 1], 0)
+
+
+def fingerprints_of(units, n, monkeypatch):
+    """Every fingerprint dedup_corpus computes, unit by unit, through the module's shingle."""
+    prints = []
+
+    def recording(ids, order):
+        prints.append(shingle(ids, order))
+        return prints[-1]
+
+    monkeypatch.setattr(dedup, "shingle", recording)
+    dedup_corpus(units, n=n, threshold=0.9)
+    return prints
+
+
+class TestFingerprints:
+    def test_dedup_corpus_calls_the_module_shingle_once_per_unit(self, monkeypatch):
+        units = make_dedup_corpus(random.Random(5), 40)
+        prints = fingerprints_of(units, 9, monkeypatch)
+        assert len(prints) == len(units)
+        assert all(type(p) is list for p in prints)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_collisions_on_random_corpora(self, seed, monkeypatch):
+        units = make_dedup_corpus(random.Random(seed), 300)
+        for n in (1, 2, 9):
+            prints = fingerprints_of(units, n, monkeypatch)
+            grams = [oracle_shingles(u.text, n) for u in units]
+            assert [len(p) for p in prints] == [len(g) for g in grams]
+            assert len({p for ps in prints for p in ps}) == len({g for gs in grams for g in gs})
+
+    def test_repeated_ngrams_count_as_often_as_they_occur(self, monkeypatch):
+        # against the kept (a, b), "a b a b c" has 2 of 4 bigrams seen: 0.5,
+        # while its distinct bigrams would give 1 of 3
+        units = [unit("a b"), unit("a b a b c"), unit("a b a b a b"), unit("b c b c d")]
+        prints = fingerprints_of(units, 2, monkeypatch)
+        assert len({p for ps in prints for p in ps}) == 5  # (a b) (b a) (b c) (c b) (c d)
+        for threshold in (0.3, 0.5, 0.6, 0.8, 1.0):
+            kept, _ = dedup_corpus(units, n=2, threshold=threshold)
+            assert texts(kept) == oracle_dedup(texts(units), 2, threshold)
+        assert texts(dedup_corpus(units, n=2, threshold=0.5)[0]) == ["a b", "b c b c d"]
+
+    def test_same_in_every_process(self, tmp_path):
+        """Fingerprints do not depend on the interpreter's string-hash salt."""
+        units = make_dedup_corpus(random.Random(8), 60) + [unit("ääni öljy ääni"), unit("šuma ž č")]
+        corpus = tmp_path / "units.json"
+        corpus.write_text(json.dumps(texts(units)), encoding="utf-8")
+        probe = (
+            "import json, sys\n"
+            "from bertpipe import dedup\n"
+            "from bertpipe.corpus import TextUnit\n"
+            "prints, shingle = [], dedup.shingle\n"
+            "dedup.shingle = lambda ids, n: prints.append(shingle(ids, n)) or prints[-1]\n"
+            "texts = json.load(open(sys.argv[1], encoding='utf-8'))\n"
+            "dedup.dedup_corpus([TextUnit('xx', t) for t in texts], 9, 0.9)\n"
+            "print(json.dumps(prints))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bertpipe.__file__)))
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", probe, str(corpus)], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == len(units)
 
 
 class TestDuplicateFraction:
