@@ -5,7 +5,10 @@ Commands:
                    vocab, pretrain_data, schedule), skipping up-to-date ones
   vocab tokenize   wordpiece-tokenize lines from stdin with a vocab file
   schedule         compute training-step counts per phase from a token count
-  eval             score NER, POS or DP predictions against gold annotations
+  eval             score predictions against gold annotations: NER P/R/F1
+                   by token class, or by conlleval chunk with --span-level;
+                   POS UPOS accuracy; DP UAS and LAS as the CoNLL 2018 UD
+                   scorer gives them (LAS on the universal DEPREL)
   report           render a cross-lingual transfer matrix from eval reports
   version          print the tool version and the config format version
 
@@ -127,7 +130,6 @@ def _cmd_eval(args) -> int:
             train_lang=args.train_lang,
             test_lang=args.test_lang,
             model_name=args.model,
-            strip_subtypes=args.strip_subtypes,
         )
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     if args.out:
@@ -210,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         pe.add_argument("--model", required=True)
         pe.add_argument("--out", default=None, help="also write the report JSON here")
         if task == "ner":
-            pe.add_argument("--label-map", default=None, help="JSON map of raw tags to PER/LOC/ORG/O")
-            pe.add_argument("--span-level", action="store_true", help="score entity spans instead of tokens")
-        if task == "dp":
-            pe.add_argument("--strip-subtypes", action="store_true", help="compare deprels without subtypes")
+            pe.add_argument("--label-map", default=None, help='JSON {"map": {"<class>": "PER|LOC|ORG|O"}}, no B-/I-')
+            pe.add_argument("--span-level", action="store_true", help="score conlleval chunks, not tokens by class")
         pe.set_defaults(func=_cmd_eval, task=task)
 
     p = sub.add_parser("report", help="render a cross-lingual transfer matrix")

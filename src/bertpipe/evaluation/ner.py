@@ -1,23 +1,33 @@
-"""NER file parsing, tag-set harmonization, and token-level scoring.
+"""NER file parsing, tag-set harmonization, and scoring.
 
 Datasets with heterogeneous tag inventories are reduced to the four labels
-they share: PER, LOC, ORG, and O. Scores are per-class precision, recall,
-and F1 over tokens, macro-averaged over the three entity classes (O is
-excluded); span-level scoring is available behind a flag.
+they share: PER, LOC, ORG, and O. A tag's "B-"/"I-" prefix is kept through
+the mapping and only its class is mapped. Scores are per-class precision,
+recall, and F1, macro-averaged over the three entity classes (O is
+excluded). By default they count tokens by class, so a prefix never
+matters; with span_level they count entity chunks as conlleval (CoNLL-2003)
+builds them, and a chunk is correct only when its class and both of its
+boundaries match.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .report import EvalReport
 
 ENTITY_LABELS = ("PER", "LOC", "ORG")
-FOUR_LABELS = frozenset(ENTITY_LABELS) | {"O"}
+FOUR_LABELS = (*ENTITY_LABELS, "O")
 
-BIO_HANDLINGS = ("strip_prefix", "passthrough")
+
+def _split(tag: str) -> tuple[str, str]:
+    """A tag's BIO prefix ("B-", "I-" or "") and its class."""
+    if tag[:2] in ("B-", "I-"):
+        return tag[:2], tag[2:]
+    return "", tag
 
 
 @dataclass(frozen=True)
@@ -37,35 +47,33 @@ class NerSentence:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Mapping from a dataset's raw tags onto {PER, LOC, ORG, O}.
+    """Mapping from a dataset's entity classes onto {PER, LOC, ORG, O}.
 
-    With strip_prefix, BIO markers ("B-", "I-") are removed before lookup,
-    so a map over bare classes covers the whole BIO inventory.
+    Keys are bare classes, so a map over classes covers the whole BIO
+    inventory: B-PER resolves to B-PER when PER maps to PER, and B-MISC to
+    O when MISC maps to O.
     """
 
     map: dict[str, str]
-    bio_handling: str = "strip_prefix"
 
     def __post_init__(self):
-        if self.bio_handling not in BIO_HANDLINGS:
-            raise ValueError(
-                f"bio_handling must be one of {BIO_HANDLINGS}, got {self.bio_handling!r}"
-            )
         for raw, harmonized in self.map.items():
+            if _split(raw)[0]:
+                raise ValueError(
+                    f"label map key {raw!r} carries a B-/I- prefix; keys are bare classes"
+                )
             if harmonized not in FOUR_LABELS:
                 raise ValueError(
                     f"label map sends {raw!r} to {harmonized!r}, not in {sorted(FOUR_LABELS)}"
                 )
 
     def resolve(self, tag: str) -> str:
-        if self.bio_handling == "strip_prefix" and (
-            tag.startswith("B-") or tag.startswith("I-")
-        ):
-            tag = tag[2:]
+        prefix, cls = _split(tag)
         try:
-            return self.map[tag]
+            label = self.map[cls]
         except KeyError:
             raise ValueError(f"unmapped tag {tag!r}") from None
+        return label if label == "O" else prefix + label
 
     @classmethod
     def identity(cls) -> "LabelMap":
@@ -73,9 +81,19 @@ class LabelMap:
 
     @classmethod
     def load(cls, path: str) -> "LabelMap":
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        return cls(dict(data["map"]), data.get("bio_handling", "strip_prefix"))
+        """Read a JSON file {"map": {"<class>": "PER|LOC|ORG|O", ...}}."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                data = json.load(f)
+            if not isinstance(data, dict) or not isinstance(data.get("map"), dict):
+                raise ValueError('expected {"map": {"<class>": "PER|LOC|ORG|O", ...}}')
+            for key in data:
+                if key != "map":
+                    raise ValueError(f"unknown key {key!r}")
+            return cls(data["map"])
+        # RecursionError: nested too deeply
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"label map {path}: {e}") from None
 
 
 def parse_ner(path: str) -> list[NerSentence]:
@@ -104,7 +122,8 @@ def parse_ner(path: str) -> list[NerSentence]:
 
 
 def harmonize(sentences: Iterable[NerSentence], label_map: LabelMap) -> list[NerSentence]:
-    """Map every raw tag onto the four-label set; unmapped tags are an error."""
+    """Map every tag's class onto the four-label set, keeping its B-/I- prefix;
+    unmapped classes are an error."""
     return [
         NerSentence(s.tokens, tuple(label_map.resolve(t) for t in s.labels))
         for s in sentences
@@ -134,18 +153,19 @@ def _prf(correct: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
 
 
 def _spans(labels: Sequence[str]) -> set[tuple[int, int, str]]:
-    """Maximal runs of one entity label, as (start, end, label) with end exclusive."""
+    """Entity chunks as conlleval builds them, as (start, end, class) with end exclusive.
+
+    A chunk starts at a B- tag and wherever the class changes; an I- or bare
+    tag continues the chunk of its class, so after O it starts one.
+    """
     spans = set()
-    start = None
-    current = "O"
-    for i, label in enumerate(labels):
-        if label != current:
+    start, current = 0, "O"
+    for i, tag in enumerate([*labels, "O"]):
+        prefix, cls = _split(tag)
+        if prefix == "B-" or cls != current:
             if current != "O":
                 spans.add((start, i, current))
-            start = i
-            current = label
-    if current != "O":
-        spans.add((start, len(labels), current))
+            start, current = i, cls
     return spans
 
 
@@ -157,29 +177,26 @@ def ner_scores(
     model_name: str = "",
     span_level: bool = False,
 ) -> EvalReport:
-    """Per-class P/R/F1 for PER, LOC, ORG plus their unweighted macro F1."""
+    """Per-class P/R/F1 for PER, LOC, ORG plus their unweighted macro F1.
+
+    Items are (position, class) pairs of tokens, or with span_level the
+    conlleval chunks of _spans; an item is correct when gold and pred share it.
+    """
     _check_aligned(gold, pred)
+    correct, n_gold, n_pred = Counter(), Counter(), Counter()
+    for g, p in zip(gold, pred):
+        if span_level:
+            gold_items, pred_items = _spans(g.labels), _spans(p.labels)
+        else:
+            gold_items = {(i, _split(t)[1]) for i, t in enumerate(g.labels)}
+            pred_items = {(i, _split(t)[1]) for i, t in enumerate(p.labels)}
+        correct.update(item[-1] for item in gold_items & pred_items)
+        n_gold.update(item[-1] for item in gold_items)
+        n_pred.update(item[-1] for item in pred_items)
     metrics: dict[str, float] = {}
     f1s = []
     for label in ENTITY_LABELS:
-        correct = n_gold = n_pred = 0
-        if span_level:
-            for g, p in zip(gold, pred):
-                gold_spans = {s for s in _spans(g.labels) if s[2] == label}
-                pred_spans = {s for s in _spans(p.labels) if s[2] == label}
-                correct += len(gold_spans & pred_spans)
-                n_gold += len(gold_spans)
-                n_pred += len(pred_spans)
-        else:
-            for g, p in zip(gold, pred):
-                for gt, pt in zip(g.labels, p.labels):
-                    if gt == label and pt == label:
-                        correct += 1
-                    if gt == label:
-                        n_gold += 1
-                    if pt == label:
-                        n_pred += 1
-        precision, recall, f1 = _prf(correct, n_pred, n_gold)
+        precision, recall, f1 = _prf(correct[label], n_pred[label], n_gold[label])
         key = label.lower()
         metrics[f"precision_{key}"] = precision
         metrics[f"recall_{key}"] = recall

@@ -27,8 +27,11 @@ class EvalReport:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        for name in _TASK_METRICS[self.task]:
+            if name not in self.metrics:
+                raise ValueError(f"{self.task} report lacks metric {name!r}")
         for name, value in self.metrics.items():
-            if not 0.0 <= value <= 1.0:
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                 raise ValueError(f"metric {name}={value} outside [0, 1]")
 
     def as_dict(self) -> dict:
@@ -41,7 +44,15 @@ class EvalReport:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
+    def from_dict(cls, d) -> "EvalReport":
+        """The report of as_dict's object; raises ValueError on any other value."""
+        if not isinstance(d, dict):
+            raise ValueError("expected a report object")
+        for key in ("task", "train_lang", "test_lang", "model_name"):
+            if not isinstance(d.get(key), str):
+                raise ValueError(f"report lacks a string {key!r}")
+        if not isinstance(d.get("metrics"), dict):
+            raise ValueError("report lacks a 'metrics' object")
         return cls(
             task=d["task"],
             train_lang=d["train_lang"],
@@ -58,11 +69,14 @@ def save_reports(reports: list[EvalReport], path: str) -> None:
 
 
 def load_reports(path: str) -> list[EvalReport]:
+    """The reports of a file holding one report object or an array of them."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if isinstance(data, dict):
-        data = [data]
-    return [EvalReport.from_dict(d) for d in data]
+        try:
+            data = json.load(f)
+            return [EvalReport.from_dict(d) for d in (data if isinstance(data, list) else [data])]
+        # RecursionError: nested too deeply
+        except (ValueError, RecursionError) as e:
+            raise ValueError(f"report file {path}: {e}") from None
 
 
 def transfer_matrix(reports: list[EvalReport], baseline: str | None = None) -> str:

@@ -1,9 +1,12 @@
 """CoNLL-U parsing and POS/dependency scoring (UPOS accuracy, UAS, LAS).
 
 Multiword-token ranges ("1-2") and empty nodes ("1.1") are excluded at
-parse time; exactly the integer-id word lines are scorable. Punctuation is
-not excluded from attachment scores, and DEPREL comparison uses the full
-label string unless subtypes are explicitly stripped.
+parse time; exactly the integer-id word lines are scorable. Prediction and
+gold share the gold tokenization, so words align one to one, and the scores
+are those of the CoNLL 2018 shared task's evaluation script on that
+tokenization: punctuation is not excluded, and LAS compares only the
+universal part of DEPREL, the part before any ":" subtype (nmod:poss and
+nmod match).
 """
 
 from __future__ import annotations
@@ -136,13 +139,12 @@ def attachment_scores(
     train_lang: str = "",
     test_lang: str = "",
     model_name: str = "",
-    strip_subtypes: bool = False,
 ) -> EvalReport:
-    """UAS (correct head) and LAS (correct head and deprel) over all words."""
+    """UAS (correct head) and LAS (correct head and universal deprel) over all words."""
     _check_aligned(gold, pred)
 
     def rel(token: UdToken) -> str:
-        return token.deprel.split(":", 1)[0] if strip_subtypes else token.deprel
+        return token.deprel.split(":", 1)[0]
 
     head_correct = label_correct = total = 0
     for i, (g, p) in enumerate(zip(gold, pred)):

@@ -4,9 +4,11 @@ Each stage is one row of a table: its parameters, its input files, its
 output files and the function that writes them. Every artifact is written
 atomically (tmp file + rename), and the manifest records each stage's
 parameters and the content hashes of its inputs and outputs. Re-running
-with unchanged inputs and parameters skips up-to-date stages. The manifest
-carries no timestamps or absolute paths, so identical runs produce
-identical bytes.
+with unchanged inputs and parameters skips up-to-date stages. A stage's
+parameters include its `rev`, which a code change that alters the stage's
+output bytes by design bumps, so that output dirs written by the older
+code re-run it. The manifest carries no timestamps or absolute paths, so
+identical runs produce identical bytes.
 
 The manifest is written once, after the last stage, so it only ever
 describes a completed run: after a failure, the next run re-checks every
@@ -344,6 +346,8 @@ def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
 
 class _Stage(NamedTuple):
     name: str
+    # bumped when a code change alters this stage's output bytes by design
+    rev: int
     params: Callable[[PipelineConfig], dict]
     # (manifest key, path relative to the output dir or absolute)
     inputs: Callable[[PipelineConfig], list[tuple[str, str]]]
@@ -358,6 +362,7 @@ def _same(rels: list[str]) -> list[tuple[str, str]]:
 _STAGES = (
     _Stage(
         "dedup",
+        rev=1,
         params=lambda c: {
             "n": c.dedup.n,
             "threshold": c.dedup.threshold,
@@ -372,6 +377,7 @@ _STAGES = (
     ),
     _Stage(
         "sample",
+        rev=1,
         params=lambda c: {
             "seed": c.vocab.seed,
             "budgets": {lang.code: lang.vocab_budget for lang in c.languages},
@@ -382,6 +388,7 @@ _STAGES = (
     ),
     _Stage(
         "vocab",
+        rev=1,
         params=lambda c: asdict(c.vocab),
         inputs=lambda c: _same(_lang_files(c, "sample/{}.txt")),
         outputs=lambda c: ["vocab.txt"],
@@ -389,6 +396,7 @@ _STAGES = (
     ),
     _Stage(
         "pretrain_data",
+        rev=1,
         params=lambda c: {
             "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
             **asdict(c.masking),
@@ -400,6 +408,7 @@ _STAGES = (
     ),
     _Stage(
         "schedule",
+        rev=1,
         params=lambda c: {"phases": [asdict(phase) for phase in c.phases]},
         inputs=lambda c: _same(_lang_files(c, "dedup/{}.stats.json")),
         outputs=lambda c: ["plan.json"],
@@ -470,7 +479,7 @@ def run_pipeline(
     for stage in _STAGES:
         emit({"event": "stage_start", "stage": stage.name})
         try:
-            params = stage.params(config)
+            params = {"rev": stage.rev, **stage.params(config)}
             inputs = {key: digest(os.path.join(out_dir, path)) for key, path in stage.inputs(config)}
             outputs = sorted(stage.outputs(config))
             skipped = up_to_date(previous.get(stage.name), params, inputs)

@@ -196,9 +196,61 @@ def oracle_accuracy(gold: list[str], pred: list[str]) -> float:
 def oracle_attachment(
     gold: list[tuple[int, str]], pred: list[tuple[int, str]]
 ) -> tuple[float, float]:
+    """UAS and LAS, LAS on the universal deprel as the CoNLL 2018 scorer has it."""
     uas = sum(1 for (gh, _), (ph, _) in zip(gold, pred) if gh == ph) / len(gold)
     las = (
-        sum(1 for (gh, gr), (ph, pr) in zip(gold, pred) if gh == ph and gr == pr)
+        sum(
+            1 for (gh, gr), (ph, pr) in zip(gold, pred)
+            if gh == ph and gr.partition(":")[0] == pr.partition(":")[0]
+        )
         / len(gold)
     )
     return uas, las
+
+
+def oracle_chunks(tags: list[str]) -> set[tuple[int, int, str]]:
+    """Chunks (start, end exclusive, type) by conlleval's startOfChunk and
+    endOfChunk rules for the B, I and O tags; a bare tag X is read as I-X."""
+
+    def split(tag):
+        if tag == "O":
+            return "O", ""
+        if tag[:2] in ("B-", "I-"):
+            return tag[0], tag[2:]
+        return "I", tag
+
+    chunks = set()
+    start = None
+    prev_tag, prev_type = "O", ""
+    for i, (tag, type_) in enumerate([split(t) for t in tags] + [("O", "")]):
+        end = (
+            (prev_tag in ("B", "I") and tag in ("B", "O"))
+            or (prev_tag != "O" and prev_type != type_)
+        )
+        begin = (
+            (prev_tag in ("B", "I", "O") and tag == "B")
+            or (prev_tag == "O" and tag == "I")
+            or (tag != "O" and prev_type != type_)
+        )
+        if end and start is not None:
+            chunks.add((start, i, prev_type))
+            start = None
+        if begin:
+            start = i
+        prev_tag, prev_type = tag, type_
+    return chunks
+
+
+def oracle_chunk_prf(gold: list[list[str]], pred: list[list[str]], type_: str) -> tuple[float, float, float]:
+    """conlleval's precision, recall and F1 of one chunk type over sentences."""
+    correct = n_gold = n_pred = 0
+    for g, p in zip(gold, pred):
+        gold_chunks = {c for c in oracle_chunks(g) if c[2] == type_}
+        pred_chunks = {c for c in oracle_chunks(p) if c[2] == type_}
+        correct += len(gold_chunks & pred_chunks)
+        n_gold += len(gold_chunks)
+        n_pred += len(pred_chunks)
+    precision = correct / n_pred if n_pred else 0.0
+    recall = correct / n_gold if n_gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1

@@ -173,6 +173,113 @@ def test_eval_ner_reads_bio_tags_without_a_label_map(tmp_path):
     assert 0 < bio["metrics"]["macro_f1"] < 1
 
 
+def conllu(*words):
+    """A CoNLL-U sentence of (UPOS, HEAD, DEPREL) words."""
+    return "".join(
+        f"{i}\tw{i}\t_\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n" for i, (upos, head, rel) in enumerate(words, 1)
+    ) + "\n"
+
+
+def eval_cli(tmp_path, task, gold, pred, *extra, model="m"):
+    (tmp_path / "gold").write_text(gold, encoding="utf-8")
+    (tmp_path / "pred").write_text(pred, encoding="utf-8")
+    return bertpipe_cli(
+        "eval", task, "--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred"),
+        "--train-lang", "sl", "--test-lang", "hr", "--model", model, *extra,
+    )
+
+
+def test_eval_pos_scores_upos_accuracy(tmp_path):
+    gold = conllu(("NOUN", 2, "nsubj"), ("VERB", 0, "root")) + conllu(("ADJ", 0, "root"))
+    # a POS-only model may leave heads and deprels unset
+    pred = conllu(("NOUN", "_", "_"), ("NOUN", "_", "_")) + conllu(("ADJ", "_", "_"))
+    done = eval_cli(tmp_path, "pos", gold, pred)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["task"], report["train_lang"], report["test_lang"]) == ("POS", "sl", "hr")
+    assert report["metrics"] == {"upos_acc": pytest.approx(2 / 3)}
+
+
+def test_eval_dp_compares_universal_deprels(tmp_path):
+    gold = conllu(("NOUN", 2, "nmod:poss"), ("NOUN", 0, "root"), ("ADV", 2, "advmod"), ("NOUN", 2, "obj"))
+    pred = conllu(("NOUN", 2, "nmod"), ("NOUN", 0, "root"), ("ADV", 2, "obl:tmod"), ("NOUN", 1, "obj"))
+    done = eval_cli(tmp_path, "dp", gold, pred)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["metrics"] == {"uas": 0.75, "las": 0.5}
+
+
+def test_eval_dp_strip_subtypes_flag_is_gone(tmp_path):
+    gold = conllu(("NOUN", 0, "root"))
+    done = eval_cli(tmp_path, "dp", gold, gold, "--strip-subtypes")
+    assert done.returncode == 1
+    assert "--strip-subtypes" in done.stderr
+
+
+def test_report_dp_renders_uas_and_las_per_model(tmp_path):
+    gold = conllu(("NOUN", 2, "nsubj"), ("VERB", 0, "root"))
+    paths = []
+    for model, pred in [("mbert", conllu(("NOUN", 2, "obj"), ("VERB", 0, "root"))), ("cse", gold)]:
+        path = tmp_path / f"{model}.json"
+        done = eval_cli(tmp_path, "dp", gold, pred, "--out", str(path), model=model)
+        assert done.returncode == 0, done.stderr
+        paths.append(str(path))
+    done = bertpipe_cli("report", "--task", "dp", *paths)
+    assert done.returncode == 0, done.stderr
+    header, _, row = done.stdout.splitlines()
+    assert header.split("|")[3:-1] == [
+        " mbert UAS ", " mbert LAS ", " cse UAS ", " cse LAS ", " cse-mbert UAS ", " cse-mbert LAS ",
+    ]
+    assert [cell.strip() for cell in row.split("|")[1:-1]] == [
+        "sl", "hr", "1.000", "0.500", "1.000", "1.000", "+0.000", "+0.500",
+    ]
+
+
+def assert_one_error_line(done, path):
+    """Exit 2 with one `bertpipe: error:` line naming path, and no traceback."""
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("bertpipe: error: ")
+    assert str(path) in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "label_map, message",
+    [
+        ('{"PER": "PER", "O": "O"}', 'expected {"map"'),
+        ('[{"map": {"PER": "PER"}}]', 'expected {"map"'),
+        ('{"map": {"PER": "PER", "O": "O"}, "bio_handling": "passthrough"}', "unknown key 'bio_handling'"),
+        ('{"map": {"B-PER": "PER", "O": "O"}}', "'B-PER' carries a B-/I- prefix"),
+        ('{"map": {"PER": "PERSON", "O": "O"}}', "sends 'PER' to 'PERSON'"),
+        ('{"map": ', "Expecting value"),
+        ("[" * 100_000, "recursion"),
+    ],
+)
+def test_malformed_label_map_is_one_error_line(tmp_path, label_map, message):
+    path = tmp_path / "map.json"
+    path.write_text(label_map, encoding="utf-8")
+    tags = "Ana\tB-PER\n"
+    done = eval_cli(tmp_path, "ner", tags, tags, "--label-map", str(path))
+    assert_one_error_line(done, path)
+    assert message in done.stderr
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"task": "NER", "test_lang": "et", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "'train_lang'"),
+        ({"task": "NER", "train_lang": "et", "test_lang": "et", "model_name": "m", "metrics": {}}, "'macro_f1'"),
+        ("[" * 100_000, "recursion"),
+    ],
+)
+def test_malformed_report_file_is_one_error_line(tmp_path, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(report if isinstance(report, str) else json.dumps(report), encoding="utf-8")
+    done = bertpipe_cli("report", "--task", "ner", str(path))
+    assert_one_error_line(done, path)
+    assert message in done.stderr
+
+
 def test_removed_max_iterations_flag_is_a_validation_error(tmp_path):
     config = write_config(tmp_path)
     done = bertpipe_cli(

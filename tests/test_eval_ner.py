@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from bertpipe.evaluation.ner import (
     LabelMap,
     NerSentence,
+    _spans,
     harmonize,
     ner_scores,
     parse_ner,
 )
 
-from conftest import oracle_macro_f1, oracle_prf
+from conftest import oracle_chunk_prf, oracle_macro_f1, oracle_prf
 
 LABELS = ("PER", "LOC", "ORG", "O")
 
@@ -71,16 +72,14 @@ class TestParseNer:
 
 class TestHarmonize:
     def test_direct_mapping(self):
-        m = LabelMap(
-            {"B-PER": "PER", "I-PER": "PER", "B-MISC": "O", "O": "O"}, "passthrough"
-        )
-        out = harmonize([sentence(("B-PER", "I-PER", "B-MISC"))], m)
-        assert out[0].labels == ("PER", "PER", "O")
+        m = LabelMap({"PERSON": "PER", "GPE": "LOC", "O": "O"})
+        out = harmonize([sentence(("B-PERSON", "I-PERSON", "GPE", "O"))], m)
+        assert out[0].labels == ("B-PER", "I-PER", "LOC", "O")
 
-    def test_strip_prefix_reduces_bio(self):
+    def test_bio_prefix_kept_and_o_class_loses_it(self):
         m = LabelMap({"PER": "PER", "LOC": "LOC", "ORG": "ORG", "MISC": "O", "O": "O"})
-        out = harmonize([sentence(("B-PER", "I-PER", "B-MISC", "O"))], m)
-        assert out[0].labels == ("PER", "PER", "O", "O")
+        out = harmonize([sentence(("B-PER", "I-PER", "B-MISC", "I-MISC", "O"))], m)
+        assert out[0].labels == ("B-PER", "I-PER", "O", "O", "O")
 
     def test_identity_on_four_label_corpus(self):
         sents = [sentence(("PER", "O", "ORG", "LOC"))]
@@ -88,27 +87,33 @@ class TestHarmonize:
         assert out == sents
 
     def test_idempotent_under_identity_map(self):
-        sents = [sentence(("PER", "O", "ORG"))]
+        sents = [sentence(("B-PER", "I-PER", "O", "ORG"))]
         once = harmonize(sents, LabelMap.identity())
+        assert once == sents
         assert harmonize(once, LabelMap.identity()) == once
 
     def test_unmapped_tag_error_names_tag(self):
-        m = LabelMap({"PER": "PER", "O": "O"}, "passthrough")
+        m = LabelMap({"PER": "PER", "O": "O"})
         with pytest.raises(ValueError, match="DERIV-PER"):
             harmonize([sentence(("DERIV-PER",))], m)
+        with pytest.raises(ValueError, match="I-MISC"):
+            harmonize([sentence(("I-MISC",))], m)
 
     def test_map_must_land_in_four_labels(self):
         with pytest.raises(ValueError, match="MISC"):
-            LabelMap({"B-MISC": "MISC"})
+            LabelMap({"MISC": "MISC"})
+
+    @pytest.mark.parametrize("key", ["B-PER", "I-MISC"])
+    def test_prefixed_map_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key}.*prefix"):
+            LabelMap({key: "PER"})
 
     def test_load_from_json(self, tmp_path):
         path = tmp_path / "map.json"
-        path.write_text(
-            '{"map": {"PER": "PER", "O": "O"}, "bio_handling": "strip_prefix"}',
-            encoding="utf-8",
-        )
+        path.write_text('{"map": {"PER": "PER", "MISC": "O", "O": "O"}}', encoding="utf-8")
         m = LabelMap.load(str(path))
-        assert m.resolve("B-PER") == "PER"
+        assert m.resolve("B-PER") == "B-PER"
+        assert m.resolve("I-MISC") == "O"
 
 
 class TestNerScores:
@@ -173,23 +178,74 @@ class TestNerScores:
         assert report.metrics["f1_loc"] == 0.0
         assert report.metrics["macro_f1"] == pytest.approx(2 / 3)
 
+@pytest.mark.parametrize(
+    "tags, chunks",
+    [
+        (("B-PER", "B-PER"), {(0, 1, "PER"), (1, 2, "PER")}),
+        (("B-PER", "I-PER"), {(0, 2, "PER")}),
+        (("O", "I-PER", "I-PER"), {(1, 3, "PER")}),
+        (("B-PER", "I-LOC"), {(0, 1, "PER"), (1, 2, "LOC")}),
+        (("I-PER", "B-PER", "I-PER"), {(0, 1, "PER"), (1, 3, "PER")}),
+        (("PER", "PER", "O", "LOC"), {(0, 2, "PER"), (3, 4, "LOC")}),
+        (("B-PER", "PER", "B-PER"), {(0, 2, "PER"), (2, 3, "PER")}),
+        (("O", "O"), set()),
+        ((), set()),
+    ],
+)
+def test_spans_are_conlleval_chunks(tags, chunks):
+    assert _spans(tags) == chunks
+
+
+def test_adjacent_same_class_entities_are_two_spans():
+    gold = [sentence(("B-PER", "B-PER"))]
+    pred = [sentence(("B-PER", "I-PER"))]
+    assert ner_scores(gold, pred, span_level=True).metrics["f1_per"] == 0.0
+    assert ner_scores(gold, pred).metrics["f1_per"] == 1.0
+
+
+def random_tagged(seed, n_sentences):
+    """Gold and predicted tag lists of equal lengths, with B-, I- and bare tags."""
+    rng = random.Random(seed)
+
+    def tags(length):
+        classes = [rng.choice(LABELS) for _ in range(length)]
+        return [c if c == "O" else rng.choice(("B-", "I-", "")) + c for c in classes]
+
+    lengths = [rng.randint(0, 12) for _ in range(n_sentences)]
+    return [tags(n) for n in lengths], [tags(n) for n in lengths]
+
 
 @settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_sentences=st.integers(1, 8),
-)
+@given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 8))
+def test_span_scores_match_conlleval_oracle(seed, n_sentences):
+    gold, pred = random_tagged(seed, n_sentences)
+    metrics = ner_scores([sentence(g) for g in gold], [sentence(p) for p in pred], span_level=True).metrics
+    f1s = []
+    for label in ("PER", "LOC", "ORG"):
+        precision, recall, f1 = oracle_chunk_prf(gold, pred, label)
+        key = label.lower()
+        assert (metrics[f"precision_{key}"], metrics[f"recall_{key}"], metrics[f"f1_{key}"]) == (
+            precision, recall, f1
+        )
+        f1s.append(f1)
+    assert metrics["macro_f1"] == pytest.approx(sum(f1s) / 3, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 8))
 def test_scores_match_oracle(seed, n_sentences):
-    rng = random.Random(seed)
-    gold, pred = [], []
-    for _ in range(n_sentences):
-        length = rng.randint(1, 12)
-        gold.append(sentence([rng.choice(LABELS) for _ in range(length)]))
-        pred.append(sentence([rng.choice(LABELS) for _ in range(length)]))
-    report = ner_scores(gold, pred)
-    flat_gold = [l for s in gold for l in s.labels]
-    flat_pred = [l for s in pred for l in s.labels]
-    assert report.metrics["macro_f1"] == pytest.approx(
-        oracle_macro_f1(flat_gold, flat_pred), rel=1e-12
-    )
-    assert all(0.0 <= v <= 1.0 for v in report.metrics.values())
+    # token-level scores strip each tag's prefix, then count classes
+    gold, pred = random_tagged(seed, n_sentences)
+    label_map = LabelMap.identity()
+    metrics = ner_scores(
+        harmonize([sentence(g) for g in gold], label_map), harmonize([sentence(p) for p in pred], label_map)
+    ).metrics
+    flat_gold = [t.removeprefix("B-").removeprefix("I-") for g in gold for t in g]
+    flat_pred = [t.removeprefix("B-").removeprefix("I-") for p in pred for t in p]
+    for label in ("PER", "LOC", "ORG"):
+        key = label.lower()
+        assert (metrics[f"precision_{key}"], metrics[f"recall_{key}"], metrics[f"f1_{key}"]) == oracle_prf(
+            flat_gold, flat_pred, label
+        )
+    assert metrics["macro_f1"] == pytest.approx(oracle_macro_f1(flat_gold, flat_pred), rel=1e-12)
+    assert all(0.0 <= v <= 1.0 for v in metrics.values())

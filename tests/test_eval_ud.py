@@ -203,12 +203,10 @@ class TestAttachmentScores:
         assert metrics["uas"] == uas == 0.8
         assert metrics["las"] == las == 0.7
 
-    def test_deprel_subtypes_distinct_by_default(self):
-        gold = [[UdToken(1, "a", "X", 0, "nmod:poss")]]
-        pred = [[UdToken(1, "a", "X", 0, "nmod")]]
-        assert attachment_scores(gold, pred).metrics["las"] == 0.0
-        relaxed = attachment_scores(gold, pred, strip_subtypes=True)
-        assert relaxed.metrics["las"] == 1.0
+    def test_las_compares_universal_deprels(self):
+        gold = [[UdToken(1, "a", "X", 0, "nmod:poss"), UdToken(2, "b", "X", 1, "obl:tmod")]]
+        pred = [[UdToken(1, "a", "X", 0, "nmod"), UdToken(2, "b", "X", 1, "obj:tmod")]]
+        assert attachment_scores(gold, pred).metrics["las"] == 0.5
 
     def test_pred_without_head_rejected(self):
         gold = [[UdToken(1, "a", "X", 0, "root")]]
@@ -224,11 +222,13 @@ def test_attachment_matches_oracle_and_las_bounded(seed, n):
     gold = random_sentences(rng, n, with_subtypes=True)
     pred = [
         [
-            UdToken(t.id, t.form, t.upos, rng.randint(0, len(sent)), rng.choice(DEPRELS))
+            UdToken(t.id, t.form, rng.choice(UPOS_TAGS), rng.randint(0, len(sent)), rng.choice(DEPRELS))
             for t in sent
         ]
         for sent in gold
     ]
+    upos_acc = upos_accuracy(gold, pred).metrics["upos_acc"]
+    assert upos_acc == oracle_accuracy([t.upos for s in gold for t in s], [t.upos for s in pred for t in s])
     metrics = attachment_scores(gold, pred).metrics
     flat_gold = [(t.head, t.deprel) for s in gold for t in s]
     flat_pred = [(t.head, t.deprel) for s in pred for t in s]
@@ -236,3 +236,4 @@ def test_attachment_matches_oracle_and_las_bounded(seed, n):
     assert metrics["uas"] == pytest.approx(uas, rel=1e-12)
     assert metrics["las"] == pytest.approx(las, rel=1e-12)
     assert metrics["las"] <= metrics["uas"]
+

@@ -107,6 +107,33 @@ def test_changed_vocab_size_reruns_vocab_and_pretrain_data(tmp_path, completing)
     assert rerun_stages(larger, out) == ["vocab", "pretrain_data"]
 
 
+def bump_rev(monkeypatch, name):
+    stages = tuple(s._replace(rev=s.rev + 1) if s.name == name else s for s in pipeline._STAGES)
+    monkeypatch.setattr(pipeline, "_STAGES", stages)
+
+
+def test_bumped_rev_reruns_its_stage_and_the_stages_its_bytes_reach(tmp_path, completing, monkeypatch):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    old_vocab = (out / "vocab.txt").read_bytes()
+
+    learn = pipeline.learn_wordpieces
+    monkeypatch.setattr(pipeline, "learn_wordpieces", lambda counts, target_size: learn(counts, target_size - 5))
+    bump_rev(monkeypatch, "vocab")
+    assert rerun_stages(config, str(out)) == ["vocab", "pretrain_data"]
+    new_vocab = (out / "vocab.txt").read_bytes()
+    assert new_vocab != old_vocab
+    assert len(new_vocab.splitlines()) == len(old_vocab.splitlines()) - 5
+
+
+def test_bumped_rev_with_equal_bytes_reruns_only_its_stage(tmp_path, completing, monkeypatch):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    bump_rev(monkeypatch, "dedup")
+    assert rerun_stages(config, str(out)) == ["dedup"]
+    assert rerun_stages(config, str(out)) == []
+
+
 def test_deleted_output_reruns_its_stage(tmp_path, completing):
     config, out = write_config(tmp_path), tmp_path / "out"
     run_pipeline(config, str(out))
