@@ -295,7 +295,16 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         subset = sample_subset(units, lang.vocab_budget, seed=config.vocab.seed + i)
         with _atomic(os.path.join(out_dir, f"sample/{lang.code}.txt"), "w") as f:
             write_units(subset, f, config.dedup.granularity)
-        emit({"event": "sample_lang", "lang": lang.code, "units": len(subset)})
+        # tokens below budget: the whole corpus was too small for the budget
+        emit(
+            {
+                "event": "sample_lang",
+                "lang": lang.code,
+                "units": len(subset),
+                "tokens": sum(len(unit.tokens()) for unit in subset),
+                "budget": lang.vocab_budget,
+            }
+        )
 
 
 def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
@@ -306,7 +315,8 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     vocab = learn_wordpieces(count_words(subsets), target_size=config.vocab.target_size)
     with _atomic(os.path.join(out_dir, "vocab.txt"), "w") as f:
         vocab.save(f)
-    emit({"event": "vocab_built", "size": len(vocab)})
+    # size below target: the samples had too few candidate pieces
+    emit({"event": "vocab_built", "size": len(vocab), "target": config.vocab.target_size})
 
 
 def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:

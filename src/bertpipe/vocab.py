@@ -8,6 +8,13 @@ reserved tokens and the character pieces. Every observed character is kept
 as both an initial and a continuation piece and is never dropped, so every
 training word tokenizes without [UNK].
 
+Candidates are counted by window, not by slice. A piece is at most
+MAX_PIECE_CHARS long, so every piece that starts at a position of a word is
+a prefix of the window of MAX_PIECE_CHARS characters there. Each word adds
+its count once per window, and a prefix closure then adds every window's
+total to each of its prefixes, walking from the longest key to the
+shortest so that each distinct prefix is written once.
+
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
 on the cutoff, it left the cutoff at 1 on every benchmark corpus, and where
@@ -22,15 +29,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import TextUnit
-
-logger = logging.getLogger(__name__)
 
 RESERVED_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
 CONTINUATION_PREFIX = "##"
@@ -41,10 +45,6 @@ UNK = "[UNK]"
 # still covered by the mandatory single-character pieces.
 MAX_PIECE_CHARS = 16
 MAX_CANDIDATE_WORD_CHARS = 64
-
-# learn_wordpieces logs a warning when the vocabulary size misses its target
-# by more than this fraction; the pieces do not depend on it.
-SIZE_TOLERANCE = 0.02
 
 
 @dataclass
@@ -118,8 +118,7 @@ def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> l
     """Uniform-random units until the cumulative token count reaches the budget.
 
     Deterministic given the seed; selected units are returned in corpus
-    order. A budget at or above the corpus size returns the whole corpus
-    (the shortfall is logged).
+    order. A budget at or above the corpus size returns the whole corpus.
     """
     if token_budget <= 0:
         raise ValueError(f"token budget must be positive, got {token_budget}")
@@ -128,13 +127,6 @@ def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> l
     lengths = [len(u.tokens()) for u in corpus]
     corpus_tokens = sum(lengths)
     if token_budget >= corpus_tokens:
-        if token_budget > corpus_tokens:
-            logger.warning(
-                "budget for %s exceeds corpus size (%d > %d tokens); taking whole corpus",
-                corpus[0].lang,
-                token_budget,
-                corpus_tokens,
-            )
         return list(corpus)
     rng = random.Random(seed)
     order = list(range(len(corpus)))
@@ -165,30 +157,64 @@ def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str
     """Occurrence counts of every substring piece of the training words.
 
     Returns (initial, continuation), both keyed by the raw slice: a
-    continuation slice x is the vocabulary piece "##x".
+    continuation slice x is the vocabulary piece "##x". The count of a
+    slice is the summed count of the words it occurs in, once per position.
+
+    Every continuation slice word[i:j] is a prefix of the window
+    word[i:i + MAX_PIECE_CHARS], and every word-initial slice is a prefix of
+    word[:MAX_PIECE_CHARS]. So each word adds its count once per window, and
+    _close_prefixes then hands every window's total down to its prefixes.
     """
     initial: Counter[str] = Counter()
     continuation: Counter[str] = Counter()
+    initial_get = initial.get
+    continuation_get = continuation.get
     cut = len(CONTINUATION_PREFIX)
     for word, count in counts.items():
         length = len(word)
         if length > MAX_CANDIDATE_WORD_CHARS:
             continue
-        heads = [word[:j] for j in range(1, min(length, MAX_PIECE_CHARS) + 1)]
-        tails = [
-            word[i:j]
-            for i in range(1, length)
-            for j in range(i + 1, min(length, i + MAX_PIECE_CHARS) + 1)
-        ]
         if word.startswith(CONTINUATION_PREFIX):
             # Pieces are strings: the word-initial slice "##x" is the
-            # continuation piece "##x", so it is counted as one.
-            tails += [head[cut:] for head in heads if len(head) >= cut]
-            heads = [head for head in heads if len(head) < cut]
-        for cand, pieces in ((initial, heads), (continuation, tails)):
-            for piece in pieces:
-                cand[piece] += count
+            # continuation piece "##x", so it is counted as one. The
+            # initial "#" stays, and the slice "##" is the empty piece.
+            initial["#"] = initial_get("#", 0) + count
+            continuation[""] = continuation_get("", 0) + count
+            if length > cut:
+                head = word[cut:MAX_PIECE_CHARS]
+                continuation[head] = continuation_get(head, 0) + count
+        else:
+            head = word[:MAX_PIECE_CHARS]
+            initial[head] = initial_get(head, 0) + count
+        for i in range(1, length):
+            window = word[i : i + MAX_PIECE_CHARS]
+            continuation[window] = continuation_get(window, 0) + count
+    _close_prefixes(initial)
+    _close_prefixes(continuation)
     return initial, continuation
+
+
+def _close_prefixes(cand: dict[str, int]) -> None:
+    """Add each key's count to every shorter non-empty prefix, in place.
+
+    Keys are taken from the longest down, so a key's total is complete when
+    it is added to its one-shorter prefix; a prefix that is not yet a key
+    joins the keys of its length, so every distinct prefix is written once.
+    """
+    by_length: list[list[str]] = [[] for _ in range(MAX_PIECE_CHARS + 1)]
+    for key in cand:
+        by_length[len(key)].append(key)
+    get = cand.get
+    for length in range(MAX_PIECE_CHARS, 1, -1):
+        shorter = by_length[length - 1]
+        for key in by_length[length]:
+            prefix = key[:-1]
+            total = get(prefix)
+            if total is None:
+                shorter.append(prefix)
+                cand[prefix] = cand[key]
+            else:
+                cand[prefix] = total + cand[key]
 
 
 def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
@@ -200,7 +226,7 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     top-k other substring pieces by count * length, ties broken by the
     piece string. The whole vocabulary is then ordered by the same key. If
     the corpus has fewer candidates than the budget, every candidate is
-    kept and the shortfall is logged.
+    kept and the vocabulary is smaller than target_size.
     """
     chars = sorted({ch for word in counts.counts for ch in word})
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
@@ -225,16 +251,6 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     mandatory = [(-initial[c], c) for c in chars]
     mandatory += [(-continuation[c], CONTINUATION_PREFIX + c) for c in chars]
     pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]
-
-    achieved = len(pieces)
-    if abs(achieved - target_size) > SIZE_TOLERANCE * target_size:
-        logger.warning(
-            "vocabulary size %d misses target %d beyond tolerance %.1f%% "
-            "(corpus too small for the target)",
-            achieved,
-            target_size,
-            100 * SIZE_TOLERANCE,
-        )
     return Vocab(pieces=pieces)
 
 
@@ -248,7 +264,8 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
     if not word:
         raise ValueError("empty word")
     ids = vocab.piece_ids
-    reserved = vocab.reserved
+    # Reserved tokens hold the ids below this one.
+    first_learned = len(vocab.reserved)
     pieces: list[str] = []
     start = 0
     length = len(word)
@@ -257,7 +274,7 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
         match = None
         while end > start:
             piece = word[start:end] if start == 0 else CONTINUATION_PREFIX + word[start:end]
-            if piece in ids and piece not in reserved:
+            if ids.get(piece, -1) >= first_learned:
                 match = piece
                 break
             end -= 1

@@ -1,13 +1,14 @@
 """The pipeline run in-process, read through its event channel."""
 
 import json
+import logging
 import unicodedata
 from dataclasses import replace
 
 import pytest
 
 from bertpipe import pipeline
-from bertpipe.corpus import read_documents
+from bertpipe.corpus import read_documents, read_units
 from bertpipe.pipeline import STAGES, StageError, file_sha256, load_config, run_pipeline
 from bertpipe.pretrain import read_instances
 from bertpipe.vocab import Vocab, tokenize_text
@@ -62,6 +63,26 @@ def test_pretrain_tokenized_event_counts_the_tokenized_corpus(tmp_path):
     kinds = [e["event"] for e in events]
     assert kinds.index("pretrain_tokenized") < kinds.index("pretrain_phase")
     assert [e["phase"] for e in events if e["event"] == "pretrain_phase"] == [0, 1]
+
+
+def test_budget_shortfalls_are_event_fields_not_log_records(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)
+    config, out = write_config(tmp_path), tmp_path / "out"
+    events = run_collecting_events(config, str(out))
+
+    samples = [e for e in events if e["event"] == "sample_lang"]
+    assert [e["lang"] for e in samples] == list(CORPORA)
+    for event in samples:
+        # the corpus is smaller than the budget, so the sample is all of it
+        lang = event["lang"]
+        units = read_units(str(out / "dedup" / f"{lang}.txt"), lang, config.dedup.granularity)
+        tokens = sum(len(unit.tokens()) for unit in units)
+        assert tokens < 50
+        assert event == {"event": "sample_lang", "lang": lang, "units": len(units), "tokens": tokens, "budget": 50}
+    built = [e for e in events if e["event"] == "vocab_built"]
+    size = len(Vocab.load(str(out / "vocab.txt")))
+    assert built == [{"event": "vocab_built", "size": size, "target": 70}]
+    assert caplog.records == []
 
 
 def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):

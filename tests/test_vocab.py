@@ -169,8 +169,8 @@ class TestLearnWordpieces:
         assert loaded.reserved == RESERVED_TOKENS
 
 
-def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
-    """Every substring piece counted by hand, sorted in full, then truncated."""
+def hand_count(counts: dict[str, int]) -> Counter:
+    """Every substring piece word[i:j] of every word, counted one slice at a time."""
     cand = Counter()
     for word, count in counts.items():
         if len(word) > MAX_CANDIDATE_WORD_CHARS:
@@ -178,6 +178,12 @@ def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
         for i in range(len(word)):
             for j in range(i + 1, min(len(word), i + MAX_PIECE_CHARS) + 1):
                 cand[word[i:j] if i == 0 else "##" + word[i:j]] += count
+    return cand
+
+
+def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
+    """Every substring piece counted by hand, sorted in full, then truncated."""
+    cand = hand_count(counts)
     chars = sorted({ch for word in counts for ch in word})
     mandatory = chars + ["##" + c for c in chars]
 
@@ -203,6 +209,49 @@ def test_learning_matches_full_sort_reference(words, extra):
     target = len(RESERVED_TOKENS) + 2 * len({c for w in words for c in w}) + extra
     vocab = learn_wordpieces(WordCounts(words), target)
     assert vocab.pieces == reference_wordpieces(words, target)
+
+
+def words_of_length(n: int):
+    return st.text(alphabet="ab#", min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.dictionaries(
+        st.text(alphabet="ab#é", min_size=1, max_size=70)
+        | st.sampled_from([15, 16, 17, 63, 64, 65]).flatmap(words_of_length)
+        | st.text(alphabet="ab#", max_size=20).map(lambda t: "##" + t)
+        | st.sampled_from(["#", "##", "###", "[SEP]", "##[SEP]", "[SEP]##"]),
+        st.integers(1, 40),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_candidate_counts_match_a_hand_count_of_every_slice(words):
+    initial, continuation = vocab_module._candidate_counts(words)
+    # A word-initial slice spelled "##x" is the continuation piece "##x".
+    expected = hand_count(words)
+    assert dict(initial) == {p: n for p, n in expected.items() if not p.startswith("##")}
+    assert dict(continuation) == {p[2:]: n for p, n in expected.items() if p.startswith("##")}
+
+
+@pytest.mark.parametrize(
+    "counts, closed",
+    [
+        ({}, {}),
+        ({"a": 2}, {"a": 2}),
+        ({"abc": 1}, {"abc": 1, "ab": 1, "a": 1}),
+        ({"abc": 1, "ab": 2, "b": 5}, {"abc": 1, "ab": 3, "a": 3, "b": 5}),
+        ({"abc": 1, "abd": 4, "xy": 3}, {"abc": 1, "abd": 4, "ab": 5, "a": 5, "xy": 3, "x": 3}),
+        # the empty slice is no window's prefix: only "##" words count it
+        ({"": 7, "ab": 1}, {"": 7, "ab": 1, "a": 1}),
+        ({"a" * MAX_PIECE_CHARS: 2}, {"a" * n: 2 for n in range(1, MAX_PIECE_CHARS + 1)}),
+    ],
+)
+def test_prefix_closure_adds_each_key_to_its_prefixes(counts, closed):
+    cand = dict(counts)
+    vocab_module._close_prefixes(cand)
+    assert cand == closed
 
 
 @settings(max_examples=100, deadline=None)
