@@ -292,7 +292,7 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         units = read_units(
             os.path.join(out_dir, f"dedup/{lang.code}.txt"), lang.code, config.dedup.granularity
         )
-        subset = sample_subset(units, lang.vocab_budget, seed=config.vocab.seed + i)
+        subset, tokens = sample_subset(units, lang.vocab_budget, seed=config.vocab.seed + i)
         with _atomic(os.path.join(out_dir, f"sample/{lang.code}.txt"), "w") as f:
             write_units(subset, f, config.dedup.granularity)
         # tokens below budget: the whole corpus was too small for the budget
@@ -301,7 +301,7 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
                 "event": "sample_lang",
                 "lang": lang.code,
                 "units": len(subset),
-                "tokens": sum(len(unit.tokens()) for unit in subset),
+                "tokens": tokens,
                 "budget": lang.vocab_budget,
             }
         )

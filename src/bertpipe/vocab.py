@@ -15,6 +15,13 @@ its count once per window, and a prefix closure then adds every window's
 total to each of its prefixes, walking from the longest key to the
 shortest so that each distinct prefix is written once.
 
+The top-k is chosen by a score cutoff. A histogram of the candidates'
+scores, less the single characters, gives the k-th best score without a
+per-candidate list; only the candidates at or above it become
+(-score, piece) pairs, which are sorted and cut to k. Ties at the cutoff
+are broken by the piece string, as everywhere in the ordering, so a "##"
+piece comes before an initial piece of the same score.
+
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
 on the cutoff, it left the cutoff at 1 on every benchmark corpus, and where
@@ -27,11 +34,11 @@ format bit-exactly.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import ge, mul
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import TextUnit
@@ -114,11 +121,14 @@ class Vocab:
         return cls(pieces=pieces, reserved=reserved)
 
 
-def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> list[TextUnit]:
+def sample_subset(
+    corpus: Sequence[TextUnit], token_budget: int, seed: int
+) -> tuple[list[TextUnit], int]:
     """Uniform-random units until the cumulative token count reaches the budget.
 
-    Deterministic given the seed; selected units are returned in corpus
-    order. A budget at or above the corpus size returns the whole corpus.
+    Returns the units and their whitespace-token count. Deterministic given
+    the seed; selected units are returned in corpus order. A budget at or
+    above the corpus size returns the whole corpus.
     """
     if token_budget <= 0:
         raise ValueError(f"token budget must be positive, got {token_budget}")
@@ -127,7 +137,7 @@ def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> l
     lengths = [len(u.tokens()) for u in corpus]
     corpus_tokens = sum(lengths)
     if token_budget >= corpus_tokens:
-        return list(corpus)
+        return list(corpus), corpus_tokens
     rng = random.Random(seed)
     order = list(range(len(corpus)))
     rng.shuffle(order)
@@ -139,7 +149,7 @@ def sample_subset(corpus: Sequence[TextUnit], token_budget: int, seed: int) -> l
         if cum >= token_budget:
             break
     picked.sort()
-    return [corpus[i] for i in picked]
+    return [corpus[i] for i in picked], cum
 
 
 def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
@@ -217,16 +227,43 @@ def _close_prefixes(cand: dict[str, int]) -> None:
                 cand[prefix] = total + cand[key]
 
 
+def _score_cutoff(
+    initial: dict[str, int], continuation: dict[str, int], chars: Iterable[str], budget: int
+) -> int:
+    """The score of the budget-th best optional piece, or 0 if there are fewer.
+
+    The optional pieces are every candidate but the single characters. The
+    histogram of scores is counted over all candidates without building a
+    per-candidate list, the single characters that are keys are taken out
+    again, and the distinct scores are walked from the top down.
+    """
+    hist: Counter[int] = Counter()
+    for cand in (initial, continuation):
+        hist.update(map(mul, cand.values(), map(len, cand)))
+        # A character that occurs only inside words has no initial key.
+        for c in chars:
+            if c in cand:
+                hist[cand[c]] -= 1
+    remaining = budget
+    for score in sorted(hist, reverse=True):
+        remaining -= hist[score]
+        if remaining <= 0:
+            return score
+    return 0
+
+
 def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     """Learn a wordpiece vocabulary of target_size pieces.
 
     RESERVED_TOKENS come first. The initial and continuation pieces of
     every training character are mandatory and never dropped, which keeps
-    every training word tokenizable. The rest of the budget goes to the
+    every training word tokenizable. The rest of the budget, k, goes to the
     top-k other substring pieces by count * length, ties broken by the
-    piece string. The whole vocabulary is then ordered by the same key. If
-    the corpus has fewer candidates than the budget, every candidate is
-    kept and the vocabulary is smaller than target_size.
+    piece string: the candidates scoring at least the k-th best score (see
+    _score_cutoff) are sorted by that key and the first k kept. The whole
+    vocabulary is then ordered by the same key. If the corpus has fewer
+    candidates than the budget, the cutoff is 0, every candidate is kept
+    and the vocabulary is smaller than target_size.
     """
     chars = sorted({ch for word in counts.counts for ch in word})
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
@@ -240,14 +277,15 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     # A training word may spell a reserved token; it is never a learned piece.
     for token in RESERVED_TOKENS:
         initial.pop(token, None)
+    budget = target_size - floor_size
+    cutoff = _score_cutoff(initial, continuation, chars, budget)
     # Single characters are the mandatory pieces.
-    optional = (
-        (-count * len(raw), prefix + raw)
-        for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX))
-        for raw, count in cand.items()
-        if len(raw) != 1
-    )
-    kept = heapq.nsmallest(target_size - floor_size, optional)
+    optional = []
+    for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
+        scores = map(mul, cand.values(), map(len, cand))
+        above = itertools.compress(cand, map(ge, scores, itertools.repeat(cutoff)))
+        optional += [(-cand[raw] * len(raw), prefix + raw) for raw in above if len(raw) != 1]
+    kept = sorted(optional)[:budget]
     mandatory = [(-initial[c], c) for c in chars]
     mandatory += [(-continuation[c], CONTINUATION_PREFIX + c) for c in chars]
     pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]

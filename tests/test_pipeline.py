@@ -85,6 +85,21 @@ def test_budget_shortfalls_are_event_fields_not_log_records(tmp_path, caplog):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("budget", [6, 50])
+def test_sample_event_tokens_count_the_written_sample(tmp_path, budget):
+    config = write_config(tmp_path)
+    config = replace(config, languages=[replace(lang, vocab_budget=budget) for lang in config.languages])
+    out = tmp_path / "out"
+    events = run_collecting_events(config, str(out))
+    for event in (e for e in events if e["event"] == "sample_lang"):
+        lang = event["lang"]
+        sample = (out / "sample" / f"{lang}.txt").read_text(encoding="utf-8").split()
+        dedup = (out / "dedup" / f"{lang}.txt").read_text(encoding="utf-8").split()
+        # 6 samples part of each corpus, 50 exceeds it and takes all of it
+        assert (len(sample) < len(dedup)) == (budget < len(dedup))
+        assert event["tokens"] == len(sample) >= min(budget, len(dedup))
+
+
 def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):
     def failing(instances, out):
         out.write(b"partial")

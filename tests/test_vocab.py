@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 from collections import Counter
 
@@ -31,14 +33,14 @@ def units_of(texts, lang="xx"):
 class TestSampleSubset:
     def test_uniform_unit_lengths_hit_budget_exactly(self):
         corpus = units_of([" ".join(f"w{i}_{j}" for j in range(10)) for i in range(100)])
-        subset = sample_subset(corpus, 500, seed=5)
+        subset, tokens = sample_subset(corpus, 500, seed=5)
         assert len(subset) == 50
-        assert sum(len(u.tokens()) for u in subset) == 500
+        assert sum(len(u.tokens()) for u in subset) == tokens == 500
 
     def test_budget_at_least_corpus_returns_everything(self):
         corpus = units_of(["a b c", "d e"])
-        assert sample_subset(corpus, 5, seed=0) == corpus
-        assert sample_subset(corpus, 50, seed=0) == corpus
+        assert sample_subset(corpus, 5, seed=0) == (corpus, 5)
+        assert sample_subset(corpus, 50, seed=0) == (corpus, 5)
 
     def test_fixed_seed_is_deterministic(self):
         corpus = units_of([f"w{i} w{i} w{i}" for i in range(200)])
@@ -47,8 +49,8 @@ class TestSampleSubset:
     def test_least_cumulative_value_at_or_above_budget(self):
         rng = random.Random(9)
         corpus = units_of([" ".join("t" for _ in range(rng.randint(1, 7))) for _ in range(300)])
-        subset = sample_subset(corpus, 100, seed=1)
-        total = sum(len(u.tokens()) for u in subset)
+        subset, total = sample_subset(corpus, 100, seed=1)
+        assert total == sum(len(u.tokens()) for u in subset)
         largest = max(len(u.tokens()) for u in subset)
         assert 100 <= total < 100 + largest
 
@@ -202,6 +204,10 @@ def reference_wordpieces(counts: dict[str, int], target_size: int) -> list[str]:
         st.integers(1, 40),
         min_size=1,
         max_size=25,
+    )
+    # short words with counts of 1 or 2: many tied scores at every budget
+    | st.dictionaries(
+        st.text(alphabet="ab#", min_size=1, max_size=5), st.sampled_from([1, 2]), min_size=1, max_size=25
     ),
     extra=st.integers(0, 80),
 )
@@ -209,6 +215,101 @@ def test_learning_matches_full_sort_reference(words, extra):
     target = len(RESERVED_TOKENS) + 2 * len({c for w in words for c in w}) + extra
     vocab = learn_wordpieces(WordCounts(words), target)
     assert vocab.pieces == reference_wordpieces(words, target)
+
+
+def reference_ranking(counts: dict[str, int]) -> list[tuple[int, str]]:
+    """Every optional piece as (-score, piece), in the reference's order."""
+    cand = hand_count(counts)
+    chars = {ch for word in counts for ch in word}
+    mandatory = chars | {"##" + c for c in chars}
+    return sorted(
+        (-n * len(p.removeprefix("##")), p)
+        for p, n in cand.items()
+        if p not in mandatory and p not in RESERVED_TOKENS
+    )
+
+
+def floor_of(counts: dict[str, int]) -> int:
+    return len(RESERVED_TOKENS) + 2 * len({ch for word in counts for ch in word})
+
+
+def score_cutoff(counts: dict[str, int], budget: int) -> int:
+    initial, continuation = vocab_module._candidate_counts(counts)
+    chars = sorted({ch for word in counts for ch in word})
+    return vocab_module._score_cutoff(initial, continuation, chars, budget)
+
+
+class TestScoreCutoffEdges:
+    """The top-k by score cutoff against the full-sort reference, at every budget."""
+
+    def check_every_budget(self, words):
+        ranking = reference_ranking(words)
+        scores = [-score for score, _ in ranking] + [0]
+        for budget in range(len(ranking) + 2):
+            target = floor_of(words) + budget
+            assert learn_wordpieces(WordCounts(words), target).pieces == reference_wordpieces(words, target)
+            if budget:
+                # the budget-th score itself (0 past the last), so no lower piece is built
+                assert score_cutoff(words, budget) == scores[budget - 1]
+
+    def test_budget_boundary_inside_a_tie_of_initial_and_continuation_pieces(self):
+        words = {"abc": 2, "bcd": 1, "cd": 3}
+        ranking = reference_ranking(words)
+        assert ranking[2:4] == [(-4, "##bc"), (-4, "ab")]
+        vocab = learn_wordpieces(WordCounts(words), floor_of(words) + 3)
+        assert "##bc" in vocab.piece_ids and "ab" not in vocab.piece_ids
+        self.check_every_budget(words)
+
+    def test_budget_beyond_the_candidates_keeps_the_score_zero_piece(self):
+        words = {"##x": 3, "ab": 2}
+        ranking = reference_ranking(words)
+        assert ranking[-1] == (0, "##")
+        target = floor_of(words) + len(ranking) + 5
+        vocab = learn_wordpieces(WordCounts(words), target)
+        assert "##" in vocab.piece_ids
+        assert len(vocab) == target - 5
+        self.check_every_budget(words)
+
+    def test_character_only_inside_words(self):
+        words = {"ab": 5, "cab": 2}
+        initial, continuation = vocab_module._candidate_counts(words)
+        assert "b" not in initial and "b" in continuation
+        vocab = learn_wordpieces(WordCounts(words), floor_of(words))
+        assert "b" in vocab.piece_ids
+        self.check_every_budget(words)
+
+    def test_zero_budget_keeps_only_the_mandatory_pieces(self):
+        words = {"abc": 2, "bcd": 1, "cd": 3}
+        vocab = learn_wordpieces(WordCounts(words), floor_of(words))
+        chars = "abcd"
+        assert len(vocab) == floor_of(words)
+        assert set(vocab.pieces[len(RESERVED_TOKENS) :]) == {*chars, *("##" + c for c in chars)}
+
+
+def pinned_texts(seed: int, letters: str) -> list[str]:
+    rng = random.Random(seed)
+    lexicon = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 7))) for _ in range(60)]
+    return [" ".join(rng.choice(lexicon) for _ in range(rng.randint(3, 9))) for _ in range(40)]
+
+
+class TestPinnedBytes:
+    """vocab.txt bytes pinned by sha256: a rewrite of learning must keep them."""
+
+    def test_vocab_file_bytes(self):
+        counts = count_words(
+            [units_of(pinned_texts(1, "aäiklnst"), "fi"), units_of(pinned_texts(2, "aeiklõsu"), "et")]
+        )
+        budget = 60
+        # the budget boundary falls inside a run of tied initial and "##" pieces
+        ranking = reference_ranking(counts.counts)
+        assert ranking[budget - 1][0] == ranking[budget][0]
+        tied = {p.startswith("##") for score, p in ranking if score == ranking[budget][0]}
+        assert tied == {True, False}
+        out = io.StringIO()
+        learn_wordpieces(counts, floor_of(counts.counts) + budget).save(out)
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+            "b66dbebf9b6c3129d72866b9b5d701d7e1892a6dfd3ba2cbb5a7c9d043a8226c"
+        )
 
 
 def words_of_length(n: int):
