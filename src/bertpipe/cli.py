@@ -27,12 +27,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 
 from . import __version__
 from .corpus import normalize
 from .pipeline import (
     CONFIG_SCHEMA_VERSION,
     ConfigError,
+    PhaseConfig,
     StageError,
     load_config,
     run_pipeline,
@@ -68,11 +70,12 @@ def _cmd_vocab_tokenize(args) -> int:
     return EXIT_OK
 
 
+# in the order of PhaseConfig's fields: epochs, batch_size, seq_len
 _PHASE_KEYS = {"epochs": float, "batch": int, "seqlen": int}
 
 
-def _parse_phase(spec: str) -> tuple[float, int, int]:
-    """epochs=E,batch=B,seqlen=L, each key exactly once, as (E, B, L)."""
+def _parse_phase(spec: str) -> PhaseConfig:
+    """epochs=E,batch=B,seqlen=L, each key exactly once, within a config's phase bounds."""
     fields = {}
     for part in spec.split(","):
         key, _, value = (s.strip() for s in part.partition("="))
@@ -81,15 +84,15 @@ def _parse_phase(spec: str) -> tuple[float, int, int]:
             raise ConfigError(f"invalid phase {spec!r}: {problem} key {key!r}")
         fields[key] = value
     try:
-        return tuple(parse(fields[key]) for key, parse in _PHASE_KEYS.items())
+        return PhaseConfig(*(parse(fields[key]) for key, parse in _PHASE_KEYS.items()))
     except KeyError as e:
         raise ConfigError(f"invalid phase {spec!r}: missing key {e.args[0]!r}") from e
-    except ValueError as e:
+    except ValueError as e:  # a FieldError names the PhaseConfig field, such as seq_len
         raise ConfigError(f"invalid phase {spec!r}: {e}") from e
 
 
 def _cmd_schedule(args) -> int:
-    phases = [_parse_phase(p) for p in args.phase]
+    phases = [astuple(_parse_phase(p)) for p in args.phase]
     try:
         plan = make_plan(args.tokens, phases)
     except ValueError as e:
@@ -100,37 +103,19 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation.ner import LabelMap, harmonize, ner_scores, parse_ner
-    from .evaluation.report import save_reports
+    from .evaluation.report import EvalReport, save_reports
     from .evaluation.ud import attachment_scores, parse_conllu, upos_accuracy
 
     if args.task == "ner":
         label_map = LabelMap.load(args.label_map) if args.label_map else LabelMap.identity()
         gold = harmonize(parse_ner(args.gold), label_map)
         pred = harmonize(parse_ner(args.pred), label_map)
-        report = ner_scores(
-            gold,
-            pred,
-            train_lang=args.train_lang,
-            test_lang=args.test_lang,
-            model_name=args.model,
-            span_level=args.span_level,
-        )
+        metrics = ner_scores(gold, pred, span_level=args.span_level)
     elif args.task == "pos":
-        gold = parse_conllu(args.gold)
-        pred = parse_conllu(args.pred, allow_missing_heads=True)
-        report = upos_accuracy(
-            gold, pred, train_lang=args.train_lang, test_lang=args.test_lang, model_name=args.model
-        )
+        metrics = upos_accuracy(parse_conllu(args.gold), parse_conllu(args.pred, allow_missing_heads=True))
     else:
-        gold = parse_conllu(args.gold)
-        pred = parse_conllu(args.pred)
-        report = attachment_scores(
-            gold,
-            pred,
-            train_lang=args.train_lang,
-            test_lang=args.test_lang,
-            model_name=args.model,
-        )
+        metrics = attachment_scores(parse_conllu(args.gold), parse_conllu(args.pred))
+    report = EvalReport(args.task.upper(), args.train_lang, args.test_lang, args.model, metrics)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     if args.out:
         save_reports([report], args.out)
@@ -143,10 +128,13 @@ def _cmd_report(args) -> int:
     reports = []
     for path in args.reports:
         reports.extend(load_reports(path))
-    task = {"ner": "NER", "pos": "POS", "dp": "DP"}[args.task]
+    task = args.task.upper()
     reports = [r for r in reports if r.task == task]
     if not reports:
         raise ConfigError(f"no {task} reports among the inputs")
+    # an argument naming no input model is a validation error (exit 1), like --task
+    if args.baseline is not None and all(r.model_name != args.baseline for r in reports):
+        raise ConfigError(f"baseline model {args.baseline!r} not among the {task} reports")
     matrix = transfer_matrix(reports, baseline=args.baseline)
     print(matrix, end="")
     if args.out:

@@ -1,13 +1,15 @@
 """NER file parsing, tag-set harmonization, and scoring.
 
-Datasets with heterogeneous tag inventories are reduced to the four labels
-they share: PER, LOC, ORG, and O. A tag's "B-"/"I-" prefix is kept through
+A sentence is the tuple of its tags; its FORMs are not kept. Datasets with
+heterogeneous tag inventories are reduced to the four labels they share:
+PER, LOC, ORG, and O. A tag's "B-"/"I-" prefix is kept through
 the mapping and only its class is mapped. Scores are per-class precision,
 recall, and F1, macro-averaged over the three entity classes (O is
 excluded). By default they count tokens by class, so a prefix never
 matters; with span_level they count entity chunks as conlleval (CoNLL-2003)
 builds them, and a chunk is correct only when its class and both of its
-boundaries match.
+boundaries match. ner_scores returns the metrics; the caller labels them
+with the task, languages and model as an EvalReport.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .report import EvalReport
+from .report import check_aligned
 
 ENTITY_LABELS = ("PER", "LOC", "ORG")
 FOUR_LABELS = (*ENTITY_LABELS, "O")
@@ -28,21 +30,6 @@ def _split(tag: str) -> tuple[str, str]:
     if tag[:2] in ("B-", "I-"):
         return tag[:2], tag[2:]
     return "", tag
-
-
-@dataclass(frozen=True)
-class NerSentence:
-    tokens: tuple[str, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.labels):
-            raise ValueError(
-                f"{len(self.tokens)} tokens but {len(self.labels)} labels"
-            )
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -96,50 +83,34 @@ class LabelMap:
             raise ValueError(f"label map {path}: {e}") from None
 
 
-def parse_ner(path: str) -> list[NerSentence]:
-    """CoNLL-style TSV: one "FORM<TAB>TAG" per line, blank line between sentences."""
-    sentences: list[NerSentence] = []
-    tokens: list[str] = []
-    labels: list[str] = []
+def parse_ner(path: str) -> list[tuple[str, ...]]:
+    """The tag tuple of each sentence of a CoNLL-style TSV: one "FORM<TAB>TAG"
+    per line, both non-empty, and a blank line between sentences."""
+    sentences: list[tuple[str, ...]] = []
+    tags: list[str] = []
     with open(path, "r", encoding="utf-8", newline=None) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
-                if tokens:
-                    sentences.append(NerSentence(tuple(tokens), tuple(labels)))
-                    tokens, labels = [], []
+                if tags:
+                    sentences.append(tuple(tags))
+                    tags = []
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise ValueError(
                     f"{path}:{lineno}: expected FORM<TAB>TAG, got {line!r}"
                 )
-            tokens.append(parts[0])
-            labels.append(parts[1])
-    if tokens:
-        sentences.append(NerSentence(tuple(tokens), tuple(labels)))
+            tags.append(parts[1])
+    if tags:
+        sentences.append(tuple(tags))
     return sentences
 
 
-def harmonize(sentences: Iterable[NerSentence], label_map: LabelMap) -> list[NerSentence]:
+def harmonize(sentences: Iterable[Sequence[str]], label_map: LabelMap) -> list[tuple[str, ...]]:
     """Map every tag's class onto the four-label set, keeping its B-/I- prefix;
     unmapped classes are an error."""
-    return [
-        NerSentence(s.tokens, tuple(label_map.resolve(t) for t in s.labels))
-        for s in sentences
-    ]
-
-
-def _check_aligned(gold: Sequence[NerSentence], pred: Sequence[NerSentence]) -> None:
-    if len(gold) != len(pred):
-        raise ValueError(
-            f"gold has {len(gold)} sentences but pred has {len(pred)}"
-        )
-    for i, (g, p) in enumerate(zip(gold, pred)):
-        if len(g) != len(p):
-            raise ValueError(
-                f"alignment mismatch at sentence {i}: {len(g)} gold tokens vs {len(p)} predicted"
-            )
+    return [tuple(label_map.resolve(t) for t in s) for s in sentences]
 
 
 def _prf(correct: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -170,26 +141,22 @@ def _spans(labels: Sequence[str]) -> set[tuple[int, int, str]]:
 
 
 def ner_scores(
-    gold: Sequence[NerSentence],
-    pred: Sequence[NerSentence],
-    train_lang: str = "",
-    test_lang: str = "",
-    model_name: str = "",
-    span_level: bool = False,
-) -> EvalReport:
-    """Per-class P/R/F1 for PER, LOC, ORG plus their unweighted macro F1.
+    gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]], span_level: bool = False
+) -> dict[str, float]:
+    """Per-class P/R/F1 for PER, LOC, ORG plus their unweighted macro F1, by
+    metric name, over sentences given as tag sequences.
 
     Items are (position, class) pairs of tokens, or with span_level the
     conlleval chunks of _spans; an item is correct when gold and pred share it.
     """
-    _check_aligned(gold, pred)
+    check_aligned(gold, pred, "tokens")
     correct, n_gold, n_pred = Counter(), Counter(), Counter()
     for g, p in zip(gold, pred):
         if span_level:
-            gold_items, pred_items = _spans(g.labels), _spans(p.labels)
+            gold_items, pred_items = _spans(g), _spans(p)
         else:
-            gold_items = {(i, _split(t)[1]) for i, t in enumerate(g.labels)}
-            pred_items = {(i, _split(t)[1]) for i, t in enumerate(p.labels)}
+            gold_items = {(i, _split(t)[1]) for i, t in enumerate(g)}
+            pred_items = {(i, _split(t)[1]) for i, t in enumerate(p)}
         correct.update(item[-1] for item in gold_items & pred_items)
         n_gold.update(item[-1] for item in gold_items)
         n_pred.update(item[-1] for item in pred_items)
@@ -203,10 +170,4 @@ def ner_scores(
         metrics[f"f1_{key}"] = f1
         f1s.append(f1)
     metrics["macro_f1"] = sum(f1s) / len(f1s)
-    return EvalReport(
-        task="NER",
-        train_lang=train_lang,
-        test_lang=test_lang,
-        model_name=model_name,
-        metrics=metrics,
-    )
+    return metrics

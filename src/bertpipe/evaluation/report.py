@@ -1,9 +1,15 @@
-"""Evaluation reports and cross-lingual transfer-matrix rendering."""
+"""Evaluation reports and cross-lingual transfer-matrix rendering.
+
+The scorers of ner.py and ud.py turn gold and predictions into a metrics
+dict; the caller labels it with a task, the train and test languages and
+the model name to make an EvalReport.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 TASKS = ("NER", "POS", "DP")
 
@@ -31,8 +37,9 @@ class EvalReport:
             if name not in self.metrics:
                 raise ValueError(f"{self.task} report lacks metric {name!r}")
         for name, value in self.metrics.items():
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                raise ValueError(f"metric {name}={value} outside [0, 1]")
+            # bool is an int, but JSON true is not a score
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+                raise ValueError(f"metric {name}={value!r} is not a number in [0, 1]")
 
     def as_dict(self) -> dict:
         return {
@@ -60,6 +67,17 @@ class EvalReport:
             model_name=d["model_name"],
             metrics=dict(d["metrics"]),
         )
+
+
+def check_aligned(gold: Sequence[Sequence], pred: Sequence[Sequence], unit: str) -> None:
+    """Gold and pred must hold as many sentences, each of as many units (tags, words)."""
+    if len(gold) != len(pred):
+        raise ValueError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
+    for i, (g, p) in enumerate(zip(gold, pred)):
+        if len(g) != len(p):
+            raise ValueError(
+                f"alignment mismatch at sentence {i}: {len(g)} gold {unit} vs {len(p)} predicted"
+            )
 
 
 def save_reports(reports: list[EvalReport], path: str) -> None:

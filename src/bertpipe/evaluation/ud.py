@@ -6,7 +6,8 @@ gold share the gold tokenization, so words align one to one, and the scores
 are those of the CoNLL 2018 shared task's evaluation script on that
 tokenization: punctuation is not excluded, and LAS compares only the
 universal part of DEPREL, the part before any ":" subtype (nmod:poss and
-nmod match).
+nmod match). The scorers return the metrics; the caller labels them with
+the task, languages and model as an EvalReport.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .report import EvalReport
+from .report import check_aligned
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
@@ -100,48 +101,22 @@ def parse_conllu(path: str, allow_missing_heads: bool = False) -> list[list[UdTo
     return sentences
 
 
-def _check_aligned(gold: Sequence[list[UdToken]], pred: Sequence[list[UdToken]]) -> None:
-    if len(gold) != len(pred):
-        raise ValueError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
-    for i, (g, p) in enumerate(zip(gold, pred)):
-        if len(g) != len(p):
-            raise ValueError(
-                f"alignment mismatch at sentence {i}: {len(g)} gold words vs {len(p)} predicted"
-            )
-
-
-def upos_accuracy(
-    gold: Sequence[list[UdToken]],
-    pred: Sequence[list[UdToken]],
-    train_lang: str = "",
-    test_lang: str = "",
-    model_name: str = "",
-) -> EvalReport:
-    _check_aligned(gold, pred)
+def upos_accuracy(gold: Sequence[list[UdToken]], pred: Sequence[list[UdToken]]) -> dict[str, float]:
+    """{"upos_acc": share of words whose UPOS matches gold}."""
+    check_aligned(gold, pred, "words")
     correct = total = 0
     for g, p in zip(gold, pred):
         for gt, pt in zip(g, p):
             if gt.upos == pt.upos:
                 correct += 1
             total += 1
-    return EvalReport(
-        task="POS",
-        train_lang=train_lang,
-        test_lang=test_lang,
-        model_name=model_name,
-        metrics={"upos_acc": correct / total if total else 0.0},
-    )
+    return {"upos_acc": correct / total if total else 0.0}
 
 
-def attachment_scores(
-    gold: Sequence[list[UdToken]],
-    pred: Sequence[list[UdToken]],
-    train_lang: str = "",
-    test_lang: str = "",
-    model_name: str = "",
-) -> EvalReport:
-    """UAS (correct head) and LAS (correct head and universal deprel) over all words."""
-    _check_aligned(gold, pred)
+def attachment_scores(gold: Sequence[list[UdToken]], pred: Sequence[list[UdToken]]) -> dict[str, float]:
+    """{"uas": share of words with the gold head, "las": share with the gold
+    head and universal deprel}, over all words."""
+    check_aligned(gold, pred, "words")
 
     def rel(token: UdToken) -> str:
         return token.deprel.split(":", 1)[0]
@@ -160,13 +135,7 @@ def attachment_scores(
                 if rel(gt) == rel(pt):
                     label_correct += 1
             total += 1
-    return EvalReport(
-        task="DP",
-        train_lang=train_lang,
-        test_lang=test_lang,
-        model_name=model_name,
-        metrics={
-            "uas": head_correct / total if total else 0.0,
-            "las": label_correct / total if total else 0.0,
-        },
-    )
+    return {
+        "uas": head_correct / total if total else 0.0,
+        "las": label_correct / total if total else 0.0,
+    }

@@ -106,7 +106,6 @@ class GenerationStats:
     documents_skipped: int = 0
     sentences: int = 0
     pieces: int = 0
-    instances: int = 0
 
 
 def _child_seed(seed: int, *parts: int) -> int:
@@ -284,7 +283,6 @@ def _generate(
     vocab: Vocab,
     max_seq_len: int,
     cfg: MaskingConfig,
-    stats: GenerationStats,
 ) -> Iterator[TrainingInstance]:
     reserved = vocab.reserved_ids()
     random_ids = [i for i in range(len(vocab)) if i not in reserved]
@@ -295,11 +293,9 @@ def _generate(
     for pass_idx in range(cfg.dupe_factor):
         for doc_index in range(len(tokenized)):
             rng = Random(_child_seed(cfg.seed, doc_index, pass_idx))
-            for instance in _instances_from_document(
+            yield from _instances_from_document(
                 tokenized, doc_index, vocab, word_initial, max_seq_len, cfg, rng, random_ids
-            ):
-                stats.instances += 1
-                yield instance
+            )
 
 
 def phase_datasets(
@@ -324,7 +320,7 @@ def phase_datasets(
     stats = stats if stats is not None else GenerationStats()
     tokenized = _tokenize_documents(documents, vocab, stats)
     return [
-        _generate(tokenized, vocab, seq_len, replace(cfg, seed=_child_seed(cfg.seed, k)), stats)
+        _generate(tokenized, vocab, seq_len, replace(cfg, seed=_child_seed(cfg.seed, k)))
         for k, seq_len in enumerate(seq_lens)
     ]
 

@@ -86,10 +86,6 @@ class Vocab:
         return self.piece_ids["[PAD]"]
 
     @property
-    def unk_id(self) -> int:
-        return self.piece_ids[UNK]
-
-    @property
     def cls_id(self) -> int:
         return self.piece_ids["[CLS]"]
 

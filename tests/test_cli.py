@@ -1,5 +1,6 @@
 """The command-line interface, run as a child process like a user runs it."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,8 @@ def test_schedule_prints_the_plan():
         ("1e6", "epochs=1,batch=2,seqlen=4,batch=500", "repeated key 'batch'"),
         ("1e6", "epochs=1,batch=2", "missing key 'seqlen'"),
         ("1e6", "epochs=1,batch=two,seqlen=4", "invalid literal for int()"),
+        ("1e6", "epochs=1,batch=8,seqlen=70000", "seq_len must be in [16, 65535], got 70000"),
+        ("1e6", "epochs=1,batch=8,seqlen=1", "seq_len must be in [16, 65535], got 1"),
     ],
 )
 def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase, reason):
@@ -232,6 +235,65 @@ def test_report_dp_renders_uas_and_las_per_model(tmp_path):
     assert [cell.strip() for cell in row.split("|")[1:-1]] == [
         "sl", "hr", "1.000", "0.500", "1.000", "1.000", "+0.000", "+0.500",
     ]
+
+
+PINNED_NER_GOLD = "Ana\tB-PERSON\nMaria\tI-PERSON\nin\tO\nTartu\tB-GPE\n\nACME\tB-ORG\nLtd\tI-ORG\nsold\tO\nEmacs\tB-MISC\n"
+PINNED_NER_PRED = "Ana\tB-PERSON\nMaria\tB-PERSON\nin\tO\nTartu\tB-ORG\n\nACME\tB-ORG\nLtd\tI-ORG\nsold\tO\nEmacs\tB-GPE\n"
+PINNED_UD_GOLD = conllu(("NOUN", 2, "nmod:poss"), ("VERB", 0, "root"), ("ADV", 2, "advmod")) + conllu(
+    ("PRON", 2, "nsubj"), ("VERB", 0, "root"), ("NOUN", 2, "obj")
+)
+PINNED_UD_PRED = conllu(("NOUN", 2, "nmod"), ("VERB", 0, "root"), ("ADJ", 2, "obl:tmod")) + conllu(
+    ("PRON", 3, "nsubj"), ("VERB", 0, "root"), ("VERB", 2, "obj")
+)
+
+
+class TestPinnedReportBytes:
+    """`bertpipe eval` stdout and --out bytes pinned by sha256: a refactor of scoring must keep them."""
+
+    @pytest.mark.parametrize(
+        "task, gold, pred, stdout_sha256, out_sha256",
+        [
+            (
+                "ner", PINNED_NER_GOLD, PINNED_NER_PRED,
+                "a3e6c27161d19115a628e6a0a15b865afd6f0c98223c9b44758d96f72cc0a1fe",
+                "57c0c8c64b2914cd0430dca51302e09071f77df98bae1e5b6ed118ff93c3fba2",
+            ),
+            (
+                "pos", PINNED_UD_GOLD, PINNED_UD_PRED,
+                "100bdacfc0279bbe7b9bb4ea6eaf97f5aa4fa693ae55d7b335bd15b6f82bcf5a",
+                "7bf0ea145eb552421b4a3b3e4abbf6e7fa6c2a56ca146546356afec01a543aca",
+            ),
+            (
+                "dp", PINNED_UD_GOLD, PINNED_UD_PRED,
+                "368ac69d5f2e4718ccb4e50fb363e82fdd461fc715b2f726151571d20c8341dd",
+                "b524c424036e35d5f6734e9effa9f0e3f8d9f84caac1a410ca17705e2f44b1e7",
+            ),
+        ],
+    )
+    def test_eval_report_bytes(self, tmp_path, task, gold, pred, stdout_sha256, out_sha256):
+        extra = []
+        if task == "ner":
+            label_map = tmp_path / "map.json"
+            label_map.write_text(
+                json.dumps({"map": {"PERSON": "PER", "GPE": "LOC", "ORG": "ORG", "MISC": "O", "O": "O"}}),
+                encoding="utf-8",
+            )
+            extra = ["--span-level", "--label-map", str(label_map)]
+        out = tmp_path / "report.json"
+        done = eval_cli(tmp_path, task, gold, pred, *extra, "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == stdout_sha256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha256
+
+
+def test_report_baseline_absent_from_the_reports_is_a_validation_error(tmp_path):
+    gold = conllu(("NOUN", 0, "root"))
+    path = tmp_path / "m.json"
+    assert eval_cli(tmp_path, "dp", gold, gold, "--out", str(path)).returncode == 0
+    done = bertpipe_cli("report", "--task", "dp", "--baseline", "nope", str(path))
+    assert done.returncode == 1, done.stderr
+    assert "validation error: baseline model 'nope' not among the DP reports" in done.stderr
+    assert done.stdout == ""
 
 
 def assert_one_error_line(done, path):

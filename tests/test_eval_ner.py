@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bertpipe.evaluation.ner import (
     LabelMap,
-    NerSentence,
     _spans,
     harmonize,
     ner_scores,
@@ -18,9 +17,8 @@ from conftest import oracle_chunk_prf, oracle_macro_f1, oracle_prf
 LABELS = ("PER", "LOC", "ORG", "O")
 
 
-def sentence(labels, tokens=None):
-    tokens = tokens or tuple(f"t{i}" for i in range(len(labels)))
-    return NerSentence(tuple(tokens), tuple(labels))
+def sentence(labels):
+    return tuple(labels)
 
 
 class TestParseNer:
@@ -29,8 +27,7 @@ class TestParseNer:
         path.write_text("John\tB-PER\n.\tO\n", encoding="utf-8")
         sents = parse_ner(str(path))
         assert len(sents) == 1
-        assert sents[0].tokens == ("John", ".")
-        assert sents[0].labels == ("B-PER", "O")
+        assert sents[0] == ("B-PER", "O")
 
     def test_crlf_same_as_lf(self, tmp_path):
         lf = tmp_path / "lf.tsv"
@@ -74,12 +71,12 @@ class TestHarmonize:
     def test_direct_mapping(self):
         m = LabelMap({"PERSON": "PER", "GPE": "LOC", "O": "O"})
         out = harmonize([sentence(("B-PERSON", "I-PERSON", "GPE", "O"))], m)
-        assert out[0].labels == ("B-PER", "I-PER", "LOC", "O")
+        assert out[0] == ("B-PER", "I-PER", "LOC", "O")
 
     def test_bio_prefix_kept_and_o_class_loses_it(self):
         m = LabelMap({"PER": "PER", "LOC": "LOC", "ORG": "ORG", "MISC": "O", "O": "O"})
         out = harmonize([sentence(("B-PER", "I-PER", "B-MISC", "I-MISC", "O"))], m)
-        assert out[0].labels == ("B-PER", "I-PER", "O", "O", "O")
+        assert out[0] == ("B-PER", "I-PER", "O", "O", "O")
 
     def test_identity_on_four_label_corpus(self):
         sents = [sentence(("PER", "O", "ORG", "LOC"))]
@@ -119,29 +116,29 @@ class TestHarmonize:
 class TestNerScores:
     def test_perfect_predictions(self):
         gold = [sentence(("PER", "O", "ORG", "LOC"))]
-        report = ner_scores(gold, gold)
-        assert report.metrics["macro_f1"] == 1.0
+        metrics = ner_scores(gold, gold)
+        assert metrics["macro_f1"] == 1.0
 
     def test_all_o_predictions(self):
         gold = [sentence(("PER", "O", "ORG", "LOC"))]
         pred = [sentence(("O", "O", "O", "O"))]
-        report = ner_scores(gold, pred)
-        assert report.metrics["macro_f1"] == 0.0
+        metrics = ner_scores(gold, pred)
+        assert metrics["macro_f1"] == 0.0
         for label in ("per", "loc", "org"):
-            assert report.metrics[f"f1_{label}"] == 0.0
+            assert metrics[f"f1_{label}"] == 0.0
 
     def test_mixed_case_against_confusion_matrix_oracle(self):
         gold = [sentence(("PER", "O", "ORG", "LOC"))]
         pred = [sentence(("PER", "PER", "ORG", "O"))]
-        report = ner_scores(gold, pred)
-        g, p = list(gold[0].labels), list(pred[0].labels)
+        metrics = ner_scores(gold, pred)
+        g, p = list(gold[0]), list(pred[0])
         for label in ("PER", "LOC", "ORG"):
             precision, recall, f1 = oracle_prf(g, p, label)
             key = label.lower()
-            assert report.metrics[f"precision_{key}"] == precision
-            assert report.metrics[f"recall_{key}"] == recall
-            assert report.metrics[f"f1_{key}"] == f1
-        assert report.metrics["macro_f1"] == oracle_macro_f1(g, p)
+            assert metrics[f"precision_{key}"] == precision
+            assert metrics[f"recall_{key}"] == recall
+            assert metrics[f"f1_{key}"] == f1
+        assert metrics["macro_f1"] == oracle_macro_f1(g, p)
 
     def test_shape_mismatch_names_first_offending_sentence(self):
         gold = [sentence(("O",)), sentence(("O", "O"))]
@@ -157,26 +154,26 @@ class TestNerScores:
         rng = random.Random(8)
         gold = [sentence([rng.choice(LABELS) for _ in range(rng.randint(1, 9))]) for _ in range(40)]
         pred = [sentence([rng.choice(LABELS) for _ in range(len(g))]) for g in gold]
-        base = ner_scores(gold, pred).metrics
+        base = ner_scores(gold, pred)
         order = list(range(len(gold)))
         rng.shuffle(order)
-        shuffled = ner_scores([gold[i] for i in order], [pred[i] for i in order]).metrics
+        shuffled = ner_scores([gold[i] for i in order], [pred[i] for i in order])
         assert base == shuffled
 
     def test_span_level_flag(self):
         gold = [sentence(("PER", "PER", "O", "ORG", "LOC"))]
         pred_exact = [sentence(("PER", "PER", "O", "ORG", "LOC"))]
         pred_partial = [sentence(("PER", "O", "O", "ORG", "LOC"))]
-        assert ner_scores(gold, pred_exact, span_level=True).metrics["macro_f1"] == 1.0
-        partial = ner_scores(gold, pred_partial, span_level=True).metrics
+        assert ner_scores(gold, pred_exact, span_level=True)["macro_f1"] == 1.0
+        partial = ner_scores(gold, pred_partial, span_level=True)
         assert partial["f1_per"] == 0.0  # span boundaries must match exactly
         assert partial["f1_org"] == 1.0
 
     def test_zero_support_class_contributes_zero_to_macro(self):
         gold = [sentence(("PER", "O", "ORG"))]
-        report = ner_scores(gold, gold)
-        assert report.metrics["f1_loc"] == 0.0
-        assert report.metrics["macro_f1"] == pytest.approx(2 / 3)
+        metrics = ner_scores(gold, gold)
+        assert metrics["f1_loc"] == 0.0
+        assert metrics["macro_f1"] == pytest.approx(2 / 3)
 
 @pytest.mark.parametrize(
     "tags, chunks",
@@ -199,8 +196,8 @@ def test_spans_are_conlleval_chunks(tags, chunks):
 def test_adjacent_same_class_entities_are_two_spans():
     gold = [sentence(("B-PER", "B-PER"))]
     pred = [sentence(("B-PER", "I-PER"))]
-    assert ner_scores(gold, pred, span_level=True).metrics["f1_per"] == 0.0
-    assert ner_scores(gold, pred).metrics["f1_per"] == 1.0
+    assert ner_scores(gold, pred, span_level=True)["f1_per"] == 0.0
+    assert ner_scores(gold, pred)["f1_per"] == 1.0
 
 
 def random_tagged(seed, n_sentences):
@@ -219,7 +216,7 @@ def random_tagged(seed, n_sentences):
 @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(1, 8))
 def test_span_scores_match_conlleval_oracle(seed, n_sentences):
     gold, pred = random_tagged(seed, n_sentences)
-    metrics = ner_scores([sentence(g) for g in gold], [sentence(p) for p in pred], span_level=True).metrics
+    metrics = ner_scores([sentence(g) for g in gold], [sentence(p) for p in pred], span_level=True)
     f1s = []
     for label in ("PER", "LOC", "ORG"):
         precision, recall, f1 = oracle_chunk_prf(gold, pred, label)
@@ -239,7 +236,7 @@ def test_scores_match_oracle(seed, n_sentences):
     label_map = LabelMap.identity()
     metrics = ner_scores(
         harmonize([sentence(g) for g in gold], label_map), harmonize([sentence(p) for p in pred], label_map)
-    ).metrics
+    )
     flat_gold = [t.removeprefix("B-").removeprefix("I-") for g in gold for t in g]
     flat_pred = [t.removeprefix("B-").removeprefix("I-") for p in pred for t in p]
     for label in ("PER", "LOC", "ORG"):

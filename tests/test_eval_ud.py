@@ -137,7 +137,7 @@ class TestParseConllu:
 class TestUposAccuracy:
     def test_perfect(self):
         sents = random_sentences(random.Random(1), 10)
-        assert upos_accuracy(sents, sents).metrics["upos_acc"] == 1.0
+        assert upos_accuracy(sents, sents)["upos_acc"] == 1.0
 
     def test_half_flipped(self):
         gold = [[UdToken(i + 1, "w", "NOUN", 0, "root") for i in range(10)]]
@@ -147,7 +147,7 @@ class TestUposAccuracy:
                 for i in range(10)
             ]
         ]
-        assert upos_accuracy(gold, pred).metrics["upos_acc"] == 0.5
+        assert upos_accuracy(gold, pred)["upos_acc"] == 0.5
 
     def test_matches_counting_oracle(self):
         rng = random.Random(2)
@@ -159,7 +159,7 @@ class TestUposAccuracy:
             ]
             for sent in gold
         ]
-        got = upos_accuracy(gold, pred).metrics["upos_acc"]
+        got = upos_accuracy(gold, pred)["upos_acc"]
         flat_gold = [t.upos for s in gold for t in s]
         flat_pred = [t.upos for s in pred for t in s]
         assert got == oracle_accuracy(flat_gold, flat_pred)
@@ -174,13 +174,13 @@ class TestUposAccuracy:
 class TestAttachmentScores:
     def test_perfect(self):
         sents = random_sentences(random.Random(5), 10)
-        metrics = attachment_scores(sents, sents).metrics
+        metrics = attachment_scores(sents, sents)
         assert metrics["uas"] == metrics["las"] == 1.0
 
     def test_right_heads_wrong_deprels(self):
         gold = [[UdToken(1, "a", "X", 0, "root"), UdToken(2, "b", "X", 1, "obj")]]
         pred = [[UdToken(1, "a", "X", 0, "nsubj"), UdToken(2, "b", "X", 1, "det")]]
-        metrics = attachment_scores(gold, pred).metrics
+        metrics = attachment_scores(gold, pred)
         assert metrics["uas"] == 1.0
         assert metrics["las"] == 0.0
 
@@ -196,7 +196,7 @@ class TestAttachmentScores:
             else:
                 pred_tokens.append(UdToken(i + 1, "w", "X", 0, "dep"))
         pred = [pred_tokens]
-        metrics = attachment_scores(gold, pred).metrics
+        metrics = attachment_scores(gold, pred)
         g = [(t.head, t.deprel) for t in gold[0]]
         p = [(t.head, t.deprel) for t in pred[0]]
         uas, las = oracle_attachment(g, p)
@@ -206,7 +206,7 @@ class TestAttachmentScores:
     def test_las_compares_universal_deprels(self):
         gold = [[UdToken(1, "a", "X", 0, "nmod:poss"), UdToken(2, "b", "X", 1, "obl:tmod")]]
         pred = [[UdToken(1, "a", "X", 0, "nmod"), UdToken(2, "b", "X", 1, "obj:tmod")]]
-        assert attachment_scores(gold, pred).metrics["las"] == 0.5
+        assert attachment_scores(gold, pred)["las"] == 0.5
 
     def test_pred_without_head_rejected(self):
         gold = [[UdToken(1, "a", "X", 0, "root")]]
@@ -227,9 +227,9 @@ def test_attachment_matches_oracle_and_las_bounded(seed, n):
         ]
         for sent in gold
     ]
-    upos_acc = upos_accuracy(gold, pred).metrics["upos_acc"]
+    upos_acc = upos_accuracy(gold, pred)["upos_acc"]
     assert upos_acc == oracle_accuracy([t.upos for s in gold for t in s], [t.upos for s in pred for t in s])
-    metrics = attachment_scores(gold, pred).metrics
+    metrics = attachment_scores(gold, pred)
     flat_gold = [(t.head, t.deprel) for s in gold for t in s]
     flat_pred = [(t.head, t.deprel) for s in pred for t in s]
     uas, las = oracle_attachment(flat_gold, flat_pred)

@@ -223,7 +223,7 @@ def test_decomposed_corpus_gives_the_artifacts_of_its_composed_twin(tmp_path, co
     del outs["NFC"]["manifest.json"], outs["NFD"]["manifest.json"]
     assert outs["NFD"] == outs["NFC"]
 
-    unk = Vocab.load(str(tmp_path / "NFD" / "out" / "vocab.txt")).unk_id
+    unk = Vocab.load(str(tmp_path / "NFD" / "out" / "vocab.txt")).piece_ids["[UNK]"]
     phases = sorted((tmp_path / "NFD" / "out" / "pretrain").glob("phase*.bin"))
     assert len(phases) == 2
     for path in phases:

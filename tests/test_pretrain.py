@@ -275,10 +275,8 @@ class TestPhaseDatasets:
         assert (stats.documents_in, stats.documents_skipped) == (7, 1)
         assert stats.sentences == len(sentences) - 2
         assert stats.pieces == sum(len(tokenize_text(s, vocab)) for s in sentences)
-        assert stats.instances == 0
-        n = sum(len(list(stream)) for stream in streams)
+        assert all(sum(1 for _ in stream) > 0 for stream in streams)
         assert calls == sentences
-        assert stats.instances == n
 
 
 @settings(max_examples=200, deadline=None)

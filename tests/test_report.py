@@ -99,6 +99,7 @@ def test_no_reports_is_an_error():
         ({"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {}}, "'macro_f1'"),
         ({"task": "DP", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"uas": 1}}, "'las'"),
         ({"task": "POS", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": [0.5]}, "'metrics'"),
+        ({"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": True}}, "macro_f1=True is not a number"),
         ([], "report object"),
     ],
 )
