@@ -2,9 +2,10 @@
 
 Commands:
   pipeline run     run every stage from a config file (dedup, sample,
-                   vocab, pretrain_data, schedule), skipping up-to-date ones
+                   vocab, pretrain_data, schedule), skipping up-to-date ones;
+                   schedule writes plan.json, the training steps of each
+                   phase from the instances pretrain_data wrote
   vocab tokenize   wordpiece-tokenize lines from stdin with a vocab file
-  schedule         compute training-step counts per phase from a token count
   eval             score predictions against gold annotations: NER P/R/F1
                    by token class, or by conlleval chunk with --span-level;
                    POS UPOS accuracy; DP UAS and LAS as the CoNLL 2018 UD
@@ -27,19 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple
 
 from . import __version__
 from .corpus import normalize
-from .pipeline import (
-    CONFIG_SCHEMA_VERSION,
-    ConfigError,
-    PhaseConfig,
-    StageError,
-    load_config,
-    run_pipeline,
-)
-from .schedule import make_plan
+from .pipeline import CONFIG_SCHEMA_VERSION, ConfigError, StageError, load_config, run_pipeline
 from .vocab import Vocab, tokenize_text
 
 EXIT_OK = 0
@@ -67,37 +59,6 @@ def _cmd_vocab_tokenize(args) -> int:
             print()
             continue
         print(" ".join(tokenize_text(line, vocab)))
-    return EXIT_OK
-
-
-# in the order of PhaseConfig's fields: epochs, batch_size, seq_len
-_PHASE_KEYS = {"epochs": float, "batch": int, "seqlen": int}
-
-
-def _parse_phase(spec: str) -> PhaseConfig:
-    """epochs=E,batch=B,seqlen=L, each key exactly once, within a config's phase bounds."""
-    fields = {}
-    for part in spec.split(","):
-        key, _, value = (s.strip() for s in part.partition("="))
-        if key not in _PHASE_KEYS or key in fields:
-            problem = "repeated" if key in fields else "unknown"
-            raise ConfigError(f"invalid phase {spec!r}: {problem} key {key!r}")
-        fields[key] = value
-    try:
-        return PhaseConfig(*(parse(fields[key]) for key, parse in _PHASE_KEYS.items()))
-    except KeyError as e:
-        raise ConfigError(f"invalid phase {spec!r}: missing key {e.args[0]!r}") from e
-    except ValueError as e:  # a FieldError names the PhaseConfig field, such as seq_len
-        raise ConfigError(f"invalid phase {spec!r}: {e}") from e
-
-
-def _cmd_schedule(args) -> int:
-    phases = [astuple(_parse_phase(p)) for p in args.phase]
-    try:
-        plan = make_plan(args.tokens, phases)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -177,17 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt = vocab_sub.add_parser("tokenize", help="wordpiece-tokenize words from stdin")
     pt.add_argument("--vocab", required=True)
     pt.set_defaults(func=_cmd_vocab_tokenize)
-
-    p = sub.add_parser("schedule", help="compute training-step counts per phase")
-    p.add_argument("--tokens", type=float, required=True, help="training-corpus token count")
-    p.add_argument(
-        "--phase",
-        action="append",
-        required=True,
-        metavar="epochs=E,batch=B,seqlen=L",
-        help="repeat once per phase",
-    )
-    p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("eval", help="score predictions against gold annotations")
     eval_sub = p.add_subparsers(dest="task", required=True)

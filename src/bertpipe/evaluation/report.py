@@ -55,9 +55,13 @@ class EvalReport:
         """The report of as_dict's object; raises ValueError on any other value."""
         if not isinstance(d, dict):
             raise ValueError("expected a report object")
-        for key in ("task", "train_lang", "test_lang", "model_name"):
-            if not isinstance(d.get(key), str):
-                raise ValueError(f"report lacks a string {key!r}")
+        labels = ("task", "train_lang", "test_lang", "model_name")
+        for key in d:
+            if key not in (*labels, "metrics"):
+                raise ValueError(f"unknown key {key!r}")
+        for key in labels:
+            if not isinstance(d.get(key), str) or not d[key]:
+                raise ValueError(f"report lacks a non-empty string {key!r}")
         if not isinstance(d.get("metrics"), dict):
             raise ValueError("report lacks a 'metrics' object")
         return cls(

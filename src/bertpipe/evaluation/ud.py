@@ -28,7 +28,6 @@ ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(N_FIELDS)
 @dataclass(frozen=True)
 class UdToken:
     id: int
-    form: str
     upos: str
     head: int | None
     deprel: str
@@ -94,9 +93,7 @@ def parse_conllu(path: str, allow_missing_heads: bool = False) -> list[list[UdTo
                     ) from None
                 if head < 0:
                     raise ValueError(f"{path}:{lineno}: negative HEAD {head}")
-            current.append(
-                UdToken(id=wid, form=fields[FORM], upos=fields[UPOS], head=head, deprel=fields[DEPREL])
-            )
+            current.append(UdToken(id=wid, upos=fields[UPOS], head=head, deprel=fields[DEPREL]))
         close(lineno + 1)
     return sentences
 

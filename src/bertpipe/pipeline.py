@@ -27,9 +27,10 @@ import math
 import os
 import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from typing import IO, Callable, Iterator, NamedTuple
+from fractions import Fraction
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .corpus import Granularity, read_documents, read_units, write_units
@@ -39,11 +40,11 @@ from .pretrain import (
     FieldError,
     GenerationStats,
     MaskingConfig,
+    count_instances,
     phase_datasets,
     write_instances,
     write_schema,
 )
-from .schedule import make_plan
 from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
 
 CONFIG_SCHEMA_VERSION = 4
@@ -139,7 +140,10 @@ class PipelineConfig:
           seed                    integer: seed of the per-language samples
         phases                    array of objects, one per training phase
           epochs                  number > 0
-          batch_size              integer >= 1
+          batch_size              integer >= 1; with epochs, sets the
+                                  phase's steps in plan.json: floor(instances
+                                  * epochs / batch_size) over the instances
+                                  of its pretrain/phase{k}.bin
           seq_len                 integer in [16, 65535]
         masking                   object; every key has a default
           mask_prob               number in (0, 1); 0.15
@@ -319,6 +323,10 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     emit({"event": "vocab_built", "size": len(vocab), "target": config.vocab.target_size})
 
 
+def _phase_files(config: PipelineConfig) -> list[str]:
+    return [f"pretrain/phase{k}.bin" for k in range(len(config.phases))]
+
+
 def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     vocab = Vocab.load(os.path.join(out_dir, "vocab.txt"))
     documents = []
@@ -336,20 +344,45 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
             "pieces": stats.pieces,
         }
     )
-    for k, (seq_len, stream) in enumerate(zip(seq_lens, streams)):
-        with _atomic(os.path.join(out_dir, f"pretrain/phase{k}.bin"), "wb") as f:
+    for k, (rel, seq_len, stream) in enumerate(zip(_phase_files(config), seq_lens, streams)):
+        with _atomic(os.path.join(out_dir, rel), "wb") as f:
             n = write_instances(stream, f)
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
     with _atomic(os.path.join(out_dir, "pretrain/data.schema.json"), "w") as f:
         write_schema(f)
 
 
+@dataclass(frozen=True)
+class TrainingPlan:
+    phases: tuple[PhaseConfig, ...]
+    instances: tuple[int, ...]
+    steps: tuple[int, ...]
+
+    @property
+    def total_steps(self) -> int:
+        return sum(self.steps)
+
+    def as_dict(self) -> dict:
+        return {
+            "phases": [
+                {**asdict(phase), "instances": n, "steps": steps}
+                for phase, n, steps in zip(self.phases, self.instances, self.steps)
+            ],
+            "total_steps": self.total_steps,
+        }
+
+
+def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> TrainingPlan:
+    """Phase k trains the full batches of its instances[k] records over its
+    epochs: floor(instances * epochs / batch_size) steps, a partial last
+    batch being no step. Exact arithmetic, so float epochs round no count."""
+    steps = [math.floor(n * Fraction(p.epochs) / p.batch_size) for n, p in zip(instances, phases, strict=True)]
+    return TrainingPlan(tuple(phases), tuple(instances), tuple(steps))
+
+
 def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
-    kept = 0
-    for rel in _lang_files(config, "dedup/{}.stats.json"):
-        with open(os.path.join(out_dir, rel), "r", encoding="utf-8") as f:
-            kept += json.load(f)["tokens_kept"]
-    plan = make_plan(kept, [astuple(phase) for phase in config.phases])
+    instances = [count_instances(os.path.join(out_dir, rel)) for rel in _phase_files(config)]
+    plan = make_plan(instances, config.phases)
     _write_json(os.path.join(out_dir, "plan.json"), plan.as_dict())
     emit({"event": "schedule", "total_steps": plan.total_steps, "tokens": n_tok})
 
@@ -412,21 +445,18 @@ _STAGES = (
             **asdict(c.masking),
         },
         inputs=lambda c: _same(_lang_files(c, "dedup/{}.txt") + ["vocab.txt"]),
-        outputs=lambda c: [f"pretrain/phase{k}.bin" for k in range(len(c.phases))]
-        + ["pretrain/data.schema.json"],
+        outputs=lambda c: _phase_files(c) + ["pretrain/data.schema.json"],
         run=_run_pretrain,
     ),
     _Stage(
         "schedule",
-        rev=1,
+        rev=2,
         params=lambda c: {"phases": [asdict(phase) for phase in c.phases]},
-        inputs=lambda c: _same(_lang_files(c, "dedup/{}.stats.json")),
+        inputs=lambda c: _same(_phase_files(c)),
         outputs=lambda c: ["plan.json"],
         run=_run_schedule,
     ),
 )
-
-STAGES = tuple(stage.name for stage in _STAGES)
 
 
 def _previous_stages(manifest_path: str) -> dict[str, dict]:

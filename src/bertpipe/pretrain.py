@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -43,6 +44,7 @@ SCHEMA_VERSION = 1
 # The record stores seq_len and masked_positions as u16.
 MAX_SEQ_LEN = 65535
 
+_PREFIX = struct.Struct("<I")  # record_len
 _LENGTHS = struct.Struct("<HH")  # seq_len, num_masked
 
 
@@ -284,8 +286,8 @@ def _generate(
     max_seq_len: int,
     cfg: MaskingConfig,
 ) -> Iterator[TrainingInstance]:
-    reserved = vocab.reserved_ids()
-    random_ids = [i for i in range(len(vocab)) if i not in reserved]
+    # the reserved tokens are the first pieces
+    random_ids = range(len(vocab.reserved), len(vocab))
     if not random_ids:
         raise ValueError("vocabulary has no non-reserved pieces")
     word_initial = bytes(not p.startswith(CONTINUATION_PREFIX) for p in vocab.pieces)
@@ -364,7 +366,7 @@ def pack_instance(instance: TrainingInstance) -> bytes:
             struct.pack("<B", 1 if instance.is_next else 0),
         )
     )
-    return struct.pack("<I", len(body)) + body
+    return _PREFIX.pack(len(body)) + body
 
 
 def write_instances(instances: Iterable[TrainingInstance], out: BinaryIO) -> int:
@@ -375,34 +377,53 @@ def write_instances(instances: Iterable[TrainingInstance], out: BinaryIO) -> int
     return count
 
 
+def _record_lengths(f: BinaryIO) -> Iterator[int]:
+    """The body length of each record of an instance file open at its start.
+
+    At each yield the file is at the record's body, which the caller may
+    read or leave: the walk seeks to the next length prefix itself. A
+    partial prefix or body at the end is a ValueError.
+    """
+    size = os.fstat(f.fileno()).st_size
+    offset = 0
+    while offset < size:
+        f.seek(offset)
+        if size - offset < _PREFIX.size:
+            raise ValueError(f"truncated instance record: {size - offset}-byte length prefix at byte {offset}")
+        (length,) = _PREFIX.unpack(f.read(_PREFIX.size))
+        offset += _PREFIX.size + length
+        if offset > size:
+            raise ValueError(f"truncated instance record: {length}-byte body ends past byte {size}")
+        yield length
+
+
+def _unpack_instance(body: bytes) -> TrainingInstance:
+    if len(body) < _LENGTHS.size:
+        raise ValueError(f"instance record of {len(body)} bytes lacks its seq_len and num_masked")
+    n, m = _LENGTHS.unpack_from(body)
+    arrays = struct.Struct(f"<{n}I{2 * n}B{m}H{m}IB")
+    expected = _LENGTHS.size + arrays.size
+    if len(body) != expected:
+        raise ValueError(f"instance record of {len(body)} bytes; seq_len {n} and num_masked {m} make {expected}")
+    values = arrays.unpack_from(body, _LENGTHS.size)
+    a, b = 3 * n, 3 * n + m  # where masked_positions and masked_labels start
+    return TrainingInstance(
+        token_ids=values[:n],
+        input_mask=values[n : 2 * n],
+        segment_ids=values[2 * n : a],
+        masked_positions=values[a:b],
+        masked_labels=values[b:-1],
+        is_next=bool(values[-1]),
+    )
+
+
 def read_instances(path: str) -> Iterator[TrainingInstance]:
     with open(path, "rb") as f:
-        while True:
-            prefix = f.read(4)
-            if not prefix:
-                return
-            (length,) = struct.unpack("<I", prefix)
-            body = f.read(length)
-            if len(body) != length:
-                raise ValueError("truncated instance record")
-            n, m = _LENGTHS.unpack_from(body, 0)
-            off = _LENGTHS.size
-            token_ids = struct.unpack_from(f"<{n}I", body, off)
-            off += 4 * n
-            input_mask = struct.unpack_from(f"<{n}B", body, off)
-            off += n
-            segment_ids = struct.unpack_from(f"<{n}B", body, off)
-            off += n
-            positions = struct.unpack_from(f"<{m}H", body, off)
-            off += 2 * m
-            labels = struct.unpack_from(f"<{m}I", body, off)
-            off += 4 * m
-            (is_next,) = struct.unpack_from("<B", body, off)
-            yield TrainingInstance(
-                token_ids=token_ids,
-                input_mask=input_mask,
-                segment_ids=segment_ids,
-                masked_positions=positions,
-                masked_labels=labels,
-                is_next=bool(is_next),
-            )
+        for length in _record_lengths(f):
+            yield _unpack_instance(f.read(length))
+
+
+def count_instances(path: str) -> int:
+    """The number of records in an instance file, from its length prefixes alone."""
+    with open(path, "rb") as f:
+        return sum(1 for _ in _record_lengths(f))

@@ -97,9 +97,6 @@ class Vocab:
     def mask_id(self) -> int:
         return self.piece_ids["[MASK]"]
 
-    def reserved_ids(self) -> set[int]:
-        return {self.piece_ids[t] for t in self.reserved}
-
     def save(self, out: TextIO) -> None:
         """Write the vocab file format to an open text file (see load)."""
         for piece in self.pieces:

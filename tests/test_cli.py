@@ -13,7 +13,6 @@ import bertpipe
 from bertpipe.corpus import read_units
 from bertpipe.evaluation.report import load_reports
 from bertpipe.pipeline import CONFIG_SCHEMA_VERSION
-from bertpipe.schedule import make_plan
 from bertpipe.vocab import count_words, learn_wordpieces
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bertpipe.__file__)))
@@ -59,12 +58,17 @@ def test_import_is_silent_and_starts_no_thread():
 def test_help_lists_exactly_the_kept_commands():
     done = bertpipe_cli("--help")
     assert done.returncode == 0, done.stderr
-    assert "{vocab,schedule,eval,report,pipeline,version}" in done.stdout
+    assert "{vocab,eval,report,pipeline,version}" in done.stdout
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["dedup", "--lang", "en", "in.txt", "out.txt"], ["vocab", "build", "out.txt"], ["pretrain-data", "out.bin"]],
+    [
+        ["dedup", "--lang", "en", "in.txt", "out.txt"],
+        ["vocab", "build", "out.txt"],
+        ["pretrain-data", "out.bin"],
+        ["schedule", "--tokens", "1e6"],
+    ],
 )
 def test_removed_stage_commands_are_a_validation_error(tmp_path, argv):
     done = bertpipe_cli(*argv)
@@ -97,40 +101,6 @@ def test_vocab_tokenize_reads_decomposed_input_as_composed(tmp_path):
     assert nfc.returncode == nfd.returncode == 0, nfd.stderr
     assert nfd.stdout == nfc.stdout
     assert "[UNK]" not in nfc.stdout
-
-
-def test_schedule_prints_the_plan():
-    done = bertpipe_cli(
-        "schedule", "--tokens", "1e6", "--phase", "epochs=40,batch=1024,seqlen=128",
-        "--phase", "epochs=4,batch=256,seqlen=512",
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == make_plan(1e6, [(40, 1024, 128), (4, 256, 512)]).as_dict()
-
-
-@pytest.mark.parametrize(
-    "tokens, phase, reason",
-    [
-        ("0", "epochs=1,batch=8,seqlen=128", ""),
-        ("1e6", "epochs=1,batch=0,seqlen=128", ""),
-        ("inf", "epochs=1,batch=8,seqlen=128", ""),
-        ("nan", "epochs=1,batch=8,seqlen=128", ""),
-        ("1e6", "epochs=inf,batch=8,seqlen=128", ""),
-        ("1e6", "epochs=1,batch=2,seqlen=4,tokens=7,bogus", "unknown key 'tokens'"),
-        ("1e6", "epochs=1,batch=2,seqlen=4,bogus", "unknown key 'bogus'"),
-        ("1e6", "epochs=1,batch=2,seqlen=4,batch=500", "repeated key 'batch'"),
-        ("1e6", "epochs=1,batch=2", "missing key 'seqlen'"),
-        ("1e6", "epochs=1,batch=two,seqlen=4", "invalid literal for int()"),
-        ("1e6", "epochs=1,batch=8,seqlen=70000", "seq_len must be in [16, 65535], got 70000"),
-        ("1e6", "epochs=1,batch=8,seqlen=1", "seq_len must be in [16, 65535], got 1"),
-    ],
-)
-def test_schedule_out_of_range_arguments_are_a_validation_error(tokens, phase, reason):
-    done = bertpipe_cli("schedule", "--tokens", tokens, "--phase", phase)
-    assert done.returncode == 1
-    assert "validation error: invalid phase" in done.stderr
-    assert reason in done.stderr
-    assert done.stdout == ""
 
 
 def test_eval_report_round_trips_one_report(tmp_path):

@@ -35,7 +35,6 @@ def random_sentences(rng, n_sentences, with_subtypes=False):
             [
                 UdToken(
                     id=i + 1,
-                    form=f"w{i}",
                     upos=rng.choice(UPOS_TAGS),
                     head=rng.randint(0, length),
                     deprel=rng.choice(DEPRELS if with_subtypes else DEPRELS[:4]),
@@ -140,10 +139,10 @@ class TestUposAccuracy:
         assert upos_accuracy(sents, sents)["upos_acc"] == 1.0
 
     def test_half_flipped(self):
-        gold = [[UdToken(i + 1, "w", "NOUN", 0, "root") for i in range(10)]]
+        gold = [[UdToken(i + 1, "NOUN", 0, "root") for i in range(10)]]
         pred = [
             [
-                UdToken(i + 1, "w", "NOUN" if i < 5 else "VERB", 0, "root")
+                UdToken(i + 1, "NOUN" if i < 5 else "VERB", 0, "root")
                 for i in range(10)
             ]
         ]
@@ -154,7 +153,7 @@ class TestUposAccuracy:
         gold = random_sentences(rng, 60)
         pred = [
             [
-                UdToken(t.id, t.form, rng.choice(UPOS_TAGS), t.head, t.deprel)
+                UdToken(t.id, rng.choice(UPOS_TAGS), t.head, t.deprel)
                 for t in sent
             ]
             for sent in gold
@@ -178,23 +177,23 @@ class TestAttachmentScores:
         assert metrics["uas"] == metrics["las"] == 1.0
 
     def test_right_heads_wrong_deprels(self):
-        gold = [[UdToken(1, "a", "X", 0, "root"), UdToken(2, "b", "X", 1, "obj")]]
-        pred = [[UdToken(1, "a", "X", 0, "nsubj"), UdToken(2, "b", "X", 1, "det")]]
+        gold = [[UdToken(1, "X", 0, "root"), UdToken(2, "X", 1, "obj")]]
+        pred = [[UdToken(1, "X", 0, "nsubj"), UdToken(2, "X", 1, "det")]]
         metrics = attachment_scores(gold, pred)
         assert metrics["uas"] == 1.0
         assert metrics["las"] == 0.0
 
     def test_constructed_fifty_tokens(self):
         # 50 tokens; 10 wrong heads; 5 more with right head, wrong label
-        gold = [[UdToken(i + 1, "w", "X", 0, "dep") for i in range(50)]]
+        gold = [[UdToken(i + 1, "X", 0, "dep") for i in range(50)]]
         pred_tokens = []
         for i in range(50):
             if i < 10:
-                pred_tokens.append(UdToken(i + 1, "w", "X", i + 1 if i + 1 != 0 else 2, "dep"))
+                pred_tokens.append(UdToken(i + 1, "X", i + 1 if i + 1 != 0 else 2, "dep"))
             elif i < 15:
-                pred_tokens.append(UdToken(i + 1, "w", "X", 0, "other"))
+                pred_tokens.append(UdToken(i + 1, "X", 0, "other"))
             else:
-                pred_tokens.append(UdToken(i + 1, "w", "X", 0, "dep"))
+                pred_tokens.append(UdToken(i + 1, "X", 0, "dep"))
         pred = [pred_tokens]
         metrics = attachment_scores(gold, pred)
         g = [(t.head, t.deprel) for t in gold[0]]
@@ -204,13 +203,13 @@ class TestAttachmentScores:
         assert metrics["las"] == las == 0.7
 
     def test_las_compares_universal_deprels(self):
-        gold = [[UdToken(1, "a", "X", 0, "nmod:poss"), UdToken(2, "b", "X", 1, "obl:tmod")]]
-        pred = [[UdToken(1, "a", "X", 0, "nmod"), UdToken(2, "b", "X", 1, "obj:tmod")]]
+        gold = [[UdToken(1, "X", 0, "nmod:poss"), UdToken(2, "X", 1, "obl:tmod")]]
+        pred = [[UdToken(1, "X", 0, "nmod"), UdToken(2, "X", 1, "obj:tmod")]]
         assert attachment_scores(gold, pred)["las"] == 0.5
 
     def test_pred_without_head_rejected(self):
-        gold = [[UdToken(1, "a", "X", 0, "root")]]
-        pred = [[UdToken(1, "a", "X", None, "root")]]
+        gold = [[UdToken(1, "X", 0, "root")]]
+        pred = [[UdToken(1, "X", None, "root")]]
         with pytest.raises(ValueError, match="lacks a head"):
             attachment_scores(gold, pred)
 
@@ -222,7 +221,7 @@ def test_attachment_matches_oracle_and_las_bounded(seed, n):
     gold = random_sentences(rng, n, with_subtypes=True)
     pred = [
         [
-            UdToken(t.id, t.form, rng.choice(UPOS_TAGS), rng.randint(0, len(sent)), rng.choice(DEPRELS))
+            UdToken(t.id, rng.choice(UPOS_TAGS), rng.randint(0, len(sent)), rng.choice(DEPRELS))
             for t in sent
         ]
         for sent in gold

@@ -4,14 +4,19 @@ import json
 import logging
 import unicodedata
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bertpipe import pipeline
 from bertpipe.corpus import read_documents, read_units
-from bertpipe.pipeline import STAGES, StageError, file_sha256, load_config, run_pipeline
-from bertpipe.pretrain import read_instances
+from bertpipe.pipeline import PhaseConfig, StageError, file_sha256, load_config, make_plan, run_pipeline
+from bertpipe.pretrain import count_instances, read_instances
 from bertpipe.vocab import Vocab, tokenize_text
+
+STAGES = ("dedup", "sample", "vocab", "pretrain_data", "schedule")
 
 CORPORA = {
     "en": ["the cat sat on the mat", "a dog ran after the cat", "", "the mat was red", "so was the dog"],
@@ -140,7 +145,16 @@ def test_changed_vocab_size_reruns_vocab_and_pretrain_data(tmp_path, completing)
     config, out = write_config(tmp_path), str(tmp_path / "out")
     run_pipeline(config, out)
     larger = replace(config, vocab=replace(config.vocab, target_size=config.vocab.target_size + 5))
-    assert rerun_stages(larger, out) == ["vocab", "pretrain_data"]
+    assert rerun_stages(larger, out) == ["vocab", "pretrain_data", "schedule"]
+
+
+def test_changed_epochs_rerun_only_schedule(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    phases = (replace(config.phases[0], epochs=2.5), *config.phases[1:])
+    assert rerun_stages(replace(config, phases=phases), str(out)) == ["schedule"]
+    plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
+    assert plan["phases"][0]["epochs"] == 2.5
 
 
 def bump_rev(monkeypatch, name):
@@ -156,7 +170,7 @@ def test_bumped_rev_reruns_its_stage_and_the_stages_its_bytes_reach(tmp_path, co
     learn = pipeline.learn_wordpieces
     monkeypatch.setattr(pipeline, "learn_wordpieces", lambda counts, target_size: learn(counts, target_size - 5))
     bump_rev(monkeypatch, "vocab")
-    assert rerun_stages(config, str(out)) == ["vocab", "pretrain_data"]
+    assert rerun_stages(config, str(out)) == ["vocab", "pretrain_data", "schedule"]
     new_vocab = (out / "vocab.txt").read_bytes()
     assert new_vocab != old_vocab
     assert len(new_vocab.splitlines()) == len(old_vocab.splitlines()) - 5
@@ -246,3 +260,40 @@ def test_each_file_is_hashed_at_most_once_per_run(tmp_path, completing, monkeypa
         with open(f"{out}/manifest.json", encoding="utf-8") as f:
             outputs = [rel for stage in json.load(f)["stages"] for rel in stage["outputs"]]
         assert len(hashed) == len(set(hashed)) == len(CORPORA) + len(outputs)
+
+
+def test_plan_counts_the_instances_of_each_phase_file(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    events = []
+    run_pipeline(config, str(out), events=events.append)
+    written = [e["instances"] for e in events if e["event"] == "pretrain_phase"]
+    plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
+    for k, (phase, config_phase) in enumerate(zip(plan["phases"], config.phases, strict=True)):
+        path = str(out / "pretrain" / f"phase{k}.bin")
+        assert phase["instances"] == count_instances(path) == len(list(read_instances(path))) == written[k] > 0
+        assert phase == {
+            "batch_size": config_phase.batch_size,
+            "epochs": config_phase.epochs,
+            "seq_len": config_phase.seq_len,
+            "instances": phase["instances"],
+            "steps": phase["instances"] * config_phase.epochs // config_phase.batch_size,
+        }
+    assert plan["total_steps"] == sum(phase["steps"] for phase in plan["phases"])
+
+
+@given(
+    phases=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.one_of(st.integers(1, 100), st.floats(1e-3, 100, allow_nan=False)),
+            st.integers(1, 4096),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_plan_steps_are_the_full_batches(phases):
+    plan = make_plan([n for n, _, _ in phases], [PhaseConfig(epochs, batch, 128) for _, epochs, batch in phases])
+    for (n, epochs, batch), steps in zip(phases, plan.steps, strict=True):
+        assert steps * batch <= n * Fraction(epochs) < (steps + 1) * batch
+    assert plan.total_steps == sum(plan.steps)

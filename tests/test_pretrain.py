@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import struct
 
 import pytest
 from conftest import oracle_check_instances
@@ -15,6 +16,7 @@ from bertpipe.pretrain import (
     GenerationStats,
     MaskingConfig,
     TrainingInstance,
+    count_instances,
     instance_schema,
     pack_instance,
     phase_datasets,
@@ -124,7 +126,7 @@ class TestBuildInstances:
         random_all = MaskingConfig(
             replace_mask=0.0, replace_random=1.0, seed=9
         )
-        reserved = vocab.reserved_ids()
+        reserved = {vocab.piece_ids[t] for t in RESERVED_TOKENS}
         seen_replacement = 0
         for inst in phase_datasets(docs, vocab, [64], random_all)[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
@@ -197,7 +199,7 @@ class TestBuildInstances:
             for word in " ".join(doc).split():
                 counts[word] = counts.get(word, 0) + 1
         vocab = learn_wordpieces(WordCounts(counts), target_size=80)
-        reserved = vocab.reserved_ids()
+        reserved = {vocab.piece_ids[t] for t in RESERVED_TOKENS}
         instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(seed=2, dupe_factor=3))[0])
         assert instances
         bracket_words = 0
@@ -342,6 +344,40 @@ class TestSerialization:
         path.write_bytes(payload[: len(payload) - 3])
         with pytest.raises(ValueError, match="truncated"):
             list(read_instances(str(path)))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda record: record + b"\x07\x00",
+            lambda record: struct.pack("<I", len(record) - 7) + record[4:-3],
+            lambda record: struct.pack("<I", len(record) - 3) + record[4:] + b"\x00",
+        ],
+        ids=["partial length prefix", "body shorter than its counts", "body longer than its counts"],
+    )
+    def test_malformed_record_is_a_value_error(self, toy_vocab, tmp_path, damage):
+        vocab, lexicon = toy_vocab
+        docs = make_docs(lexicon, random.Random(15), n_docs=2)
+        record = pack_instance(next(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0]))
+        path = tmp_path / "broken.bin"
+        path.write_bytes(damage(record))
+        with pytest.raises(ValueError, match="instance record"):
+            list(read_instances(str(path)))
+
+    def test_count_instances_reads_only_the_length_prefixes(self, toy_vocab, tmp_path):
+        vocab, lexicon = toy_vocab
+        docs = make_docs(lexicon, random.Random(16), n_docs=6)
+        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
+        path = tmp_path / "insts.bin"
+        with open(path, "wb") as f:
+            write_instances(instances, f)
+        assert count_instances(str(path)) == len(instances) > 0
+        # a record whose body disagrees with its counts is still one record
+        with open(path, "ab") as f:
+            f.write(struct.pack("<I", 2) + b"\x00\x00")
+        assert count_instances(str(path)) == len(instances) + 1
+        path.write_bytes(path.read_bytes() + b"\x01")
+        with pytest.raises(ValueError, match="truncated"):
+            count_instances(str(path))
 
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"

@@ -101,6 +101,11 @@ def test_no_reports_is_an_error():
         ({"task": "POS", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": [0.5]}, "'metrics'"),
         ({"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": True}}, "macro_f1=True is not a number"),
         ([], "report object"),
+        ({"task": "NER", "train_lang": "", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "'train_lang'"),
+        (
+            {"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}, "typo_key": 1},
+            "unknown key 'typo_key'",
+        ),
     ],
 )
 def test_from_dict_rejects_a_malformed_report(d, message):
