@@ -4,15 +4,12 @@ import json
 import logging
 import unicodedata
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bertpipe import pipeline
 from bertpipe.corpus import read_documents, read_units
-from bertpipe.pipeline import PhaseConfig, StageError, file_sha256, load_config, make_plan, run_pipeline
+from bertpipe.pipeline import StageError, file_sha256, load_config, run_pipeline
 from bertpipe.pretrain import count_instances, read_instances
 from bertpipe.vocab import Vocab, tokenize_text
 
@@ -280,20 +277,3 @@ def test_plan_counts_the_instances_of_each_phase_file(tmp_path, completing):
         }
     assert plan["total_steps"] == sum(phase["steps"] for phase in plan["phases"])
 
-
-@given(
-    phases=st.lists(
-        st.tuples(
-            st.integers(0, 10**6),
-            st.one_of(st.integers(1, 100), st.floats(1e-3, 100, allow_nan=False)),
-            st.integers(1, 4096),
-        ),
-        min_size=1,
-        max_size=3,
-    )
-)
-def test_plan_steps_are_the_full_batches(phases):
-    plan = make_plan([n for n, _, _ in phases], [PhaseConfig(epochs, batch, 128) for _, epochs, batch in phases])
-    for (n, epochs, batch), steps in zip(phases, plan.steps, strict=True):
-        assert steps * batch <= n * Fraction(epochs) < (steps + 1) * batch
-    assert plan.total_steps == sum(plan.steps)

@@ -379,6 +379,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             count_instances(str(path))
 
+    def test_empty_file_holds_no_instances(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        assert count_instances(str(path)) == 0
+        assert list(read_instances(str(path))) == []
+
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"
         with open(path, "w", encoding="utf-8") as f:
