@@ -375,8 +375,11 @@ class TrainingPlan:
 def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> TrainingPlan:
     """Phase k trains the full batches of its instances[k] records over its
     epochs: floor(instances * epochs / batch_size) steps, a partial last
-    batch being no step. Exact arithmetic, so float epochs round no count."""
-    steps = [math.floor(n * Fraction(p.epochs) / p.batch_size) for n, p in zip(instances, phases, strict=True)]
+    batch being no step. Exact arithmetic on the decimal that epochs reads
+    as, so 0.3 is 3/10 and not the binary float just below it."""
+    steps = [
+        math.floor(n * Fraction(repr(p.epochs)) / p.batch_size) for n, p in zip(instances, phases, strict=True)
+    ]
     return TrainingPlan(tuple(phases), tuple(instances), tuple(steps))
 
 
@@ -450,7 +453,7 @@ _STAGES = (
     ),
     _Stage(
         "schedule",
-        rev=2,
+        rev=3,
         params=lambda c: {"phases": [asdict(phase) for phase in c.phases]},
         inputs=lambda c: _same(_phase_files(c)),
         outputs=lambda c: ["plan.json"],

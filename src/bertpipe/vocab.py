@@ -8,19 +8,22 @@ reserved tokens and the character pieces. Every observed character is kept
 as both an initial and a continuation piece and is never dropped, so every
 training word tokenizes without [UNK].
 
-Candidates are counted by window, not by slice. A piece is at most
-MAX_PIECE_CHARS long, so every piece that starts at a position of a word is
-a prefix of the window of MAX_PIECE_CHARS characters there. Each word adds
-its count once per window, and a prefix closure then adds every window's
-total to each of its prefixes, walking from the longest key to the
-shortest so that each distinct prefix is written once.
+Candidates are counted by window, not by slice, in one table per piece
+length. A piece is at most MAX_PIECE_CHARS long, so every piece that starts
+at a position of a word is a prefix of the window of MAX_PIECE_CHARS
+characters there, or of the rest of the word where that is shorter. Each
+word adds its count once per window, to the table of the window's length,
+and a prefix closure then walks the tables from the longest down, adding
+each key's total to its prefix one character shorter in the next table.
 
-The top-k is chosen by a score cutoff. A histogram of the candidates'
-scores, less the single characters, gives the k-th best score without a
-per-candidate list; only the candidates at or above it become
-(-score, piece) pairs, which are sorted and cut to k. Ties at the cutoff
-are broken by the piece string, as everywhere in the ordering, so a "##"
-piece comes before an initial piece of the same score.
+The top-k is chosen by a score cutoff. Every key of a table has the table's
+length, so the table's scores are its counts times that length, and their
+histogram over the tables of length 2 and up, which leave out exactly the
+single characters, gives the k-th best score without a per-candidate list.
+Only the candidates at or above it, the counts of length L that reach the
+cutoff over L, become (-score, piece) pairs, which are sorted and cut to k.
+Ties at the cutoff are broken by the piece string, as everywhere in the
+ordering, so a "##" piece comes before an initial piece of the same score.
 
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
@@ -38,7 +41,6 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import ge, mul
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import TextUnit
@@ -156,22 +158,24 @@ def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
     return WordCounts(dict(counts))
 
 
-def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str]]:
+def _candidate_tables(counts: dict[str, int]) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
     """Occurrence counts of every substring piece of the training words.
 
-    Returns (initial, continuation), both keyed by the raw slice: a
-    continuation slice x is the vocabulary piece "##x". The count of a
-    slice is the summed count of the words it occurs in, once per position.
+    Returns (initial, continuation): table L of each maps a raw slice of
+    length L, for L in 0..MAX_PIECE_CHARS, to its count. A continuation
+    slice x is the vocabulary piece "##x". The count of a slice is the
+    summed count of the words it occurs in, once per position.
 
     Every continuation slice word[i:j] is a prefix of the window
     word[i:i + MAX_PIECE_CHARS], and every word-initial slice is a prefix of
-    word[:MAX_PIECE_CHARS]. So each word adds its count once per window, and
-    _close_prefixes then hands every window's total down to its prefixes.
+    word[:MAX_PIECE_CHARS]. So each word adds its count once per window, to
+    the table of the window's length, and the closure then hands every
+    table's totals down to the prefixes one shorter, from the longest table
+    to table 1.
     """
-    initial: Counter[str] = Counter()
-    continuation: Counter[str] = Counter()
-    initial_get = initial.get
-    continuation_get = continuation.get
+    initial: list[dict[str, int]] = [{} for _ in range(MAX_PIECE_CHARS + 1)]
+    continuation: list[dict[str, int]] = [{} for _ in range(MAX_PIECE_CHARS + 1)]
+    full = continuation[MAX_PIECE_CHARS]
     cut = len(CONTINUATION_PREFIX)
     for word, count in counts.items():
         length = len(word)
@@ -181,62 +185,49 @@ def _candidate_counts(counts: dict[str, int]) -> tuple[Counter[str], Counter[str
             # Pieces are strings: the word-initial slice "##x" is the
             # continuation piece "##x", so it is counted as one. The
             # initial "#" stays, and the slice "##" is the empty piece.
-            initial["#"] = initial_get("#", 0) + count
-            continuation[""] = continuation_get("", 0) + count
+            initial[1]["#"] = initial[1].get("#", 0) + count
+            continuation[0][""] = continuation[0].get("", 0) + count
             if length > cut:
                 head = word[cut:MAX_PIECE_CHARS]
-                continuation[head] = continuation_get(head, 0) + count
+                table = continuation[len(head)]
+                table[head] = table.get(head, 0) + count
         else:
             head = word[:MAX_PIECE_CHARS]
-            initial[head] = initial_get(head, 0) + count
-        for i in range(1, length):
+            table = initial[len(head)]
+            table[head] = table.get(head, 0) + count
+        # Windows that reach past the piece limit are cut to it; the rest
+        # run to the end of the word.
+        tail = max(1, length - MAX_PIECE_CHARS)
+        for i in range(1, tail):
             window = word[i : i + MAX_PIECE_CHARS]
-            continuation[window] = continuation_get(window, 0) + count
-    _close_prefixes(initial)
-    _close_prefixes(continuation)
+            full[window] = full.get(window, 0) + count
+        for i in range(tail, length):
+            window = word[i:]
+            table = continuation[length - i]
+            table[window] = table.get(window, 0) + count
+    for tables in (initial, continuation):
+        for length in range(MAX_PIECE_CHARS, 1, -1):
+            shorter = tables[length - 1]
+            get = shorter.get
+            for key, total in tables[length].items():
+                prefix = key[:-1]
+                shorter[prefix] = get(prefix, 0) + total
     return initial, continuation
 
 
-def _close_prefixes(cand: dict[str, int]) -> None:
-    """Add each key's count to every shorter non-empty prefix, in place.
-
-    Keys are taken from the longest down, so a key's total is complete when
-    it is added to its one-shorter prefix; a prefix that is not yet a key
-    joins the keys of its length, so every distinct prefix is written once.
-    """
-    by_length: list[list[str]] = [[] for _ in range(MAX_PIECE_CHARS + 1)]
-    for key in cand:
-        by_length[len(key)].append(key)
-    get = cand.get
-    for length in range(MAX_PIECE_CHARS, 1, -1):
-        shorter = by_length[length - 1]
-        for key in by_length[length]:
-            prefix = key[:-1]
-            total = get(prefix)
-            if total is None:
-                shorter.append(prefix)
-                cand[prefix] = cand[key]
-            else:
-                cand[prefix] = total + cand[key]
-
-
-def _score_cutoff(
-    initial: dict[str, int], continuation: dict[str, int], chars: Iterable[str], budget: int
-) -> int:
+def _score_cutoff(tables: Iterable[list[dict[str, int]]], budget: int) -> int:
     """The score of the budget-th best optional piece, or 0 if there are fewer.
 
-    The optional pieces are every candidate but the single characters. The
-    histogram of scores is counted over all candidates without building a
-    per-candidate list, the single characters that are keys are taken out
-    again, and the distinct scores are walked from the top down.
+    The optional pieces are the keys of the tables of length 2 and up: the
+    tables of length 1 hold only mandatory single characters, and the one
+    key of table 0 scores 0, which cannot move the cutoff. Each table has
+    one length, so its scores are its counts times that length; their
+    histogram is walked from the top score down.
     """
     hist: Counter[int] = Counter()
-    for cand in (initial, continuation):
-        hist.update(map(mul, cand.values(), map(len, cand)))
-        # A character that occurs only inside words has no initial key.
-        for c in chars:
-            if c in cand:
-                hist[cand[c]] -= 1
+    for by_length in tables:
+        for length in range(2, MAX_PIECE_CHARS + 1):
+            hist.update(map(length.__mul__, by_length[length].values()))
     remaining = budget
     for score in sorted(hist, reverse=True):
         remaining -= hist[score]
@@ -252,11 +243,13 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     every training character are mandatory and never dropped, which keeps
     every training word tokenizable. The rest of the budget, k, goes to the
     top-k other substring pieces by count * length, ties broken by the
-    piece string: the candidates scoring at least the k-th best score (see
-    _score_cutoff) are sorted by that key and the first k kept. The whole
-    vocabulary is then ordered by the same key. If the corpus has fewer
-    candidates than the budget, the cutoff is 0, every candidate is kept
-    and the vocabulary is smaller than target_size.
+    piece string: the candidates of each length L whose count is at least
+    the k-th best score over L, rounded up (see _score_cutoff), are sorted
+    by that key and the first k kept. The whole vocabulary is then ordered
+    by the same key. If the corpus has fewer candidates than the budget,
+    the cutoff is 0, every candidate is kept, the score-0 piece "##" of a
+    word starting with "##" included, and the vocabulary is smaller than
+    target_size.
     """
     chars = sorted({ch for word in counts.counts for ch in word})
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
@@ -266,21 +259,27 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
             f"{len(RESERVED_TOKENS)} reserved + {2 * len(chars)} character pieces"
         )
 
-    initial, continuation = _candidate_counts(counts.counts)
+    initial, continuation = _candidate_tables(counts.counts)
     # A training word may spell a reserved token; it is never a learned piece.
     for token in RESERVED_TOKENS:
-        initial.pop(token, None)
+        initial[len(token)].pop(token, None)
     budget = target_size - floor_size
-    cutoff = _score_cutoff(initial, continuation, chars, budget)
-    # Single characters are the mandatory pieces.
+    cutoff = _score_cutoff((initial, continuation), budget)
     optional = []
-    for cand, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
-        scores = map(mul, cand.values(), map(len, cand))
-        above = itertools.compress(cand, map(ge, scores, itertools.repeat(cutoff)))
-        optional += [(-cand[raw] * len(raw), prefix + raw) for raw in above if len(raw) != 1]
+    for tables, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
+        for length in range(2, MAX_PIECE_CHARS + 1):
+            table = tables[length]
+            least = -(-cutoff // length)  # the least count that reaches the cutoff
+            above = itertools.compress(table, map(least.__le__, table.values()))
+            optional += [(-table[raw] * length, prefix + raw) for raw in above]
+    if cutoff == 0:
+        optional += [(0, CONTINUATION_PREFIX + raw) for raw in continuation[0]]
     kept = sorted(optional)[:budget]
-    mandatory = [(-initial[c], c) for c in chars]
-    mandatory += [(-continuation[c], CONTINUATION_PREFIX + c) for c in chars]
+    # Single characters are the mandatory pieces. A character seen only
+    # inside words, or only in words past MAX_CANDIDATE_WORD_CHARS, has no
+    # key in a table of length 1.
+    mandatory = [(-initial[1].get(c, 0), c) for c in chars]
+    mandatory += [(-continuation[1].get(c, 0), CONTINUATION_PREFIX + c) for c in chars]
     pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]
     return Vocab(pieces=pieces)
 

@@ -49,7 +49,11 @@ def test_a_partial_batch_is_no_step(batch):
     assert make_plan([2 * batch - 1], [phase]).steps == (1,)
 
 
-@pytest.mark.parametrize("instances, epochs, batch, steps", [(100, 0.5, 10, 5), (100, 2.5, 8, 31), (3, 0.25, 1, 0)])
+@pytest.mark.parametrize(
+    "instances, epochs, batch, steps",
+    # Fraction(0.3) is just below 3/10: the decimal is what the config wrote
+    [(100, 0.5, 10, 5), (100, 2.5, 8, 31), (3, 0.25, 1, 0), (10, 0.3, 1, 3)],
+)
 def test_fractional_epochs_read_part_of_the_instances(instances, epochs, batch, steps):
     assert make_plan([instances], [PhaseConfig(epochs, batch, 128)]).steps == (steps,)
 
@@ -125,5 +129,5 @@ def test_k_times_the_batch_takes_a_kth_of_the_steps_floored(instances, epochs, b
 def test_plan_steps_are_the_full_batches(phases):
     plan = make_plan([n for n, _, _ in phases], [PhaseConfig(epochs, batch, 128) for _, epochs, batch in phases])
     for (n, epochs, batch), steps in zip(phases, plan.steps, strict=True):
-        assert steps * batch <= n * Fraction(epochs) < (steps + 1) * batch
+        assert steps * batch <= n * Fraction(repr(epochs)) < (steps + 1) * batch
     assert plan.total_steps == sum(plan.steps)

@@ -1,6 +1,10 @@
 import hashlib
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -23,7 +27,7 @@ from bertpipe.vocab import (
     tokenize_text,
 )
 
-from conftest import oracle_tokenize
+from conftest import make_dedup_corpus, oracle_tokenize
 
 
 def units_of(texts, lang="xx"):
@@ -234,9 +238,7 @@ def floor_of(counts: dict[str, int]) -> int:
 
 
 def score_cutoff(counts: dict[str, int], budget: int) -> int:
-    initial, continuation = vocab_module._candidate_counts(counts)
-    chars = sorted({ch for word in counts for ch in word})
-    return vocab_module._score_cutoff(initial, continuation, chars, budget)
+    return vocab_module._score_cutoff(vocab_module._candidate_tables(counts), budget)
 
 
 class TestScoreCutoffEdges:
@@ -272,8 +274,8 @@ class TestScoreCutoffEdges:
 
     def test_character_only_inside_words(self):
         words = {"ab": 5, "cab": 2}
-        initial, continuation = vocab_module._candidate_counts(words)
-        assert "b" not in initial and "b" in continuation
+        initial, continuation = vocab_module._candidate_tables(words)
+        assert "b" not in initial[1] and "b" in continuation[1]
         vocab = learn_wordpieces(WordCounts(words), floor_of(words))
         assert "b" in vocab.piece_ids
         self.check_every_budget(words)
@@ -311,6 +313,46 @@ class TestPinnedBytes:
             "b66dbebf9b6c3129d72866b9b5d701d7e1892a6dfd3ba2cbb5a7c9d043a8226c"
         )
 
+    @staticmethod
+    def edge_words() -> dict[str, int]:
+        """Words at the piece and candidate length limits, the "#" words and a
+        reserved token; "ž" occurs only in the 65-character word, "q" only
+        inside a word."""
+        rng = random.Random(3)
+
+        def word(n):
+            return "".join(rng.choice("aeiklnost") for _ in range(n))
+
+        stem = word(14)
+        words = {stem + word(n - 14): c for n, c in [(15, 9), (16, 7), (17, 5), (63, 3), (64, 2)]}
+        words[stem + word(16) + "ž" + word(34)] = 4
+        words.update({"#": 2, "##": 3, "##x": 4, "[SEP]": 5, "aqa": 2, "kala": 6})
+        assert sorted(map(len, words)) == [1, 2, 3, 3, 4, 5, 15, 16, 17, 63, 64, 65]
+        return words
+
+    @pytest.mark.parametrize(
+        "budget, sha256",
+        [
+            # the cut falls inside a tie of 16-character pieces
+            (90, "15b4e30e4d1ef1971faf05269b844769e414f379d9ecd33b1fd60336537e519b"),
+            # past the last candidate: the cutoff is 0 and "##" is kept
+            (1594, "22024a228d3eb3cd2629fdf09e8473b5f5d48ad73295e753836f464b8a9aca25"),
+        ],
+    )
+    def test_vocab_file_bytes_at_the_length_limits(self, budget, sha256):
+        words = self.edge_words()
+        ranking = reference_ranking(words)
+        if budget < len(ranking):
+            assert ranking[budget - 1][0] == ranking[budget][0]
+            assert {len(ranking[i][1].removeprefix("##")) for i in (budget - 1, budget)} == {MAX_PIECE_CHARS}
+        vocab = learn_wordpieces(WordCounts(words), floor_of(words) + budget)
+        assert vocab.pieces == reference_wordpieces(words, floor_of(words) + budget)
+        assert ("##" in vocab.piece_ids) == (budget > len(ranking))
+        assert {"ž", "##ž", "q"} <= set(vocab.pieces) and vocab.pieces.count("[SEP]") == 1
+        out = io.StringIO()
+        vocab.save(out)
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256
+
 
 def words_of_length(n: int):
     return st.text(alphabet="ab#", min_size=n, max_size=n)
@@ -329,11 +371,19 @@ def words_of_length(n: int):
     )
 )
 def test_candidate_counts_match_a_hand_count_of_every_slice(words):
-    initial, continuation = vocab_module._candidate_counts(words)
+    initial, continuation = vocab_module._candidate_tables(words)
+    assert len(initial) == len(continuation) == MAX_PIECE_CHARS + 1
     # A word-initial slice spelled "##x" is the continuation piece "##x".
     expected = hand_count(words)
-    assert dict(initial) == {p: n for p, n in expected.items() if not p.startswith("##")}
-    assert dict(continuation) == {p[2:]: n for p, n in expected.items() if p.startswith("##")}
+    for length in range(MAX_PIECE_CHARS + 1):
+        assert all(len(raw) == length for raw in initial[length])
+        assert all(len(raw) == length for raw in continuation[length])
+        assert initial[length] == {
+            p: n for p, n in expected.items() if not p.startswith("##") and len(p) == length
+        }
+        assert continuation[length] == {
+            p[2:]: n for p, n in expected.items() if p.startswith("##") and len(p) == length + 2
+        }
 
 
 @pytest.mark.parametrize(
@@ -350,9 +400,46 @@ def test_candidate_counts_match_a_hand_count_of_every_slice(words):
     ],
 )
 def test_prefix_closure_adds_each_key_to_its_prefixes(counts, closed):
-    cand = dict(counts)
-    vocab_module._close_prefixes(cand)
-    assert cand == closed
+    # Before the closure, the initial tables hold each word's head and only
+    # it; these words are their own heads.
+    initial, _ = vocab_module._candidate_tables(counts)
+    assert all(len(raw) == length for length, table in enumerate(initial) for raw in table)
+    assert {raw: n for table in initial for raw, n in table.items()} == closed
+
+
+def test_learned_file_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    texts = pinned_texts(1, "aäiklnst") + pinned_texts(2, "aeiklõsu")
+    units = make_dedup_corpus(random.Random(8), 60) + units_of(texts)
+    counts = count_words([units])
+    target = floor_of(counts.counts) + 60
+    corpus = tmp_path / "units.json"
+    corpus.write_text(json.dumps([u.text for u in units]), encoding="utf-8")
+    probe = (
+        "import json, sys\n"
+        "from bertpipe.corpus import TextUnit\n"
+        "from bertpipe.vocab import count_words, learn_wordpieces\n"
+        "texts = json.load(open(sys.argv[1], encoding='utf-8'))\n"
+        "counts = count_words([[TextUnit('xx', t) for t in texts]])\n"
+        "with open(sys.argv[2], 'w', encoding='utf-8', newline='\\n') as f:\n"
+        "    learn_wordpieces(counts, int(sys.argv[3])).save(f)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vocab_module.__file__)))
+    saved = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"vocab{seed}.txt"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(corpus), str(out), str(target)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        saved.append(out.read_bytes())
+    here = io.StringIO()
+    learn_wordpieces(counts, target).save(here)
+    assert saved[0] == saved[1] == here.getvalue().encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None)
