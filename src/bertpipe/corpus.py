@@ -1,7 +1,8 @@
 """The corpus text format: the one place that reads corpus files.
 
 A corpus file is UTF-8 plain text with one sentence per line and a blank
-(or whitespace-only) line between documents. Every line is stripped and
+(or whitespace-only) line between documents. A leading byte-order mark is
+not text and is dropped. Every line is stripped and
 NFC-normalized when it is read, so the composed and decomposed spellings of
 a letter such as ä, õ or š are the same text to every later stage. In
 sentence granularity every line is one unit; in paragraph granularity each
@@ -42,7 +43,7 @@ def normalize(line: str) -> str:
 def _documents(path: str) -> Iterator[list[str]]:
     """Each document of a corpus file as its normalized non-blank lines."""
     lines: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line in f:
             line = normalize(line)
             if line:

@@ -346,7 +346,7 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
     )
     for k, (rel, seq_len, stream) in enumerate(zip(_phase_files(config), seq_lens, streams)):
         with _atomic(os.path.join(out_dir, rel), "wb") as f:
-            n = write_instances(stream, f)
+            n = write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
     with _atomic(os.path.join(out_dir, "pretrain/data.schema.json"), "w") as f:
         write_schema(f)
@@ -442,7 +442,7 @@ _STAGES = (
     ),
     _Stage(
         "pretrain_data",
-        rev=1,
+        rev=2,
         params=lambda c: {
             "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
             **asdict(c.masking),

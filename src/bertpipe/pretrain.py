@@ -17,13 +17,20 @@ would overshoot, up to floor(mask_prob * (len - 3)) pieces over the
 len - 3 non-special positions, so the count scales with the phase's
 sequence length. BERT's create_pretraining_data.py uses
 max(1, round(len * mask_prob)) over the whole sequence, capped by a per-run
-maximum because its records are fixed-size arrays; the records here store
-their own masked count.
+maximum because its records are fixed-size arrays. The records here are
+fixed-size too, but the bound is derived per phase from its sequence length
+and the masking rate, so it needs no setting of its own.
 
 Generation is deterministic: every document derives its own RNG from
 (seed, document ordinal), so output does not depend on worker
-scheduling. The serialized form is a stream of length-prefixed binary
-records described by a data.schema.json sidecar.
+scheduling. A phase is serialized as a short header (magic tag with the
+format version, seq_len and the masked bound) followed by records that all
+have one size, as BERT's write_instance_to_example_files writes
+fixed-length features: a record holds the token ids, the lengths of
+segments A and B, the masked count, the masked positions and labels padded
+to the bound, and is_next. The input mask and segment ids follow from the
+two lengths and are not stored. A data.schema.json sidecar describes the
+layout, so a reader can find record k by its offset alone.
 """
 
 from __future__ import annotations
@@ -33,19 +40,21 @@ import json
 import os
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import compress
 from random import Random
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .vocab import CONTINUATION_PREFIX, Vocab, tokenize_text
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-# The record stores seq_len and masked_positions as u16.
+# The header stores seq_len, and the record stores the lengths and the
+# masked positions, as u16.
 MAX_SEQ_LEN = 65535
 
-_PREFIX = struct.Struct("<I")  # record_len
-_LENGTHS = struct.Struct("<HH")  # seq_len, num_masked
+_MAGIC = b"BPINSTv%d" % SCHEMA_VERSION
+_HEADER = struct.Struct("<8sHH")  # magic, seq_len, max_masked
 
 
 class FieldError(ValueError):
@@ -81,25 +90,41 @@ class MaskingConfig:
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    """One packed MLM sequence; arrays are padded to the max sequence length."""
+    """One packed MLM sequence [CLS] A [SEP] B [SEP], padded to the max
+    sequence length; len_a and len_b are the piece counts of A and B."""
 
     token_ids: tuple[int, ...]
-    input_mask: tuple[int, ...]
-    segment_ids: tuple[int, ...]
+    len_a: int
+    len_b: int
     masked_positions: tuple[int, ...]
     masked_labels: tuple[int, ...]
     is_next: bool
 
     def __post_init__(self):
-        n = len(self.token_ids)
-        if len(self.input_mask) != n or len(self.segment_ids) != n:
-            raise ValueError("mask/segment arrays must match token_ids length")
+        if self.len_a < 1 or self.len_b < 1 or self.len_a + self.len_b + 3 > len(self.token_ids):
+            raise ValueError(
+                f"segments of {self.len_a} and {self.len_b} pieces do not fit {len(self.token_ids)} positions"
+            )
         if len(self.masked_positions) != len(self.masked_labels):
             raise ValueError("masked positions and labels must align")
-        if any(
-            b <= a for a, b in zip(self.masked_positions, self.masked_positions[1:])
-        ) or any(p >= n for p in self.masked_positions):
-            raise ValueError("masked positions must be strictly increasing and in range")
+        positions = self.masked_positions
+        if positions and (
+            positions[0] < 1
+            or positions[-1] > self.len_a + self.len_b + 1
+            or self.len_a + 1 in positions
+            or any(b <= a for a, b in zip(positions, positions[1:]))
+        ):
+            raise ValueError("masked positions must be strictly increasing and within A or B")
+
+    @property
+    def input_mask(self) -> tuple[int, ...]:
+        n = self.len_a + self.len_b + 3
+        return (1,) * n + (0,) * (len(self.token_ids) - n)
+
+    @property
+    def segment_ids(self) -> tuple[int, ...]:
+        a, b = self.len_a + 2, self.len_b + 1
+        return (0,) * a + (1,) * b + (0,) * (len(self.token_ids) - a - b)
 
 
 @dataclass
@@ -113,6 +138,12 @@ class GenerationStats:
 def _child_seed(seed: int, *parts: int) -> int:
     payload = (str(seed) + ":" + ":".join(str(p) for p in parts)).encode("ascii")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def _masked_bound(mask_prob: float, length: int) -> int:
+    """The most pieces masked in a sequence of length pieces: the floor of
+    mask_prob over its length - 3 non-special positions."""
+    return int(mask_prob * (length - 3))
 
 
 def _check_seq_len(max_seq_len: int) -> None:
@@ -160,7 +191,7 @@ def _mask_tokens(
     the piece starts with "##". Returns (masked_positions, masked_labels).
     """
     n = len(ids)
-    num_to_predict = int(cfg.mask_prob * (n - 3))
+    num_to_predict = _masked_bound(cfg.mask_prob, n)
     # A word starts at every initial piece and at the start of A and of B,
     # and ends where the next word, [SEP] or the end begins. Word w is
     # bounds[w]:bounds[w + 1]; the words are shuffled as indices into bounds.
@@ -242,15 +273,13 @@ def _instances_from_document(
                 _truncate_pair(tokens_a, tokens_b, max_num_tokens)
                 if tokens_a and tokens_b:
                     ids = [vocab.cls_id, *tokens_a, vocab.sep_id, *tokens_b, vocab.sep_id]
-                    segments = [0] * (len(tokens_a) + 2) + [1] * (len(tokens_b) + 1)
                     positions, labels = _mask_tokens(
                         ids, len(tokens_a) + 1, word_initial, vocab.mask_id, cfg, rng, random_ids
                     )
-                    pad = max_seq_len - len(ids)
                     yield TrainingInstance(
-                        token_ids=tuple(ids + [vocab.pad_id] * pad),
-                        input_mask=tuple([1] * len(ids) + [0] * pad),
-                        segment_ids=tuple(segments + [0] * pad),
+                        token_ids=tuple(ids + [vocab.pad_id] * (max_seq_len - len(ids))),
+                        len_a=len(tokens_a),
+                        len_b=len(tokens_b),
                         masked_positions=tuple(positions),
                         masked_labels=tuple(labels),
                         is_next=is_next,
@@ -332,15 +361,18 @@ def instance_schema() -> dict:
         "format": "bertpipe-instances",
         "version": SCHEMA_VERSION,
         "endianness": "little",
-        "record": [
-            {"name": "record_len", "dtype": "u32", "note": "bytes after this prefix"},
+        "header": [
+            {"name": "magic", "dtype": "bytes", "count": len(_MAGIC), "value": _MAGIC.decode("ascii")},
             {"name": "seq_len", "dtype": "u16"},
-            {"name": "num_masked", "dtype": "u16"},
+            {"name": "max_masked", "dtype": "u16", "note": "floor(mask_prob * (seq_len - 3))"},
+        ],
+        "record": [
             {"name": "token_ids", "dtype": "u32", "count": "seq_len"},
-            {"name": "input_mask", "dtype": "u8", "count": "seq_len"},
-            {"name": "segment_ids", "dtype": "u8", "count": "seq_len"},
-            {"name": "masked_positions", "dtype": "u16", "count": "num_masked"},
-            {"name": "masked_labels", "dtype": "u32", "count": "num_masked"},
+            {"name": "len_a", "dtype": "u16"},
+            {"name": "len_b", "dtype": "u16"},
+            {"name": "num_masked", "dtype": "u16"},
+            {"name": "masked_positions", "dtype": "u16", "count": "max_masked", "note": "0 after num_masked"},
+            {"name": "masked_labels", "dtype": "u32", "count": "max_masked", "note": "0 after num_masked"},
             {"name": "is_next", "dtype": "u8"},
         ],
     }
@@ -352,78 +384,83 @@ def write_schema(out: TextIO) -> None:
     out.write("\n")
 
 
-def pack_instance(instance: TrainingInstance) -> bytes:
-    n = len(instance.token_ids)
+@lru_cache(maxsize=None)
+def _record(seq_len: int, max_masked: int) -> struct.Struct:
+    """The record of a phase file whose header holds seq_len and max_masked."""
+    return struct.Struct(f"<{seq_len}I3H{max_masked}H{max_masked}IB")
+
+
+def pack_instance(instance: TrainingInstance, seq_len: int, max_masked: int) -> bytes:
+    """The instance as one record of a phase file with this header."""
     m = len(instance.masked_positions)
-    body = b"".join(
-        (
-            _LENGTHS.pack(n, m),
-            struct.pack(f"<{n}I", *instance.token_ids),
-            struct.pack(f"<{n}B", *instance.input_mask),
-            struct.pack(f"<{n}B", *instance.segment_ids),
-            struct.pack(f"<{m}H", *instance.masked_positions),
-            struct.pack(f"<{m}I", *instance.masked_labels),
-            struct.pack("<B", 1 if instance.is_next else 0),
+    if len(instance.token_ids) != seq_len or m > max_masked:
+        raise ValueError(
+            f"instance of {len(instance.token_ids)} pieces with {m} masked does not fit"
+            f" seq_len {seq_len} and max_masked {max_masked}"
         )
+    pad = (0,) * (max_masked - m)
+    return _record(seq_len, max_masked).pack(
+        *instance.token_ids,
+        instance.len_a,
+        instance.len_b,
+        m,
+        *instance.masked_positions,
+        *pad,
+        *instance.masked_labels,
+        *pad,
+        instance.is_next,
     )
-    return _PREFIX.pack(len(body)) + body
 
 
-def write_instances(instances: Iterable[TrainingInstance], out: BinaryIO) -> int:
+def write_instances(instances: Iterable[TrainingInstance], out: BinaryIO, *, seq_len: int, mask_prob: float) -> int:
+    """Write a phase file of instances of seq_len pieces masked at mask_prob;
+    returns the number of instances."""
+    max_masked = _masked_bound(mask_prob, seq_len)
+    out.write(_HEADER.pack(_MAGIC, seq_len, max_masked))
     count = 0
     for instance in instances:
-        out.write(pack_instance(instance))
+        out.write(pack_instance(instance, seq_len, max_masked))
         count += 1
     return count
 
 
-def _record_lengths(f: BinaryIO) -> Iterator[int]:
-    """The body length of each record of an instance file open at its start.
-
-    At each yield the file is at the record's body, which the caller may
-    read or leave: the walk seeks to the next length prefix itself. A
-    partial prefix or body at the end is a ValueError.
-    """
-    size = os.fstat(f.fileno()).st_size
-    offset = 0
-    while offset < size:
-        f.seek(offset)
-        if size - offset < _PREFIX.size:
-            raise ValueError(f"truncated instance record: {size - offset}-byte length prefix at byte {offset}")
-        (length,) = _PREFIX.unpack(f.read(_PREFIX.size))
-        offset += _PREFIX.size + length
-        if offset > size:
-            raise ValueError(f"truncated instance record: {length}-byte body ends past byte {size}")
-        yield length
-
-
-def _unpack_instance(body: bytes) -> TrainingInstance:
-    if len(body) < _LENGTHS.size:
-        raise ValueError(f"instance record of {len(body)} bytes lacks its seq_len and num_masked")
-    n, m = _LENGTHS.unpack_from(body)
-    arrays = struct.Struct(f"<{n}I{2 * n}B{m}H{m}IB")
-    expected = _LENGTHS.size + arrays.size
-    if len(body) != expected:
-        raise ValueError(f"instance record of {len(body)} bytes; seq_len {n} and num_masked {m} make {expected}")
-    values = arrays.unpack_from(body, _LENGTHS.size)
-    a, b = 3 * n, 3 * n + m  # where masked_positions and masked_labels start
-    return TrainingInstance(
-        token_ids=values[:n],
-        input_mask=values[n : 2 * n],
-        segment_ids=values[2 * n : a],
-        masked_positions=values[a:b],
-        masked_labels=values[b:-1],
-        is_next=bool(values[-1]),
-    )
+def _open_phase(f: BinaryIO) -> tuple[int, int, int]:
+    """(seq_len, max_masked, record count) of a phase file open at its start,
+    which is left at its first record. A bad header or a partial record at
+    the end is a ValueError."""
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ValueError(f"instance file of {len(header)} bytes is shorter than its {_HEADER.size}-byte header")
+    magic, seq_len, max_masked = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise ValueError(f"instance file starts with {magic!r}, not {_MAGIC!r}")
+    size = _record(seq_len, max_masked).size
+    count, rest = divmod(os.fstat(f.fileno()).st_size - _HEADER.size, size)
+    if rest:
+        raise ValueError(f"truncated instance file: {rest} bytes after {count} records of {size} bytes")
+    return seq_len, max_masked, count
 
 
 def read_instances(path: str) -> Iterator[TrainingInstance]:
     with open(path, "rb") as f:
-        for length in _record_lengths(f):
-            yield _unpack_instance(f.read(length))
+        n, m, count = _open_phase(f)
+        record = _record(n, m)
+        for _ in range(count):
+            values = record.unpack(f.read(record.size))
+            len_a, len_b, k = values[n : n + 3]
+            if k > m:
+                raise ValueError(f"instance record masks {k} pieces, more than the file's bound of {m}")
+            yield TrainingInstance(
+                token_ids=values[:n],
+                len_a=len_a,
+                len_b=len_b,
+                masked_positions=values[n + 3 : n + 3 + k],
+                masked_labels=values[n + 3 + m : n + 3 + m + k],
+                is_next=bool(values[-1]),
+            )
 
 
 def count_instances(path: str) -> int:
-    """The number of records in an instance file, from its length prefixes alone."""
+    """The number of records in a phase file, from its header and size alone."""
     with open(path, "rb") as f:
-        return sum(1 for _ in _record_lengths(f))
+        return _open_phase(f)[2]

@@ -38,3 +38,16 @@ def test_decomposed_lines_are_read_as_composed_text(tmp_path):
         assert units == read_units(nfc, "et", granularity)
         assert all(unicodedata.is_normalized("NFC", u.text) for u in units)
         assert units[-1].tokens() == COMPOSED.split()
+
+
+def test_a_leading_byte_order_mark_is_not_text(tmp_path):
+    text = "Tere maailm\nteine\n\nTere maailm\n"
+    plain = corpus_file(tmp_path, text, "plain.txt")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_documents(str(marked)) == read_documents(plain) == [["Tere maailm", "teine"], ["Tere maailm"]]
+    for granularity in Granularity:
+        assert read_units(str(marked), "et", granularity) == read_units(plain, "et", granularity)
+    # only a leading mark is dropped
+    inner = corpus_file(tmp_path, "a\n\ufeffb\n", "inner.txt")
+    assert read_documents(inner) == [["a", "\ufeffb"]]

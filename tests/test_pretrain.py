@@ -1,8 +1,14 @@
 import hashlib
 import io
 import json
+import os
 import random
+import re
 import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import oracle_check_instances
@@ -252,9 +258,9 @@ class TestPhaseDatasets:
 
         def serialize():
             out = []
-            for stream in phase_datasets(docs, vocab, [64, 128], MaskingConfig(seed=33)):
+            for seq_len, stream in zip([64, 128], phase_datasets(docs, vocab, [64, 128], MaskingConfig(seed=33))):
                 buf = io.BytesIO()
-                write_instances(stream, buf)
+                write_instances(stream, buf, seq_len=seq_len, mask_prob=0.15)
                 out.append(buf.getvalue())
             return out
 
@@ -305,6 +311,15 @@ ORACLE_DOCUMENTS = st.lists(
 )
 
 
+def read_back(instances, seq_len: int, mask_prob: float = 0.15) -> list[TrainingInstance]:
+    """The instances as read_instances decodes them from a written phase file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "phase.bin")
+        with open(path, "wb") as f:
+            write_instances(instances, f, seq_len=seq_len, mask_prob=mask_prob)
+        return list(read_instances(path))
+
+
 # At 160 a full instance masks floor(0.15 * 157) = 23 pieces, more than
 # BERT's 128-token cap of 20.
 @pytest.mark.parametrize("seq_len", [32, 160])
@@ -313,110 +328,239 @@ ORACLE_DOCUMENTS = st.lists(
 def test_instances_pass_the_independent_oracle(seq_len, documents, seed):
     cfg = MaskingConfig(seed=seed)
     [stream] = phase_datasets(documents, Vocab(PINNED_PIECES), [seq_len], cfg)
-    oracle_check_instances(list(stream), documents, PINNED_PIECES, seq_len, cfg.mask_prob)
+    instances = list(stream)
+    read = read_back(instances, seq_len, cfg.mask_prob)
+    assert read == instances
+    oracle_check_instances(read, documents, PINNED_PIECES, seq_len, cfg.mask_prob)
+
+
+# magic, seq_len and max_masked
+HEADER_SIZE = 12
+
+
+def record_size(seq_len: int, max_masked: int) -> int:
+    return 4 * seq_len + 3 * 2 + max_masked * (2 + 4) + 1
+
+
+@st.composite
+def phases(draw):
+    """(seq_len, mask_prob, instances): arbitrary valid instances of one phase."""
+    seq_len = draw(st.integers(16, 80))
+    mask_prob = draw(st.sampled_from([0.05, 0.15, 0.5]))
+    bound = int(mask_prob * (seq_len - 3))
+    ids = st.integers(0, 2**32 - 1)
+    instances = []
+    for _ in range(draw(st.integers(0, 5))):
+        len_a = draw(st.integers(1, seq_len - 4))
+        len_b = draw(st.integers(1, seq_len - 3 - len_a))
+        maskable = [*range(1, len_a + 1), *range(len_a + 2, len_a + len_b + 2)]
+        positions = sorted(draw(st.sets(st.sampled_from(maskable), max_size=bound)))
+        instances.append(
+            TrainingInstance(
+                token_ids=tuple(draw(st.lists(ids, min_size=seq_len, max_size=seq_len))),
+                len_a=len_a,
+                len_b=len_b,
+                masked_positions=tuple(positions),
+                masked_labels=tuple(draw(st.lists(ids, min_size=len(positions), max_size=len(positions)))),
+                is_next=draw(st.booleans()),
+            )
+        )
+    return seq_len, mask_prob, instances
+
+
+@settings(max_examples=100, deadline=None)
+@given(phase=phases())
+def test_read_instances_returns_every_written_instance(phase):
+    seq_len, mask_prob, instances = phase
+    buf = io.BytesIO()
+    assert write_instances(instances, buf, seq_len=seq_len, mask_prob=mask_prob) == len(instances)
+    if not instances:
+        assert len(buf.getvalue()) == HEADER_SIZE
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "phase.bin")
+        with open(path, "wb") as f:
+            f.write(buf.getvalue())
+        assert list(read_instances(path)) == instances
+        assert count_instances(path) == len(instances)
+
+
+def parent_format_record(instance: TrainingInstance) -> bytes:
+    """The instance as the length-prefixed record of format version 1."""
+    n, m = len(instance.token_ids), len(instance.masked_positions)
+    body = struct.pack(
+        f"<HH{n}I{2 * n}B{m}H{m}IB",
+        n,
+        m,
+        *instance.token_ids,
+        *instance.input_mask,
+        *instance.segment_ids,
+        *instance.masked_positions,
+        *instance.masked_labels,
+        instance.is_next,
+    )
+    return struct.pack("<I", len(body)) + body
 
 
 class TestSerialization:
-    def test_round_trip(self, toy_vocab):
+    def phase(self, toy_vocab, seed, n_docs=6):
         vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(13), n_docs=6)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
+        docs = make_docs(lexicon, random.Random(seed), n_docs=n_docs)
+        return list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
+
+    def written(self, instances, path, seq_len=64):
+        with open(path, "wb") as f:
+            write_instances(instances, f, seq_len=seq_len, mask_prob=0.15)
+        return str(path)
+
+    def test_round_trip(self, toy_vocab):
+        instances = self.phase(toy_vocab, 13)
         buf = io.BytesIO()
-        assert write_instances(instances, buf) == len(instances)
-        path_bytes = buf.getvalue()
-        assert len(path_bytes) > 0
+        assert write_instances(instances, buf, seq_len=64, mask_prob=0.15) == len(instances)
+        # floor(0.15 * 61) = 9 masked slots per record
+        assert len(buf.getvalue()) == HEADER_SIZE + len(instances) * record_size(64, 9)
 
     def test_read_back_equals_written(self, toy_vocab, tmp_path):
-        vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(14), n_docs=6)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
-        path = tmp_path / "insts.bin"
-        with open(path, "wb") as f:
-            write_instances(instances, f)
-        assert list(read_instances(str(path))) == instances
+        instances = self.phase(toy_vocab, 14)
+        assert list(read_instances(self.written(instances, tmp_path / "insts.bin"))) == instances
 
     def test_truncated_record_detected(self, toy_vocab, tmp_path):
-        vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(15), n_docs=2)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
-        payload = pack_instance(instances[0])
         path = tmp_path / "broken.bin"
-        path.write_bytes(payload[: len(payload) - 3])
+        data = Path(self.written(self.phase(toy_vocab, 15, n_docs=2), path)).read_bytes()
+        path.write_bytes(data[:-3])
         with pytest.raises(ValueError, match="truncated"):
             list(read_instances(str(path)))
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda record: record + b"\x07\x00",
-            lambda record: struct.pack("<I", len(record) - 7) + record[4:-3],
-            lambda record: struct.pack("<I", len(record) - 3) + record[4:] + b"\x00",
-        ],
-        ids=["partial length prefix", "body shorter than its counts", "body longer than its counts"],
-    )
-    def test_malformed_record_is_a_value_error(self, toy_vocab, tmp_path, damage):
-        vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(15), n_docs=2)
-        record = pack_instance(next(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0]))
-        path = tmp_path / "broken.bin"
-        path.write_bytes(damage(record))
-        with pytest.raises(ValueError, match="instance record"):
-            list(read_instances(str(path)))
-
-    def test_count_instances_reads_only_the_length_prefixes(self, toy_vocab, tmp_path):
-        vocab, lexicon = toy_vocab
-        docs = make_docs(lexicon, random.Random(16), n_docs=6)
-        instances = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
-        path = tmp_path / "insts.bin"
-        with open(path, "wb") as f:
-            write_instances(instances, f)
-        assert count_instances(str(path)) == len(instances) > 0
-        # a record whose body disagrees with its counts is still one record
-        with open(path, "ab") as f:
-            f.write(struct.pack("<I", 2) + b"\x00\x00")
-        assert count_instances(str(path)) == len(instances) + 1
-        path.write_bytes(path.read_bytes() + b"\x01")
         with pytest.raises(ValueError, match="truncated"):
             count_instances(str(path))
 
-    def test_empty_file_holds_no_instances(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        path.write_bytes(b"")
-        assert count_instances(str(path)) == 0
-        assert list(read_instances(str(path))) == []
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data, first: b"", "shorter than its 12-byte header"),
+            (lambda data, first: data[:7], "shorter than its 12-byte header"),
+            (lambda data, first: parent_format_record(first), "not b'BPINSTv2'"),
+            (lambda data, first: b"BPINSTv1" + data[8:], "not b'BPINSTv2'"),
+            (lambda data, first: data[: HEADER_SIZE + 1], "truncated"),
+            # num_masked of the first record is 10, one above the bound of 9
+            (lambda data, first: data[: HEADER_SIZE + 260] + b"\x0a\x00" + data[HEADER_SIZE + 262 :], "bound of 9"),
+            # len_a of the first record is 62, so that A and B overrun 64
+            (lambda data, first: data[: HEADER_SIZE + 256] + b"\x3e\x00" + data[HEADER_SIZE + 258 :], "do not fit"),
+        ],
+        ids=[
+            "empty file",
+            "partial header",
+            "parent format",
+            "wrong version",
+            "cut inside a record",
+            "masked count above the bound",
+            "segments longer than seq_len",
+        ],
+    )
+    def test_malformed_file_is_a_value_error(self, toy_vocab, tmp_path, damage, message):
+        instances = self.phase(toy_vocab, 15, n_docs=2)
+        data = Path(self.written(instances, tmp_path / "phase.bin")).read_bytes()
+        path = tmp_path / "broken.bin"
+        path.write_bytes(damage(data, instances[0]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(read_instances(str(path)))
+
+    def test_pack_rejects_an_instance_that_does_not_fit_the_header(self, toy_vocab):
+        instance = self.phase(toy_vocab, 15, n_docs=2)[0]
+        assert len(pack_instance(instance, 64, 9)) == record_size(64, 9)
+        for seq_len, max_masked in [(63, 9), (65, 9), (64, len(instance.masked_positions) - 1)]:
+            with pytest.raises(ValueError, match="does not fit"):
+                pack_instance(instance, seq_len, max_masked)
+
+    def test_count_instances_reads_only_the_header(self, toy_vocab, tmp_path):
+        instances = self.phase(toy_vocab, 16)
+        path = tmp_path / "insts.bin"
+        self.written(instances, path)
+        assert count_instances(str(path)) == len(instances) > 0
+        header = path.read_bytes()[:HEADER_SIZE]
+        # records of arbitrary bytes, which read_instances would reject
+        path.write_bytes(header + b"\xff" * (3 * record_size(64, 9)))
+        assert count_instances(str(path)) == 3
+        with pytest.raises(ValueError):
+            list(read_instances(str(path)))
+
+    def test_phase_without_instances_is_a_header_alone(self, tmp_path):
+        path = self.written([], tmp_path / "empty.bin")
+        assert os.path.getsize(path) == HEADER_SIZE
+        assert count_instances(path) == 0
+        assert list(read_instances(path)) == []
 
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"
         with open(path, "w", encoding="utf-8") as f:
             write_schema(f)
         schema = json.loads(path.read_text())
-        names = [f["name"] for f in schema["record"]]
-        assert names == [
-            "record_len",
-            "seq_len",
-            "num_masked",
+        assert [f["name"] for f in schema["header"]] == ["magic", "seq_len", "max_masked"]
+        assert [f["name"] for f in schema["record"]] == [
             "token_ids",
-            "input_mask",
-            "segment_ids",
+            "len_a",
+            "len_b",
+            "num_masked",
             "masked_positions",
             "masked_labels",
             "is_next",
         ]
         assert schema == instance_schema()
 
+    def test_sidecar_alone_decodes_a_record(self, toy_vocab, tmp_path):
+        # The layout comes from data.schema.json alone: a dtype is a struct
+        # code, and a count is a number or the name of a header field.
+        schema = instance_schema()
+        codes = {"bytes": "s", "u8": "B", "u16": "H", "u32": "I"}
+        assert schema["endianness"] == "little"
+
+        def layout(fields, header):
+            counts = [f.get("count", 1) for f in fields]
+            counts = [header[c] if isinstance(c, str) else c for c in counts]
+            fmt = "<" + "".join(f"{c}{codes[f['dtype']]}" for f, c in zip(fields, counts))
+            return struct.Struct(fmt), counts
+
+        data = Path(self.written(self.phase(toy_vocab, 17), tmp_path / "phase.bin")).read_bytes()
+        header_struct, _ = layout(schema["header"], {})
+        header = dict(zip((f["name"] for f in schema["header"]), header_struct.unpack_from(data)))
+        assert header["magic"] == schema["header"][0]["value"].encode("ascii")
+        record_struct, counts = layout(schema["record"], header)
+        flat = iter(record_struct.unpack_from(data, header_struct.size))
+        record = {f["name"]: tuple(next(flat) for _ in range(c)) for f, c in zip(schema["record"], counts)}
+        k = record["num_masked"][0]
+        first = next(read_instances(str(tmp_path / "phase.bin")))
+        assert (record["len_a"], record["len_b"]) == ((first.len_a,), (first.len_b,))
+        assert record["token_ids"] == first.token_ids
+        assert record["masked_positions"][:k] == first.masked_positions
+        assert record["masked_labels"][:k] == first.masked_labels
+        assert record["is_next"] == (first.is_next,)
+        assert len(data) == header_struct.size + count_instances(str(tmp_path / "phase.bin")) * record_struct.size
+
 
 class TestInstanceInvariants:
+    TOKENS = (2, 10, 11, 3, 12, 3, 0, 0)  # [CLS] A A [SEP] B [SEP] [PAD] [PAD]
+
     def test_positions_must_increase(self):
         with pytest.raises(ValueError):
-            TrainingInstance((1, 2, 3), (1, 1, 1), (0, 0, 0), (2, 1), (5, 6), True)
+            TrainingInstance(self.TOKENS, 2, 1, (2, 1), (5, 6), True)
 
-    def test_positions_in_range(self):
-        with pytest.raises(ValueError):
-            TrainingInstance((1, 2), (1, 1), (0, 0), (5,), (7,), False)
+    @pytest.mark.parametrize("position", [0, 3, 5, 6, 8])
+    def test_positions_in_range(self, position):
+        TrainingInstance(self.TOKENS, 2, 1, (1, 2, 4), (5, 6, 7), False)
+        with pytest.raises(ValueError, match="within A or B"):
+            TrainingInstance(self.TOKENS, 2, 1, (position,), (7,), False)
 
     def test_labels_align_with_positions(self):
         with pytest.raises(ValueError):
-            TrainingInstance((1, 2), (1, 1), (0, 0), (0,), (), False)
+            TrainingInstance(self.TOKENS, 2, 1, (1,), (), False)
+
+    @pytest.mark.parametrize("len_a, len_b", [(0, 1), (2, 0), (3, 3)])
+    def test_segments_must_be_non_empty_and_fit(self, len_a, len_b):
+        with pytest.raises(ValueError, match="do not fit"):
+            TrainingInstance(self.TOKENS, len_a, len_b, (), (), False)
+
+    def test_mask_and_segment_ids_follow_from_the_lengths(self):
+        instance = TrainingInstance(self.TOKENS, 2, 1, (), (), True)
+        assert instance.input_mask == (1, 1, 1, 1, 1, 1, 0, 0)
+        assert instance.segment_ids == (0, 0, 0, 0, 1, 1, 0, 0)
 
 
 def test_read_documents(tmp_path):
@@ -450,21 +594,81 @@ def pinned_corpus():
     return docs
 
 
-def stream_sha256(stream) -> str:
+def stream_sha256(stream, seq_len: int) -> str:
     buf = io.BytesIO()
-    write_instances(stream, buf)
+    write_instances(stream, buf, seq_len=seq_len, mask_prob=0.15)
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
+def instances_sha256(stream) -> str:
+    """The sha256 of the decoded fields of every instance, independent of
+    how the instances are serialized."""
+    digest = hashlib.sha256()
+    for inst in stream:
+        fields = (
+            inst.token_ids,
+            inst.input_mask,
+            inst.segment_ids,
+            inst.masked_positions,
+            inst.masked_labels,
+            inst.is_next,
+        )
+        digest.update(repr(fields).encode("ascii"))
+    return digest.hexdigest()
+
+
 class TestPinnedBytes:
-    """Instance bytes pinned by sha256: a refactor of generation must keep them."""
+    """Instances pinned by sha256, as written bytes and as decoded fields: a
+    refactor of generation must keep both, and a change of the file format
+    only the decoded fields."""
 
     CFG = MaskingConfig(seed=1234, dupe_factor=2)
 
     def test_phase_datasets_bytes(self):
         vocab = Vocab(PINNED_PIECES)
         streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
-        assert [stream_sha256(s) for s in streams] == [
-            "d2e9e04da39109174f7a792932d40053f2a5a2c4e222c69f42e19151b359c37d",
-            "d1a708083de422d94763f9fa90a4e3246a99d0f3759a6540794a4982cfd171bf",
+        assert [stream_sha256(s, seq_len) for s, seq_len in zip(streams, [32, 64])] == [
+            "8477226ad7f0d66e71f84c5a9e8d0325bcdc474bf0d9bd8ddf49a2c23037bbba",
+            "121041c1850b154dd8ee3b6795c95d046a233599f34c75c506d0b1fd6875d81b",
+        ]
+
+    def test_phase_datasets_instances(self):
+        vocab = Vocab(PINNED_PIECES)
+        streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
+        assert [instances_sha256(s) for s in streams] == [
+            "933e8be52040d8aa374b9449a118712b1290a1964b45d8ac865a68e5731c8d92",
+            "cb4338dcb90d485414bf34ccb9f14fd33c5543ba1ed0c5211d53fe1e2bb41e0f",
+        ]
+
+    def test_phase_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([pinned_corpus(), PINNED_PIECES]), encoding="utf-8")
+        probe = (
+            "import json, sys\n"
+            "from bertpipe.pretrain import MaskingConfig, phase_datasets, write_instances\n"
+            "from bertpipe.vocab import Vocab\n"
+            "docs, pieces = json.load(open(sys.argv[1], encoding='utf-8'))\n"
+            "cfg = MaskingConfig(seed=1234, dupe_factor=2)\n"
+            "for k, stream in enumerate(phase_datasets(docs, Vocab(pieces), [32, 64], cfg)):\n"
+            "    with open(f'{sys.argv[2]}{k}.bin', 'wb') as f:\n"
+            "        write_instances(stream, f, seq_len=[32, 64][k], mask_prob=cfg.mask_prob)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pretrain.__file__)))
+        written = []
+        for seed in ("0", "1"):
+            prefix = str(tmp_path / f"seed{seed}-phase")
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", probe, str(corpus), prefix],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append([Path(f"{prefix}{k}.bin").read_bytes() for k in range(2)])
+        assert written[0] == written[1]
+        here = phase_datasets(pinned_corpus(), Vocab(PINNED_PIECES), [32, 64], self.CFG)
+        assert [hashlib.sha256(b).hexdigest() for b in written[0]] == [
+            stream_sha256(s, seq_len) for s, seq_len in zip(here, [32, 64])
         ]
