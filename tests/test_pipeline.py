@@ -103,7 +103,7 @@ def test_sample_event_tokens_count_the_written_sample(tmp_path, budget):
 
 
 def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):
-    def failing(instances, out):
+    def failing(instances, out, **header):
         out.write(b"partial")
         raise OSError("disk full")
 
@@ -112,6 +112,7 @@ def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(StageError) as failure:
         run_pipeline(write_config(tmp_path), str(out))
     assert failure.value.stage == "pretrain_data"
+    assert isinstance(failure.value.__cause__, OSError)
     assert list(out.rglob("*.tmp")) == []
     assert not (out / "manifest.json").exists()
 
