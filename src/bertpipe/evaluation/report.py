@@ -161,7 +161,8 @@ def transfer_matrix(reports: list[EvalReport], baseline: str | None = None) -> s
                 if report is None or base is None:
                     row.append("n/a")
                 else:
-                    row.append(f"{report.metrics[m] - base.metrics[m]:+.3f}")
+                    # + 0.0 turns a delta that rounds to -0.0 into 0.0
+                    row.append(f"{round(report.metrics[m] - base.metrics[m], 3) + 0.0:+.3f}")
         rows.append(row)
 
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]

@@ -8,7 +8,10 @@ with unchanged inputs and parameters skips up-to-date stages. A stage's
 parameters include its `rev`, which a code change that alters the stage's
 output bytes by design bumps, so that output dirs written by the older
 code re-run it. The manifest carries no timestamps or absolute paths, so
-identical runs produce identical bytes.
+identical runs produce identical bytes. Timings and memory go only into
+the events: each `stage_done` carries the stage's `duration_s` and the
+process's peak RSS so far, `max_rss_mb`, so a run shows which stage sets
+its peak.
 
 The manifest is written once, after the last stage, so it only ever
 describes a completed run: after a failure, the next run re-checks every
@@ -25,6 +28,8 @@ import hashlib
 import json
 import math
 import os
+import resource
+import time
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -521,6 +526,7 @@ def run_pipeline(
     results: list[StageResult] = []
     for stage in _STAGES:
         emit({"event": "stage_start", "stage": stage.name})
+        started = time.perf_counter()
         try:
             params = {"rev": stage.rev, **stage.params(config)}
             inputs = {key: digest(os.path.join(out_dir, path)) for key, path in stage.inputs(config)}
@@ -542,7 +548,16 @@ def run_pipeline(
             emit({"event": "stage_failed", "stage": stage.name, "error": str(e)})
             raise StageError(stage.name, e) from e
         results.append(StageResult(stage.name, "skipped (up-to-date)" if skipped else "completed"))
-        emit({"event": "stage_done", "stage": stage.name, "status": results[-1].status})
+        emit(
+            {
+                "event": "stage_done",
+                "stage": stage.name,
+                "status": results[-1].status,
+                "duration_s": time.perf_counter() - started,
+                # ru_maxrss is in KiB on Linux
+                "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            }
+        )
 
     manifest = {
         "tool": "bertpipe",

@@ -8,22 +8,27 @@ reserved tokens and the character pieces. Every observed character is kept
 as both an initial and a continuation piece and is never dropped, so every
 training word tokenizes without [UNK].
 
-Candidates are counted by window, not by slice, in one table per piece
-length. A piece is at most MAX_PIECE_CHARS long, so every piece that starts
+Candidates are counted by window, not by slice, one piece length at a
+time. A piece is at most MAX_PIECE_CHARS long, so every piece that starts
 at a position of a word is a prefix of the window of MAX_PIECE_CHARS
-characters there, or of the rest of the word where that is shorter. Each
-word adds its count once per window, to the table of the window's length,
-and a prefix closure then walks the tables from the longest down, adding
-each key's total to its prefix one character shorter in the next table.
+characters there, or of the rest of the word where that is shorter. The
+table of length L is therefore the one-character-shorter prefixes of the
+table of length L + 1 plus the windows of exactly length L. Each family,
+initial pieces first and then "##" pieces, is built from the longest table
+down, holding only the previous table; the words are bucketed by length
+once, so the windows of one length are read straight from the buckets.
 
-The top-k is chosen by a score cutoff. Every key of a table has the table's
-length, so the table's scores are its counts times that length, and their
+The top-k is chosen by a score cutoff that is known only at the end, so a
+running lower bound stands in for it. Every key of a table has the table's
+length, so the table's scores are its counts times that length. Their
 histogram over the tables of length 2 and up, which leave out exactly the
-single characters, gives the k-th best score without a per-candidate list.
-Only the candidates at or above it, the counts of length L that reach the
-cutoff over L, become (-score, piece) pairs, which are sorted and cut to k.
-Ties at the cutoff are broken by the piece string, as everywhere in the
-ordering, so a "##" piece comes before an initial piece of the same score.
+single characters, gives the k-th best score so far; more candidates can
+only raise it, so it never exceeds the final cutoff, and each table keeps
+only the keys whose count reaches it. After the last table it is the
+cutoff. Only the kept candidates at or above it become (-score, piece)
+pairs, which are sorted and cut to k. Ties at the cutoff are broken by the
+piece string, as everywhere in the ordering, so a "##" piece comes before
+an initial piece of the same score.
 
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
@@ -41,7 +46,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import TextUnit
 
@@ -158,77 +163,74 @@ def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
     return WordCounts(dict(counts))
 
 
-def _candidate_tables(counts: dict[str, int]) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
-    """Occurrence counts of every substring piece of the training words.
+def _piece_tables(
+    by_length: list[dict[str, int]], continuation: bool
+) -> Iterator[tuple[int, dict[str, int]]]:
+    """Occurrence counts of one family's substring pieces, one length at a time.
 
-    Returns (initial, continuation): table L of each maps a raw slice of
-    length L, for L in 0..MAX_PIECE_CHARS, to its count. A continuation
-    slice x is the vocabulary piece "##x". The count of a slice is the
-    summed count of the words it occurs in, once per position.
+    Yields (L, table) for L from MAX_PIECE_CHARS down to 1, where table maps
+    each raw slice of length L to its count: the summed count of the words
+    it occurs in, once per position. A continuation slice x is the
+    vocabulary piece "##x". by_length[n] maps each training word of n
+    characters to its count, for n up to MAX_CANDIDATE_WORD_CHARS.
 
-    Every continuation slice word[i:j] is a prefix of the window
-    word[i:i + MAX_PIECE_CHARS], and every word-initial slice is a prefix of
-    word[:MAX_PIECE_CHARS]. So each word adds its count once per window, to
-    the table of the window's length, and the closure then hands every
-    table's totals down to the prefixes one shorter, from the longest table
-    to table 1.
+    Every slice is a prefix of a window: the initial slices of a word are
+    the prefixes of its head word[:MAX_PIECE_CHARS], the continuation
+    slices at position i those of word[i:i + MAX_PIECE_CHARS]. So table L
+    is the prefixes of table L + 1, plus the windows of exactly length L;
+    only the previous table is held. The empty slice is no window's prefix,
+    so no table of length 0 is made.
     """
-    initial: list[dict[str, int]] = [{} for _ in range(MAX_PIECE_CHARS + 1)]
-    continuation: list[dict[str, int]] = [{} for _ in range(MAX_PIECE_CHARS + 1)]
-    full = continuation[MAX_PIECE_CHARS]
-    cut = len(CONTINUATION_PREFIX)
-    for word, count in counts.items():
-        length = len(word)
-        if length > MAX_CANDIDATE_WORD_CHARS:
-            continue
-        if word.startswith(CONTINUATION_PREFIX):
+    hashed = {
+        word: count
+        for words in by_length
+        for word, count in words.items()
+        if word.startswith(CONTINUATION_PREFIX)
+    }
+    longer: dict[str, int] = {}
+    for length in range(MAX_PIECE_CHARS, 0, -1):
+        table: dict[str, int] = {}
+        get = table.get
+        for key, total in longer.items():
+            prefix = key[:-1]
+            table[prefix] = get(prefix, 0) + total
+        longer = table
+        full = length == MAX_PIECE_CHARS
+        if not continuation:
             # Pieces are strings: the word-initial slice "##x" is the
-            # continuation piece "##x", so it is counted as one. The
-            # initial "#" stays, and the slice "##" is the empty piece.
-            initial[1]["#"] = initial[1].get("#", 0) + count
-            continuation[0][""] = continuation[0].get("", 0) + count
-            if length > cut:
-                head = word[cut:MAX_PIECE_CHARS]
-                table = continuation[len(head)]
-                table[head] = table.get(head, 0) + count
+            # continuation piece "##x", so a "##" word's only initial piece
+            # is "#".
+            for words in by_length[length:] if full else (by_length[length],):
+                for word, count in words.items():
+                    if not word.startswith(CONTINUATION_PREFIX):
+                        head = word[:MAX_PIECE_CHARS]
+                        table[head] = get(head, 0) + count
+            if length == 1 and hashed:
+                table["#"] = get("#", 0) + sum(hashed.values())
         else:
-            head = word[:MAX_PIECE_CHARS]
-            table = initial[len(head)]
-            table[head] = table.get(head, 0) + count
-        # Windows that reach past the piece limit are cut to it; the rest
-        # run to the end of the word.
-        tail = max(1, length - MAX_PIECE_CHARS)
-        for i in range(1, tail):
-            window = word[i : i + MAX_PIECE_CHARS]
-            full[window] = full.get(window, 0) + count
-        for i in range(tail, length):
-            window = word[i:]
-            table = continuation[length - i]
-            table[window] = table.get(window, 0) + count
-    for tables in (initial, continuation):
-        for length in range(MAX_PIECE_CHARS, 1, -1):
-            shorter = tables[length - 1]
-            get = shorter.get
-            for key, total in tables[length].items():
-                prefix = key[:-1]
-                shorter[prefix] = get(prefix, 0) + total
-    return initial, continuation
+            # Windows that reach past the piece limit are cut to it; the
+            # rest are the suffixes of the longer words.
+            if full:
+                for n in range(length + 1, len(by_length)):
+                    for word, count in by_length[n].items():
+                        for i in range(1, n - length + 1):
+                            window = word[i : i + length]
+                            table[window] = get(window, 0) + count
+            else:
+                for words in by_length[length + 1 :]:
+                    for word, count in words.items():
+                        window = word[-length:]
+                        table[window] = get(window, 0) + count
+            for word, count in hashed.items():
+                head = word[len(CONTINUATION_PREFIX) : MAX_PIECE_CHARS]
+                if len(head) == length:
+                    table[head] = get(head, 0) + count
+        yield length, table
 
 
-def _score_cutoff(tables: Iterable[list[dict[str, int]]], budget: int) -> int:
-    """The score of the budget-th best optional piece, or 0 if there are fewer.
-
-    The optional pieces are the keys of the tables of length 2 and up: the
-    tables of length 1 hold only mandatory single characters, and the one
-    key of table 0 scores 0, which cannot move the cutoff. Each table has
-    one length, so its scores are its counts times that length; their
-    histogram is walked from the top score down.
-    """
-    hist: Counter[int] = Counter()
-    for by_length in tables:
-        for length in range(2, MAX_PIECE_CHARS + 1):
-            hist.update(map(length.__mul__, by_length[length].values()))
-    remaining = budget
+def _nth_best(hist: Counter[int], n: int) -> int:
+    """The n-th best score of a score histogram, or 0 if it holds fewer."""
+    remaining = n
     for score in sorted(hist, reverse=True):
         remaining -= hist[score]
         if remaining <= 0:
@@ -243,13 +245,19 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     every training character are mandatory and never dropped, which keeps
     every training word tokenizable. The rest of the budget, k, goes to the
     top-k other substring pieces by count * length, ties broken by the
-    piece string: the candidates of each length L whose count is at least
-    the k-th best score over L, rounded up (see _score_cutoff), are sorted
-    by that key and the first k kept. The whole vocabulary is then ordered
-    by the same key. If the corpus has fewer candidates than the budget,
-    the cutoff is 0, every candidate is kept, the score-0 piece "##" of a
-    word starting with "##" included, and the vocabulary is smaller than
-    target_size.
+    piece string. The whole vocabulary is then ordered by the same key.
+
+    The tables of each family come from _piece_tables one length at a
+    time, the initial family first. The scores of each table of length 2 or
+    more join one histogram, and its k-th best score so far is a lower
+    bound on the final k-th best, since more candidates can only raise it.
+    Each table keeps only its keys of count at least that bound over L,
+    rounded up; the tables of length 1 are kept whole. After the last table
+    the bound is the final cutoff: the kept candidates that reach it are
+    sorted by the key and the first k kept. If the corpus has fewer
+    candidates than the budget, the cutoff is 0, every candidate is kept,
+    the score-0 piece "##" of a word starting with "##" included, and the
+    vocabulary is smaller than target_size.
     """
     chars = sorted({ch for word in counts.counts for ch in word})
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
@@ -259,28 +267,48 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
             f"{len(RESERVED_TOKENS)} reserved + {2 * len(chars)} character pieces"
         )
 
-    initial, continuation = _candidate_tables(counts.counts)
-    # A training word may spell a reserved token; it is never a learned piece.
-    for token in RESERVED_TOKENS:
-        initial[len(token)].pop(token, None)
+    by_length: list[dict[str, int]] = [{} for _ in range(MAX_CANDIDATE_WORD_CHARS + 1)]
+    for word, count in counts.counts.items():
+        if len(word) <= MAX_CANDIDATE_WORD_CHARS:
+            by_length[len(word)][word] = count
     budget = target_size - floor_size
-    cutoff = _score_cutoff((initial, continuation), budget)
-    optional = []
-    for tables, prefix in ((initial, ""), (continuation, CONTINUATION_PREFIX)):
-        for length in range(2, MAX_PIECE_CHARS + 1):
-            table = tables[length]
+    hist: Counter[int] = Counter()
+    cutoff = 0
+    kept: list[tuple[int, str, dict[str, int]]] = []
+    single: dict[str, dict[str, int]] = {}
+    for prefix in ("", CONTINUATION_PREFIX):
+        # A training word may spell a reserved token; it is never a learned
+        # piece. It stays in the table, whose prefixes it still counts in.
+        dropped = () if prefix else RESERVED_TOKENS
+        for length, table in _piece_tables(by_length, bool(prefix)):
+            if length == 1:
+                single[prefix] = table
+                continue
+            for count, keys in Counter(table.values()).items():
+                hist[count * length] += keys
+            for token in dropped:
+                if token in table:
+                    hist[table[token] * length] -= 1
+            cutoff = _nth_best(hist, budget)
             least = -(-cutoff // length)  # the least count that reaches the cutoff
-            above = itertools.compress(table, map(least.__le__, table.values()))
-            optional += [(-table[raw] * length, prefix + raw) for raw in above]
-    if cutoff == 0:
-        optional += [(0, CONTINUATION_PREFIX + raw) for raw in continuation[0]]
-    kept = sorted(optional)[:budget]
+            above = {raw: n for raw, n in table.items() if n >= least}
+            for token in dropped:
+                above.pop(token, None)
+            kept.append((length, prefix, above))
+    optional = []
+    for length, prefix, table in kept:
+        least = -(-cutoff // length)
+        above = itertools.compress(table, map(least.__le__, table.values()))
+        optional += [(-table[raw] * length, prefix + raw) for raw in above]
+    if cutoff == 0 and any(w.startswith(CONTINUATION_PREFIX) for ws in by_length for w in ws):
+        optional.append((0, CONTINUATION_PREFIX))
+    kept_pieces = sorted(optional)[:budget]
     # Single characters are the mandatory pieces. A character seen only
     # inside words, or only in words past MAX_CANDIDATE_WORD_CHARS, has no
     # key in a table of length 1.
-    mandatory = [(-initial[1].get(c, 0), c) for c in chars]
-    mandatory += [(-continuation[1].get(c, 0), CONTINUATION_PREFIX + c) for c in chars]
-    pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept)]
+    mandatory = [(-single[""].get(c, 0), c) for c in chars]
+    mandatory += [(-single[CONTINUATION_PREFIX].get(c, 0), CONTINUATION_PREFIX + c) for c in chars]
+    pieces = RESERVED_TOKENS + [piece for _, piece in sorted(mandatory + kept_pieces)]
     return Vocab(pieces=pieces)
 
 

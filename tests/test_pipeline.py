@@ -139,6 +139,20 @@ def test_identical_rerun_skips_every_stage(tmp_path, completing):
     assert (out / "manifest.json").read_bytes() == manifest
 
 
+def test_every_stage_done_reports_its_duration_and_the_peak_rss_so_far(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    for expected in ("completed", "skipped (up-to-date)"):
+        events = []
+        run_pipeline(config, str(out), events=events.append)
+        done = [e for e in events if e["event"] == "stage_done"]
+        assert [(e["stage"], e["status"]) for e in done] == [(stage, expected) for stage in STAGES]
+        assert all(e["duration_s"] >= 0 for e in done)
+        peaks = [e["max_rss_mb"] for e in done]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+    # timings stay out of the manifest
+    assert "duration_s" not in (out / "manifest.json").read_text(encoding="utf-8")
+
+
 def test_changed_vocab_size_reruns_vocab_and_pretrain_data(tmp_path, completing):
     config, out = write_config(tmp_path), str(tmp_path / "out")
     run_pipeline(config, out)

@@ -48,6 +48,22 @@ def test_delta_columns_against_the_named_baseline():
     ]
 
 
+@pytest.mark.parametrize(
+    "mbert, finest, delta",
+    [
+        # a delta that rounds to zero reads +0.000 from either side
+        (0.9, 0.9, "+0.000"),
+        (0.9001, 0.9, "+0.000"),
+        (0.9, 0.9001, "+0.000"),
+        (0.9, 0.899, "-0.001"),
+        (0.9, 0.901, "+0.001"),
+    ],
+)
+def test_delta_that_rounds_to_zero_reads_plus_zero(mbert, finest, delta):
+    reports = [ner("fi", "fi", "mbert", mbert), ner("fi", "fi", "finest", finest)]
+    assert rows(transfer_matrix(reports))[1][-1] == delta
+
+
 def test_unknown_baseline_is_an_error():
     with pytest.raises(ValueError, match="'bert' not among reports"):
         transfer_matrix([ner("fi", "fi", "mbert", 0.8)], baseline="bert")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -237,8 +238,23 @@ def floor_of(counts: dict[str, int]) -> int:
     return len(RESERVED_TOKENS) + 2 * len({ch for word in counts for ch in word})
 
 
+def family_tables(counts: dict[str, int], continuation: bool) -> list[tuple[int, dict[str, int]]]:
+    """Every (length, table) that _piece_tables yields for one piece family."""
+    by_length = [{} for _ in range(MAX_CANDIDATE_WORD_CHARS + 1)]
+    for word, count in counts.items():
+        if len(word) <= MAX_CANDIDATE_WORD_CHARS:
+            by_length[len(word)][word] = count
+    return list(vocab_module._piece_tables(by_length, continuation))
+
+
 def score_cutoff(counts: dict[str, int], budget: int) -> int:
-    return vocab_module._score_cutoff(vocab_module._candidate_tables(counts), budget)
+    """The budget-th best score over the optional pieces of both families."""
+    hist = Counter()
+    for continuation in (False, True):
+        for length, table in family_tables(counts, continuation):
+            if length > 1:
+                hist.update(n * length for raw, n in table.items() if continuation or raw not in RESERVED_TOKENS)
+    return vocab_module._nth_best(hist, budget)
 
 
 class TestScoreCutoffEdges:
@@ -274,11 +290,25 @@ class TestScoreCutoffEdges:
 
     def test_character_only_inside_words(self):
         words = {"ab": 5, "cab": 2}
-        initial, continuation = vocab_module._candidate_tables(words)
+        initial, continuation = (dict(family_tables(words, c)) for c in (False, True))
         assert "b" not in initial[1] and "b" in continuation[1]
         vocab = learn_wordpieces(WordCounts(words), floor_of(words))
         assert "b" in vocab.piece_ids
         self.check_every_budget(words)
+
+    def test_bound_that_rises_within_a_family(self):
+        # The first table, of 16-character heads, sets the bound at 16; the
+        # frequent two-character words then raise it within the same family.
+        rng = random.Random(4)
+        words = {"".join(rng.choice("klmnopqrst") for _ in range(MAX_PIECE_CHARS)): 1 for _ in range(30)}
+        words.update({"ab": 40, "ba": 30})
+        ranking = reference_ranking(words)
+        assert ranking[:2] == [(-80, "ab"), (-60, "ba")]
+        assert min(score for score, p in ranking if len(p) == MAX_PIECE_CHARS) == -MAX_PIECE_CHARS
+        for budget in (1, 2):
+            target = floor_of(words) + budget
+            assert learn_wordpieces(WordCounts(words), target).pieces == reference_wordpieces(words, target)
+            assert score_cutoff(words, budget) == -ranking[budget - 1][0]
 
     def test_zero_budget_keeps_only_the_mandatory_pieces(self):
         words = {"abc": 2, "bcd": 1, "cd": 3}
@@ -354,6 +384,23 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256
 
 
+def test_learning_peaks_below_half_of_a_full_candidate_count():
+    rng = random.Random(11)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = {"".join(rng.choice(letters) for _ in range(rng.randint(6, 14))): rng.randint(1, 3) for _ in range(4000)}
+    target = floor_of(words) + 1000
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: learn_wordpieces(WordCounts(words), target)) <= peak(lambda: hand_count(words)) / 2
+
+
 def words_of_length(n: int):
     return st.text(alphabet="ab#", min_size=n, max_size=n)
 
@@ -371,19 +418,17 @@ def words_of_length(n: int):
     )
 )
 def test_candidate_counts_match_a_hand_count_of_every_slice(words):
-    initial, continuation = vocab_module._candidate_tables(words)
-    assert len(initial) == len(continuation) == MAX_PIECE_CHARS + 1
     # A word-initial slice spelled "##x" is the continuation piece "##x".
     expected = hand_count(words)
-    for length in range(MAX_PIECE_CHARS + 1):
-        assert all(len(raw) == length for raw in initial[length])
-        assert all(len(raw) == length for raw in continuation[length])
-        assert initial[length] == {
-            p: n for p, n in expected.items() if not p.startswith("##") and len(p) == length
-        }
-        assert continuation[length] == {
-            p[2:]: n for p, n in expected.items() if p.startswith("##") and len(p) == length + 2
-        }
+    for continuation in (False, True):
+        tables = family_tables(words, continuation)
+        assert [length for length, _ in tables] == list(range(MAX_PIECE_CHARS, 0, -1))
+        for length, table in tables:
+            assert all(len(raw) == length for raw in table)
+            if continuation:
+                assert table == {p[2:]: n for p, n in expected.items() if p.startswith("##") and len(p) == length + 2}
+            else:
+                assert table == {p: n for p, n in expected.items() if not p.startswith("##") and len(p) == length}
 
 
 @pytest.mark.parametrize(
@@ -394,17 +439,17 @@ def test_candidate_counts_match_a_hand_count_of_every_slice(words):
         ({"abc": 1}, {"abc": 1, "ab": 1, "a": 1}),
         ({"abc": 1, "ab": 2, "b": 5}, {"abc": 1, "ab": 3, "a": 3, "b": 5}),
         ({"abc": 1, "abd": 4, "xy": 3}, {"abc": 1, "abd": 4, "ab": 5, "a": 5, "xy": 3, "x": 3}),
-        # the empty slice is no window's prefix: only "##" words count it
-        ({"": 7, "ab": 1}, {"": 7, "ab": 1, "a": 1}),
+        # the empty slice is no window's prefix, and no table of length 0 is made
+        ({"": 7, "ab": 1}, {"ab": 1, "a": 1}),
         ({"a" * MAX_PIECE_CHARS: 2}, {"a" * n: 2 for n in range(1, MAX_PIECE_CHARS + 1)}),
     ],
 )
 def test_prefix_closure_adds_each_key_to_its_prefixes(counts, closed):
     # Before the closure, the initial tables hold each word's head and only
     # it; these words are their own heads.
-    initial, _ = vocab_module._candidate_tables(counts)
-    assert all(len(raw) == length for length, table in enumerate(initial) for raw in table)
-    assert {raw: n for table in initial for raw, n in table.items()} == closed
+    initial = family_tables(counts, continuation=False)
+    assert all(len(raw) == length for length, table in initial for raw in table)
+    assert {raw: n for _, table in initial for raw, n in table.items()} == closed
 
 
 def test_learned_file_bytes_do_not_depend_on_the_hash_seed(tmp_path):
