@@ -12,9 +12,8 @@ document's lines, joined by a space, are one unit.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 
 class Granularity(str, Enum):
@@ -22,10 +21,10 @@ class Granularity(str, Enum):
     PARAGRAPH = "paragraph"
 
 
-@dataclass(frozen=True)
-class TextUnit:
+class TextUnit(NamedTuple):
     """A sentence or paragraph with a language tag; `text` is stripped,
-    non-empty and NFC-normalized."""
+    non-empty and NFC-normalized. A named tuple, because every read builds
+    one per line and a tuple is about half the cost of a frozen dataclass."""
 
     lang: str
     text: str

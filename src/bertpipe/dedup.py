@@ -12,6 +12,16 @@ builds n-gram fingerprints from the per-token hashes; Pomikálek 2011,
 ch. 4). CPython does not salt the hash of ints or of tuples of ints, so
 fingerprints are the same in every process whatever PYTHONHASHSEED is.
 Collisions are accepted (negligible at desk scale).
+
+A unit whose text equals an earlier unit's text is dropped without being
+split or fingerprinted (CCNet's exact-hash pass, Onion's full overlap).
+This is the greedy rule itself, not an approximation: the index of kept
+shingles only grows, so a repeat of a kept text has all its shingles seen
+(fraction 1, which meets every threshold in [0, 1]) and a repeat of a
+dropped text has a fraction no lower than when it was dropped. The first
+unit is always kept, so the index is never empty at a repeat. The texts
+are looked up for membership only, so PYTHONHASHSEED cannot change a
+decision.
 """
 
 from __future__ import annotations
@@ -69,18 +79,27 @@ def dedup_corpus(
 
     A unit is dropped iff its duplicate fraction against the shingles of
     previously kept units is >= threshold. The first unit is always kept
-    (nothing has been seen yet). Kept units' shingles enter the index only
-    after the keep decision, and output order preserves input order.
+    (nothing has been seen yet), and an exact repeat of an earlier unit's
+    text is dropped without computing its fraction. Kept units' shingles
+    enter the index only after the keep decision, and output order
+    preserves input order.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     stats = DedupStats()
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # token type -> id, this call only
     seen: set[int] = set()  # fingerprints of the kept units' shingles
+    decided: dict[str, int] = {}  # text of every unit so far -> its token count
     kept: list[TextUnit] = []
     for unit in units:
-        tokens = unit.tokens()
         stats.units_in += 1
+        repeat = decided.get(unit.text)
+        if repeat is not None:  # an exact repeat is dropped (module docstring)
+            stats.units_dropped += 1
+            stats.tokens_in += repeat
+            continue
+        tokens = unit.tokens()
+        decided[unit.text] = len(tokens)
         stats.tokens_in += len(tokens)
         prints = shingle(list(map(ids.__getitem__, tokens)), n)
         if seen and sum(map(seen.__contains__, prints)) / len(prints) >= threshold:

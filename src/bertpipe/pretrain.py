@@ -240,50 +240,48 @@ def _instances_from_document(
         current_chunk.append(segment)
         current_length += len(segment)
         if i == len(document) - 1 or current_length >= max_num_tokens:
-            if current_chunk:
-                a_end = 1
-                if len(current_chunk) >= 2:
-                    a_end = rng.randint(1, len(current_chunk) - 1)
-                tokens_a: list[int] = []
-                for j in range(a_end):
-                    tokens_a.extend(current_chunk[j])
+            a_end = 1
+            if len(current_chunk) >= 2:
+                a_end = rng.randint(1, len(current_chunk) - 1)
+            tokens_a: list[int] = []
+            for j in range(a_end):
+                tokens_a.extend(current_chunk[j])
 
-                tokens_b: list[int] = []
-                is_next = True
-                if len(current_chunk) == 1 or rng.random() < 0.5:
-                    is_next = False
-                    target_b_length = max_num_tokens - len(tokens_a)
-                    random_doc_index = doc_index
-                    for _ in range(10):
-                        random_doc_index = rng.randrange(len(all_docs))
-                        if random_doc_index != doc_index:
-                            break
-                    random_doc = all_docs[random_doc_index]
-                    random_start = rng.randrange(len(random_doc))
-                    for j in range(random_start, len(random_doc)):
-                        tokens_b.extend(random_doc[j])
-                        if len(tokens_b) >= target_b_length:
-                            break
-                    # segments not consumed by A go back to the stream
-                    i -= len(current_chunk) - a_end
-                else:
-                    for j in range(a_end, len(current_chunk)):
-                        tokens_b.extend(current_chunk[j])
+            tokens_b: list[int] = []
+            is_next = True
+            if len(current_chunk) == 1 or rng.random() < 0.5:
+                is_next = False
+                target_b_length = max_num_tokens - len(tokens_a)
+                random_doc_index = doc_index
+                for _ in range(10):
+                    random_doc_index = rng.randrange(len(all_docs))
+                    if random_doc_index != doc_index:
+                        break
+                random_doc = all_docs[random_doc_index]
+                random_start = rng.randrange(len(random_doc))
+                for j in range(random_start, len(random_doc)):
+                    tokens_b.extend(random_doc[j])
+                    if len(tokens_b) >= target_b_length:
+                        break
+                # segments not consumed by A go back to the stream
+                i -= len(current_chunk) - a_end
+            else:
+                for j in range(a_end, len(current_chunk)):
+                    tokens_b.extend(current_chunk[j])
 
-                _truncate_pair(tokens_a, tokens_b, max_num_tokens)
-                if tokens_a and tokens_b:
-                    ids = [vocab.cls_id, *tokens_a, vocab.sep_id, *tokens_b, vocab.sep_id]
-                    positions, labels = _mask_tokens(
-                        ids, len(tokens_a) + 1, word_initial, vocab.mask_id, cfg, rng, random_ids
-                    )
-                    yield TrainingInstance(
-                        token_ids=tuple(ids + [vocab.pad_id] * (max_seq_len - len(ids))),
-                        len_a=len(tokens_a),
-                        len_b=len(tokens_b),
-                        masked_positions=tuple(positions),
-                        masked_labels=tuple(labels),
-                        is_next=is_next,
-                    )
+            _truncate_pair(tokens_a, tokens_b, max_num_tokens)
+            ids = [vocab.cls_id, *tokens_a, vocab.sep_id, *tokens_b, vocab.sep_id]
+            positions, labels = _mask_tokens(
+                ids, len(tokens_a) + 1, word_initial, vocab.mask_id, cfg, rng, random_ids
+            )
+            yield TrainingInstance(
+                token_ids=tuple(ids + [vocab.pad_id] * (max_seq_len - len(ids))),
+                len_a=len(tokens_a),
+                len_b=len(tokens_b),
+                masked_positions=tuple(positions),
+                masked_labels=tuple(labels),
+                is_next=is_next,
+            )
             current_chunk = []
             current_length = 0
         i += 1

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import unicodedata
@@ -15,18 +16,20 @@ from bertpipe.evaluation.report import load_reports
 from bertpipe.pipeline import CONFIG_SCHEMA_VERSION
 from bertpipe.vocab import count_words, learn_wordpieces
 
+from conftest import make_dedup_corpus
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bertpipe.__file__)))
 
 
-def run_python(*args, stdin=None):
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+def run_python(*args, stdin=None, **env_vars):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", **env_vars)
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, encoding="utf-8", env=env, timeout=120
     )
 
 
-def bertpipe_cli(*args, stdin=None):
-    return run_python("-m", "bertpipe.cli", *args, stdin=stdin)
+def bertpipe_cli(*args, stdin=None, **env_vars):
+    return run_python("-m", "bertpipe.cli", *args, stdin=stdin, **env_vars)
 
 
 CORPORA = {
@@ -420,3 +423,25 @@ def test_pipeline_run_needs_no_jsonschema(tmp_path):
     done = run_python("-c", probe, "pipeline", "run", invalid, "--out", str(tmp_path / "invalid" / "out"))
     assert done.returncode == 1
     assert "config does not match schema at $.phases[0].seq_len" in done.stderr
+
+
+def test_pipeline_run_does_not_depend_on_the_hash_seed(tmp_path):
+    """Runs under two string-hash salts write the same files, byte for byte."""
+    config = write_config(tmp_path)
+    rng = random.Random(4)
+    for lang in ("en", "fi"):
+        # exact and near repeats, in documents of ten sentences
+        lines = [unit.text for unit in make_dedup_corpus(rng, 80, lang)]
+        docs = ["\n".join(lines[k : k + 10]) for k in range(0, len(lines), 10)]
+        (tmp_path / f"{lang}.txt").write_text("\n\n".join(docs) + "\n", encoding="utf-8")
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out{seed}"
+        done = bertpipe_cli("pipeline", "run", config, "--out", str(out), PYTHONHASHSEED=seed)
+        files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        runs.append((done.returncode, files))
+    assert runs[0] == runs[1]
+    names = set(runs[0][1])
+    assert {"vocab.txt", "pretrain/phase0.bin", "plan.json"} <= names
+    assert any(name.startswith("dedup/") for name in names)
+    assert any(name.startswith("sample/") for name in names)

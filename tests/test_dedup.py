@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bertpipe
 from bertpipe import dedup
 from bertpipe.corpus import TextUnit
-from bertpipe.dedup import dedup_corpus, shingle
+from bertpipe.dedup import DedupStats, dedup_corpus, shingle
 
 from conftest import make_dedup_corpus, oracle_dedup, oracle_shingles
 
@@ -22,6 +22,18 @@ def unit(text):
 
 def texts(units):
     return [u.text for u in units]
+
+
+def oracle_stats(texts, n, threshold):
+    """The DedupStats that `oracle_dedup`'s kept texts imply."""
+    kept = oracle_dedup(texts, n, threshold)
+    return DedupStats(
+        units_in=len(texts),
+        units_kept=len(kept),
+        units_dropped=len(texts) - len(kept),
+        tokens_in=sum(len(t.split()) for t in texts),
+        tokens_kept=sum(len(t.split()) for t in kept),
+    )
 
 
 class TestShingle:
@@ -45,8 +57,8 @@ class TestShingle:
             shingle([0, 1], 0)
 
 
-def fingerprints_of(units, n, monkeypatch):
-    """Every fingerprint dedup_corpus computes, unit by unit, through the module's shingle."""
+def fingerprints_of(units, n, monkeypatch, threshold=0.9):
+    """Every fingerprint list dedup_corpus computes through the module's shingle, in call order."""
     prints = []
 
     def recording(ids, order):
@@ -54,23 +66,36 @@ def fingerprints_of(units, n, monkeypatch):
         return prints[-1]
 
     monkeypatch.setattr(dedup, "shingle", recording)
-    dedup_corpus(units, n=n, threshold=0.9)
+    dedup_corpus(units, n=n, threshold=threshold)
     return prints
 
 
 class TestFingerprints:
-    def test_dedup_corpus_calls_the_module_shingle_once_per_unit(self, monkeypatch):
+    def test_dedup_corpus_calls_the_module_shingle_once_per_distinct_text(self, monkeypatch):
         units = make_dedup_corpus(random.Random(5), 40)
         prints = fingerprints_of(units, 9, monkeypatch)
-        assert len(prints) == len(units)
+        assert len(prints) == len(set(texts(units))) < len(units)
         assert all(type(p) is list for p in prints)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
+    def test_exact_repeats_are_never_fingerprinted(self, threshold, monkeypatch):
+        # k distinct texts, each repeated r times in a shuffled order
+        rng = random.Random(21)
+        distinct = list(dict.fromkeys(texts(make_dedup_corpus(rng, 50))))
+        k, r = len(distinct), 4
+        repeated = [unit(t) for t in distinct * r]
+        rng.shuffle(repeated)
+        assert len(fingerprints_of(repeated, 9, monkeypatch, threshold)) == k
+        kept, stats = dedup_corpus(repeated, n=9, threshold=threshold)
+        assert texts(kept) == oracle_dedup(texts(repeated), 9, threshold)
+        assert stats == oracle_stats(texts(repeated), 9, threshold)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_collisions_on_random_corpora(self, seed, monkeypatch):
         units = make_dedup_corpus(random.Random(seed), 300)
         for n in (1, 2, 9):
             prints = fingerprints_of(units, n, monkeypatch)
-            grams = [oracle_shingles(u.text, n) for u in units]
+            grams = [oracle_shingles(t, n) for t in dict.fromkeys(texts(units))]
             assert [len(p) for p in prints] == [len(g) for g in grams]
             assert len({p for ps in prints for p in ps}) == len({g for gs in grams for g in gs})
 
@@ -110,7 +135,7 @@ class TestFingerprints:
             assert done.returncode == 0, done.stderr
             runs.append(json.loads(done.stdout))
         assert runs[0] == runs[1]
-        assert len(runs[0]) == len(units)
+        assert len(runs[0]) == len(set(texts(units)))
 
 
 class TestDuplicateFraction:
@@ -200,8 +225,9 @@ class TestDedupCorpus:
         for _ in range(50):
             units = make_dedup_corpus(rng, rng.randint(1, 120))
             threshold = rng.choice([0.0, 0.5, 0.9, 1.0])
-            kept, _ = dedup_corpus(units, n=9, threshold=threshold)
+            kept, stats = dedup_corpus(units, n=9, threshold=threshold)
             assert texts(kept) == oracle_dedup(texts(units), 9, threshold)
+            assert stats == oracle_stats(texts(units), 9, threshold)
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,5 +239,6 @@ class TestDedupCorpus:
 )
 def test_oracle_equivalence_property(seed, size, threshold, n):
     units = make_dedup_corpus(random.Random(seed), size)
-    kept, _ = dedup_corpus(units, n=n, threshold=threshold)
+    kept, stats = dedup_corpus(units, n=n, threshold=threshold)
     assert texts(kept) == oracle_dedup(texts(units), n, threshold)
+    assert stats == oracle_stats(texts(units), n, threshold)
