@@ -43,13 +43,16 @@ def _documents(path: str) -> Iterator[list[str]]:
     """Each document of a corpus file as its normalized non-blank lines."""
     lines: list[str] = []
     with open(path, "r", encoding="utf-8-sig") as f:
-        for line in f:
-            line = normalize(line)
-            if line:
-                lines.append(line)
-            elif lines:
-                yield lines
-                lines = []
+        try:
+            for line in f:
+                line = normalize(line)
+                if line:
+                    lines.append(line)
+                elif lines:
+                    yield lines
+                    lines = []
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if lines:
         yield lines
 

@@ -60,15 +60,6 @@ class DedupStats:
     tokens_in: int = 0
     tokens_kept: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "units_in": self.units_in,
-            "units_kept": self.units_kept,
-            "units_dropped": self.units_dropped,
-            "tokens_in": self.tokens_in,
-            "tokens_kept": self.tokens_kept,
-        }
-
 
 def dedup_corpus(
     units: Iterable[TextUnit],

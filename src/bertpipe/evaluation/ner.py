@@ -14,11 +14,11 @@ with the task, languages and model as an EvalReport.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .. import jsonfile
 from .report import check_aligned
 
 ENTITY_LABELS = ("PER", "LOC", "ORG")
@@ -71,13 +71,7 @@ class LabelMap:
         """Read a JSON file {"map": {"<class>": "PER|LOC|ORG|O", ...}}."""
         try:
             with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-            if not isinstance(data, dict) or not isinstance(data.get("map"), dict):
-                raise ValueError('expected {"map": {"<class>": "PER|LOC|ORG|O", ...}}')
-            for key in data:
-                if key != "map":
-                    raise ValueError(f"unknown key {key!r}")
-            return cls(data["map"])
+                return jsonfile.read_as(cls, jsonfile.load(f))
         # RecursionError: nested too deeply
         except (ValueError, RecursionError) as e:
             raise ValueError(f"label map {path}: {e}") from None
@@ -89,19 +83,20 @@ def parse_ner(path: str) -> list[tuple[str, ...]]:
     sentences: list[tuple[str, ...]] = []
     tags: list[str] = []
     with open(path, "r", encoding="utf-8", newline=None) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                if tags:
-                    sentences.append(tuple(tags))
-                    tags = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(
-                    f"{path}:{lineno}: expected FORM<TAB>TAG, got {line!r}"
-                )
-            tags.append(parts[1])
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    if tags:
+                        sentences.append(tuple(tags))
+                        tags = []
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0] or not parts[1]:
+                    raise ValueError(f"{path}:{lineno}: expected FORM<TAB>TAG, got {line!r}")
+                tags.append(parts[1])
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if tags:
         sentences.append(tuple(tags))
     return sentences

@@ -8,8 +8,10 @@ the model name to make an EvalReport.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
+
+from .. import jsonfile
 
 TASKS = ("NER", "POS", "DP")
 
@@ -28,7 +30,7 @@ class EvalReport:
     train_lang: str
     test_lang: str
     model_name: str
-    metrics: dict[str, float] = field(default_factory=dict)
+    metrics: dict[str, float]
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -37,40 +39,8 @@ class EvalReport:
             if name not in self.metrics:
                 raise ValueError(f"{self.task} report lacks metric {name!r}")
         for name, value in self.metrics.items():
-            # bool is an int, but JSON true is not a score
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                 raise ValueError(f"metric {name}={value!r} is not a number in [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "train_lang": self.train_lang,
-            "test_lang": self.test_lang,
-            "model_name": self.model_name,
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "EvalReport":
-        """The report of as_dict's object; raises ValueError on any other value."""
-        if not isinstance(d, dict):
-            raise ValueError("expected a report object")
-        labels = ("task", "train_lang", "test_lang", "model_name")
-        for key in d:
-            if key not in (*labels, "metrics"):
-                raise ValueError(f"unknown key {key!r}")
-        for key in labels:
-            if not isinstance(d.get(key), str) or not d[key]:
-                raise ValueError(f"report lacks a non-empty string {key!r}")
-        if not isinstance(d.get("metrics"), dict):
-            raise ValueError("report lacks a 'metrics' object")
-        return cls(
-            task=d["task"],
-            train_lang=d["train_lang"],
-            test_lang=d["test_lang"],
-            model_name=d["model_name"],
-            metrics=dict(d["metrics"]),
-        )
 
 
 def check_aligned(gold: Sequence[Sequence], pred: Sequence[Sequence], unit: str) -> None:
@@ -86,7 +56,7 @@ def check_aligned(gold: Sequence[Sequence], pred: Sequence[Sequence], unit: str)
 
 def save_reports(reports: list[EvalReport], path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump([r.as_dict() for r in reports], f, indent=2, sort_keys=True)
+        json.dump([asdict(r) for r in reports], f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -94,8 +64,10 @@ def load_reports(path: str) -> list[EvalReport]:
     """The reports of a file holding one report object or an array of them."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            data = json.load(f)
-            return [EvalReport.from_dict(d) for d in (data if isinstance(data, list) else [data])]
+            data = jsonfile.load(f)
+            if isinstance(data, list):
+                return [jsonfile.read_as(EvalReport, d, f"$[{i}]") for i, d in enumerate(data)]
+            return [jsonfile.read_as(EvalReport, data)]
         # RecursionError: nested too deeply
         except (ValueError, RecursionError) as e:
             raise ValueError(f"report file {path}: {e}") from None

@@ -56,44 +56,47 @@ def parse_conllu(path: str, allow_missing_heads: bool = False) -> list[list[UdTo
 
     with open(path, "r", encoding="utf-8", newline=None) as f:
         lineno = 0
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                close(lineno)
-                continue
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != N_FIELDS:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {N_FIELDS} tab-separated fields, got {len(fields)}"
-                )
-            word_id = fields[ID]
-            if _RANGE_ID.match(word_id) or _EMPTY_ID.match(word_id):
-                continue
-            if not word_id.isdigit() or int(word_id) < 1:
-                raise ValueError(f"{path}:{lineno}: invalid word id {word_id!r}")
-            wid = int(word_id)
-            if wid != len(current) + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: non-sequential word id {wid} (expected {len(current) + 1})"
-                )
-            raw_head = fields[HEAD]
-            head: int | None
-            if raw_head == "_":
-                if not allow_missing_heads:
-                    raise ValueError(f"{path}:{lineno}: missing HEAD for word {wid}")
-                head = None
-            else:
-                try:
-                    head = int(raw_head)
-                except ValueError:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    close(lineno)
+                    continue
+                if line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != N_FIELDS:
                     raise ValueError(
-                        f"{path}:{lineno}: non-integer HEAD {raw_head!r}"
-                    ) from None
-                if head < 0:
-                    raise ValueError(f"{path}:{lineno}: negative HEAD {head}")
-            current.append(UdToken(id=wid, upos=fields[UPOS], head=head, deprel=fields[DEPREL]))
+                        f"{path}:{lineno}: expected {N_FIELDS} tab-separated fields, got {len(fields)}"
+                    )
+                word_id = fields[ID]
+                if _RANGE_ID.match(word_id) or _EMPTY_ID.match(word_id):
+                    continue
+                if not word_id.isdigit() or int(word_id) < 1:
+                    raise ValueError(f"{path}:{lineno}: invalid word id {word_id!r}")
+                wid = int(word_id)
+                if wid != len(current) + 1:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-sequential word id {wid} (expected {len(current) + 1})"
+                    )
+                raw_head = fields[HEAD]
+                head: int | None
+                if raw_head == "_":
+                    if not allow_missing_heads:
+                        raise ValueError(f"{path}:{lineno}: missing HEAD for word {wid}")
+                    head = None
+                else:
+                    try:
+                        head = int(raw_head)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: non-integer HEAD {raw_head!r}"
+                        ) from None
+                    if head < 0:
+                        raise ValueError(f"{path}:{lineno}: negative HEAD {head}")
+                current.append(UdToken(id=wid, upos=fields[UPOS], head=head, deprel=fields[DEPREL]))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
         close(lineno + 1)
     return sentences
 

@@ -30,29 +30,27 @@ import math
 import os
 import resource
 import time
-import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
-from . import __version__
+from . import __version__, jsonfile
 from .corpus import Granularity, read_documents, read_units, write_units
 from .dedup import dedup_corpus
+from .jsonfile import FieldError, read_as
 from .pretrain import (
     MAX_SEQ_LEN,
-    FieldError,
     GenerationStats,
     MaskingConfig,
     count_instances,
+    instance_schema,
     phase_datasets,
     write_instances,
-    write_schema,
 )
 from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
 
-CONFIG_SCHEMA_VERSION = 4
+CONFIG_SCHEMA_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 
 EventSink = Callable[[dict], None]
@@ -123,11 +121,10 @@ class PipelineConfig:
     """A pipeline run's settings; the config file is this object as JSON.
 
     Each key of the file is a field name below, nested as the fields are: an
-    object for each config dataclass, an array for each tuple. A key with a
-    default may be left out, every other key is required, and any other key
-    is an error. Numbers must be finite, an integer key takes only JSON
-    integers (not 5.0, not true), and strings and arrays must be non-empty.
-    The bounds are checked by each dataclass's __post_init__.
+    object for each config dataclass, an array for each tuple. The file
+    follows the JSON rules of bertpipe.jsonfile: a repeated key, an unknown
+    key or a missing key without a default is an error, numbers are finite,
+    and strings and arrays are non-empty.
 
         languages                 array of objects, one per language
           code                    string; distinct over all languages
@@ -151,12 +148,10 @@ class PipelineConfig:
                                   of its pretrain/phase{k}.bin
           seq_len                 integer in [16, 65535]
         masking                   object; every key has a default
-          mask_prob               number in (0, 1); 0.15
-          replace_mask            number in [0, 1]; 0.8
-          replace_random          number in [0, 1]; 0.1. The two sum to at
-                                  most 1, and a masked piece keeps its id
-                                  with probability 1 - replace_mask -
-                                  replace_random
+          mask_prob               number in (0, 1); 0.15. A masked piece
+                                  becomes [MASK] with probability 0.8, a
+                                  random piece with 0.1, and keeps its id
+                                  with 0.1, as in BERT
           dupe_factor             integer >= 1; 1
           seed                    integer; 0
 
@@ -188,65 +183,18 @@ class PipelineConfig:
         return relpath if os.path.isabs(relpath) else os.path.join(self.base_dir, relpath)
 
 
-def _read(tp, value, path: str):
-    """The JSON value at path as an instance of type tp; raises ConfigError.
-
-    JSON integers stay int in float fields, so that `"epochs": 1` is written
-    back to plan.json as 1.
-    """
-
-    def fail(where: str, message: str) -> ConfigError:
-        return ConfigError(f"config does not match schema at {where}: {message}")
-
-    def expect(ok: bool, what: str) -> None:
-        if not ok:
-            raise fail(path, f"expected {what}, got {json.dumps(value)}")
-
-    if is_dataclass(tp):
-        expect(isinstance(value, dict), "an object")
-        keys = {f.name: f for f in fields(tp) if f.metadata.get("key", True)}
-        for key in value:
-            if key not in keys:
-                raise fail(f"{path}.{key}", "unknown key")
-        hints = typing.get_type_hints(tp)
-        kwargs = {}
-        for name, f in keys.items():
-            if name in value:
-                kwargs[name] = _read(hints[name], value[name], f"{path}.{name}")
-            elif f.default is MISSING:
-                raise fail(f"{path}.{name}", "missing key")
-        try:
-            return tp(**kwargs)
-        except FieldError as e:
-            raise fail(f"{path}.{e.key}", e.message) from e
-        except ValueError as e:
-            raise fail(path, str(e)) from e
-    if typing.get_origin(tp) is tuple:
-        expect(isinstance(value, list) and len(value) > 0, "a non-empty array")
-        return tuple(_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if issubclass(tp, Enum):
-        choices = [member.value for member in tp]
-        expect(value in choices, f"one of {json.dumps(choices)}")
-        return tp(value)
-    if tp is str:
-        expect(isinstance(value, str) and len(value) > 0, "a non-empty string")
-    elif tp is int:
-        expect(isinstance(value, int) and not isinstance(value, bool), "an integer")
-    elif tp is float:
-        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-        expect(finite and not isinstance(value, bool), "a finite number")
-    return value
-
-
 def load_config(path: str) -> PipelineConfig:
     """Read and validate a pipeline config file; raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    # ValueError: not UTF-8 or not JSON; RecursionError: nested too deeply
+            raw = jsonfile.load(f)
+    # ValueError: not UTF-8, not JSON or a repeated key; RecursionError: nested too deeply
     except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    config = _read(PipelineConfig, raw, "$")
+    try:
+        config = read_as(PipelineConfig, raw)
+    except ValueError as e:
+        raise ConfigError(f"config {e}") from e
     return replace(config, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -292,8 +240,8 @@ def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         kept, stats = dedup_corpus(units, config.dedup.n, config.dedup.threshold)
         with _atomic(os.path.join(out_dir, f"dedup/{lang.code}.txt"), "w") as f:
             write_units(kept, f, config.dedup.granularity)
-        _write_json(os.path.join(out_dir, f"dedup/{lang.code}.stats.json"), stats.as_dict())
-        emit({"event": "dedup_lang", "lang": lang.code, **stats.as_dict()})
+        _write_json(os.path.join(out_dir, f"dedup/{lang.code}.stats.json"), asdict(stats))
+        emit({"event": "dedup_lang", "lang": lang.code, **asdict(stats)})
 
 
 def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
@@ -353,8 +301,7 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
         with _atomic(os.path.join(out_dir, rel), "wb") as f:
             n = write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
-    with _atomic(os.path.join(out_dir, "pretrain/data.schema.json"), "w") as f:
-        write_schema(f)
+    _write_json(os.path.join(out_dir, "pretrain/data.schema.json"), instance_schema())
 
 
 @dataclass(frozen=True)
@@ -473,7 +420,7 @@ def _previous_stages(manifest_path: str) -> dict[str, dict]:
     each with a name and an object of output hashes."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
-            stages = json.load(f)["stages"]
+            stages = jsonfile.load(f)["stages"]
         if isinstance(stages, list) and all(
             isinstance(s, dict) and isinstance(s.get("outputs"), dict) for s in stages
         ):

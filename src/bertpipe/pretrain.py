@@ -36,15 +36,15 @@ layout, so a reader can find record k by its offset alone.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from random import Random
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
+from .jsonfile import FieldError
 from .vocab import CONTINUATION_PREFIX, Vocab, tokenize_text
 
 SCHEMA_VERSION = 2
@@ -56,34 +56,21 @@ MAX_SEQ_LEN = 65535
 _MAGIC = b"BPINSTv%d" % SCHEMA_VERSION
 _HEADER = struct.Struct("<8sHH")  # magic, seq_len, max_masked
 
-
-class FieldError(ValueError):
-    """A config field out of its bounds. `key` is the field's path within its
-    config object, such as "replace_mask" or "languages[1].code"."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key} {message}")
-        self.key = key
-        self.message = message
+# BERT's create_pretraining_data.py: a masked piece becomes [MASK] with
+# probability 0.8, a random piece with 0.1, and keeps its id otherwise
+REPLACE_MASK = 0.8
+REPLACE_RANDOM = 0.1
 
 
 @dataclass(frozen=True)
 class MaskingConfig:
     mask_prob: float = 0.15
-    replace_mask: float = 0.8
-    replace_random: float = 0.1
     seed: int = 0
     dupe_factor: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.mask_prob < 1.0:
             raise FieldError("mask_prob", f"must be in (0, 1), got {self.mask_prob}")
-        for key in ("replace_mask", "replace_random"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise FieldError(key, f"must be in [0, 1], got {getattr(self, key)}")
-        total = self.replace_mask + self.replace_random
-        if total > 1.0:
-            raise ValueError(f"replace_mask + replace_random must be at most 1, got {total}")
         if self.dupe_factor < 1:
             raise FieldError("dupe_factor", f"must be >= 1, got {self.dupe_factor}")
 
@@ -211,9 +198,9 @@ def _mask_tokens(
         for pos in range(start, end):
             original = ids[pos]
             u = rng.random()
-            if u < cfg.replace_mask:
+            if u < REPLACE_MASK:
                 ids[pos] = mask_id
-            elif u < cfg.replace_mask + cfg.replace_random:
+            elif u < REPLACE_MASK + REPLACE_RANDOM:
                 ids[pos] = random_ids[rng.randrange(len(random_ids))]
             masked.append((pos, original))
     masked.sort()
@@ -374,12 +361,6 @@ def instance_schema() -> dict:
             {"name": "is_next", "dtype": "u8"},
         ],
     }
-
-
-def write_schema(out: TextIO) -> None:
-    """Write the data.schema.json sidecar to an open text file."""
-    json.dump(instance_schema(), out, indent=2, sort_keys=True)
-    out.write("\n")
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import unicodedata
+from dataclasses import asdict
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_eval_report_round_trips_one_report(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     [report] = load_reports(str(one))
-    assert json.loads(done.stdout) == report.as_dict()
+    assert json.loads(done.stdout) == asdict(report)
     combined = tmp_path / "all.json"
     done = bertpipe_cli("report", "--task", "ner", "--json", str(combined), str(one))
     assert done.returncode == 0, done.stderr
@@ -281,9 +282,10 @@ def assert_one_error_line(done, path):
 @pytest.mark.parametrize(
     "label_map, message",
     [
-        ('{"PER": "PER", "O": "O"}', 'expected {"map"'),
-        ('[{"map": {"PER": "PER"}}]', 'expected {"map"'),
-        ('{"map": {"PER": "PER", "O": "O"}, "bio_handling": "passthrough"}', "unknown key 'bio_handling'"),
+        ('{"PER": "PER", "O": "O"}', "at $.PER: unknown key"),
+        ('[{"map": {"PER": "PER"}}]', "at $: expected an object"),
+        ('{"map": {"PER": "PER", "O": "O"}, "bio_handling": "passthrough"}', "at $.bio_handling: unknown key"),
+        ('{"map": {"PER": "PER", "O": "O", "PER": "O"}}', "repeated key 'PER'"),
         ('{"map": {"B-PER": "PER", "O": "O"}}', "'B-PER' carries a B-/I- prefix"),
         ('{"map": {"PER": "PERSON", "O": "O"}}', "sends 'PER' to 'PERSON'"),
         ('{"map": ', "Expecting value"),
@@ -302,9 +304,14 @@ def test_malformed_label_map_is_one_error_line(tmp_path, label_map, message):
 @pytest.mark.parametrize(
     "report, message",
     [
-        ({"task": "NER", "test_lang": "et", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "'train_lang'"),
+        ({"task": "NER", "test_lang": "et", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "at $.train_lang: missing key"),
         ({"task": "NER", "train_lang": "et", "test_lang": "et", "model_name": "m", "metrics": {}}, "'macro_f1'"),
         ("[" * 100_000, "recursion"),
+        (
+            '[{"task": "NER", "train_lang": "et", "test_lang": "et", "model_name": "m", "model_name": "n",'
+            ' "metrics": {"macro_f1": 0.5}}]',
+            "repeated key 'model_name'",
+        ),
     ],
 )
 def test_malformed_report_file_is_one_error_line(tmp_path, report, message):
@@ -348,7 +355,7 @@ def test_config_with_max_iterations_is_rejected_by_name(tmp_path):
 def test_version_reports_the_config_schema_version():
     done = bertpipe_cli("version", "--json")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["config_schema_version"] == CONFIG_SCHEMA_VERSION == 4
+    assert json.loads(done.stdout)["config_schema_version"] == CONFIG_SCHEMA_VERSION == 5
 
 
 def write_config(tmp_path, phases=({"epochs": 1, "batch_size": 8, "seq_len": 32},)):

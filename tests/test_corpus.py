@@ -1,6 +1,9 @@
 """The corpus reader, the one parser of the corpus text format."""
 
+import re
 import unicodedata
+
+import pytest
 
 from bertpipe.corpus import Granularity, TextUnit, read_documents, read_units
 
@@ -51,3 +54,11 @@ def test_a_leading_byte_order_mark_is_not_text(tmp_path):
     # only a leading mark is dropped
     inner = corpus_file(tmp_path, "a\n\ufeffb\n", "inner.txt")
     assert read_documents(inner) == [["a", "\ufeffb"]]
+
+
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("Tere\n\nPäike\n".encode("latin-1"))
+    for read in (read_documents, lambda p: read_units(p, "et")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xe4")):
+            read(str(path))

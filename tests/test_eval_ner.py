@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,12 @@ class TestParseNer:
         path = tmp_path / "bad.tsv"
         path.write_text("a\tO\nno_tag_here\nb\tO\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
+            parse_ner(str(path))
+
+    def test_not_utf8_error_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("Päike\tO\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
             parse_ner(str(path))
 
     def test_empty_file_empty_list(self, tmp_path):
@@ -112,6 +119,12 @@ class TestHarmonize:
         assert m.resolve("B-PER") == "B-PER"
         assert m.resolve("I-MISC") == "O"
 
+
+    def test_load_rejects_a_repeated_class(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"map": {"PER": "PER", "MISC": "O", "PER": "O"}}', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"label map {path}: repeated key 'PER'")):
+            LabelMap.load(str(path))
 
 class TestNerScores:
     def test_perfect_predictions(self):

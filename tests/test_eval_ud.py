@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,12 @@ class TestParseConllu:
         )
         with pytest.raises(ValueError, match=":2:"):
             parse_conllu(path)
+
+    def test_not_utf8_error_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.conllu"
+        path.write_bytes(conllu_line(1, "Päike").encode("latin-1") + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+            parse_conllu(str(path))
 
     def test_missing_head_rejected_for_gold(self, tmp_path):
         path = write_conllu(tmp_path, "nohead.conllu", ["1\ta\t_\tDET\t_\t_\t_\tdet\t_\t_"])

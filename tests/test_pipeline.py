@@ -221,6 +221,15 @@ def test_manifest_without_stage_objects_reruns_every_stage(tmp_path, completing,
     assert rerun_stages(config, str(out)) == list(STAGES)
 
 
+def test_manifest_with_a_repeated_key_reruns_every_stage(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    assert text.count('"stages": [') == 1
+    (out / "manifest.json").write_text(text.replace('"stages": [', '"stages": [], "stages": ['), encoding="utf-8")
+    assert rerun_stages(config, str(out)) == list(STAGES)
+
+
 def test_stage_record_without_output_hashes_reruns_every_stage(tmp_path, completing):
     config, out = write_config(tmp_path), tmp_path / "out"
     run_pipeline(config, str(out))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from bertpipe import pretrain
 from bertpipe.corpus import read_documents
+from bertpipe.pipeline import _write_json
 from bertpipe.pretrain import (
     MAX_SEQ_LEN,
     GenerationStats,
@@ -28,7 +29,6 @@ from bertpipe.pretrain import (
     phase_datasets,
     read_instances,
     write_instances,
-    write_schema,
 )
 from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces, tokenize_text
 
@@ -116,38 +116,35 @@ class TestBuildInstances:
                         checked_multi += 1
         assert checked_multi > 0, "fixture never masked a multi-piece word"
 
-    def test_labels_hold_original_ids_regardless_of_replacement(self, toy_vocab):
+    def test_labels_hold_original_ids_regardless_of_replacement(self, toy_vocab, monkeypatch):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(4), n_docs=10)
-        keep_all = MaskingConfig(
-            replace_mask=0.0, replace_random=0.0, seed=8
-        )
-        for inst in phase_datasets(docs, vocab, [64], keep_all)[0]:
+        monkeypatch.setattr(pretrain, "REPLACE_MASK", 0.0)
+        monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 0.0)
+        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=8))[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] == label
 
-    def test_random_replacement_never_uses_reserved_ids(self, toy_vocab):
+    def test_random_replacement_never_uses_reserved_ids(self, toy_vocab, monkeypatch):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(5), n_docs=10)
-        random_all = MaskingConfig(
-            replace_mask=0.0, replace_random=1.0, seed=9
-        )
+        monkeypatch.setattr(pretrain, "REPLACE_MASK", 0.0)
+        monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 1.0)
         reserved = {vocab.piece_ids[t] for t in RESERVED_TOKENS}
         seen_replacement = 0
-        for inst in phase_datasets(docs, vocab, [64], random_all)[0]:
+        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=9))[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] not in reserved
                 if inst.token_ids[pos] != label:
                     seen_replacement += 1
         assert seen_replacement > 0
 
-    def test_mask_replacement_uses_mask_token(self, toy_vocab):
+    def test_mask_replacement_uses_mask_token(self, toy_vocab, monkeypatch):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(6), n_docs=10)
-        mask_all = MaskingConfig(
-            replace_mask=1.0, replace_random=0.0, seed=10
-        )
-        for inst in phase_datasets(docs, vocab, [64], mask_all)[0]:
+        monkeypatch.setattr(pretrain, "REPLACE_MASK", 1.0)
+        monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 0.0)
+        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=10))[0]:
             for pos in inst.masked_positions:
                 assert inst.token_ids[pos] == vocab.mask_id
 
@@ -490,8 +487,7 @@ class TestSerialization:
 
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"
-        with open(path, "w", encoding="utf-8") as f:
-            write_schema(f)
+        _write_json(str(path), instance_schema())
         schema = json.loads(path.read_text())
         assert [f["name"] for f in schema["header"]] == ["magic", "seq_len", "max_masked"]
         assert [f["name"] for f in schema["record"]] == [

@@ -1,8 +1,12 @@
 """Evaluation reports and the transfer matrix rendered from them."""
 
+import json
+import re
+from dataclasses import asdict
+
 import pytest
 
-from bertpipe.evaluation.report import EvalReport, transfer_matrix
+from bertpipe.evaluation.report import EvalReport, load_reports, save_reports, transfer_matrix
 
 
 def ner(train, test, model, f1):
@@ -108,27 +112,40 @@ def test_no_reports_is_an_error():
         transfer_matrix([])
 
 
+VALID = {"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}}
+
+
 @pytest.mark.parametrize(
-    "d, message",
+    "text, message",
     [
-        ({"task": "NER", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "'train_lang'"),
-        ({"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {}}, "'macro_f1'"),
-        ({"task": "DP", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"uas": 1}}, "'las'"),
-        ({"task": "POS", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": [0.5]}, "'metrics'"),
-        ({"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": True}}, "macro_f1=True is not a number"),
-        ([], "report object"),
-        ({"task": "NER", "train_lang": "", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}}, "'train_lang'"),
-        (
-            {"task": "NER", "train_lang": "fi", "test_lang": "fi", "model_name": "m", "metrics": {"macro_f1": 0.5}, "typo_key": 1},
-            "unknown key 'typo_key'",
-        ),
+        (json.dumps({**VALID, "train_lang": ""}), "at $.train_lang: expected a non-empty string"),
+        (json.dumps({k: v for k, v in VALID.items() if k != "train_lang"}), "at $.train_lang: missing key"),
+        (json.dumps({**VALID, "metrics": {}}), "at $: NER report lacks metric 'macro_f1'"),
+        (json.dumps({**VALID, "task": "DP", "metrics": {"uas": 1}}), "at $: DP report lacks metric 'las'"),
+        (json.dumps({**VALID, "task": "POS", "metrics": [0.5]}), "at $.metrics: expected an object, got [0.5]"),
+        (json.dumps({**VALID, "metrics": {"macro_f1": True}}), "at $.metrics.macro_f1: expected a finite number, got true"),
+        (json.dumps({**VALID, "metrics": {"macro_f1": 1.5}}), "at $: metric macro_f1=1.5 is not a number in [0, 1]"),
+        (json.dumps({**VALID, "typo_key": 1}), "at $.typo_key: unknown key"),
+        (json.dumps([VALID, []]), "at $[1]: expected an object, got []"),
+        (json.dumps([VALID, VALID])[:-2] + ', "task": "POS"}]', "repeated key 'task'"),
+    ],
+    ids=[
+        "empty label", "missing label", "missing metric", "missing DP metric", "metrics not an object",
+        "true score", "score above 1", "unknown key", "not an object in an array", "repeated key in an array",
     ],
 )
-def test_from_dict_rejects_a_malformed_report(d, message):
-    with pytest.raises(ValueError, match=message):
-        EvalReport.from_dict(d)
+def test_load_reports_rejects_a_malformed_report(tmp_path, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"report file {path}: ") + ".*" + re.escape(message)):
+        load_reports(str(path))
 
 
-def test_from_dict_round_trips_as_dict():
-    report = dp("sl", "hr", "m", 0.75, 0.5)
-    assert EvalReport.from_dict(report.as_dict()) == report
+def test_save_and_load_reports_round_trip(tmp_path):
+    reports = [dp("sl", "hr", "m", 0.75, 0.5), ner("fi", "et", "m", 1)]
+    path = tmp_path / "reports.json"
+    save_reports(reports, str(path))
+    assert load_reports(str(path)) == reports
+    # a file may also hold one report object, not in an array
+    path.write_text(json.dumps(asdict(reports[0])), encoding="utf-8")
+    assert load_reports(str(path)) == reports[:1]
