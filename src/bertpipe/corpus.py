@@ -39,6 +39,29 @@ def normalize(line: str) -> str:
     return unicodedata.normalize("NFC", line.strip())
 
 
+def not_utf8(path: str, error: UnicodeDecodeError) -> ValueError:
+    """The error for a text file that is not UTF-8, naming the file and the
+    byte offset and line of its first bad byte.
+
+    A text-mode read reports the position within its current read chunk, so
+    the file is read again in binary, a line at a time. No UTF-8 sequence
+    holds a newline byte, so the first line that does not decode holds the
+    first bad byte of the whole file.
+    """
+    offset = 0
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ValueError(
+                    f"{path}: 'utf-8' codec can't decode byte 0x{line[e.start]:02x}"
+                    f" at offset {offset + e.start} (line {lineno}): {e.reason}"
+                )
+            offset += len(line)
+    return ValueError(f"{path}: {error}")
+
+
 def _documents(path: str) -> Iterator[list[str]]:
     """Each document of a corpus file as its normalized non-blank lines."""
     lines: list[str] = []
@@ -52,7 +75,7 @@ def _documents(path: str) -> Iterator[list[str]]:
                     yield lines
                     lines = []
         except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise not_utf8(path, e) from None
     if lines:
         yield lines
 

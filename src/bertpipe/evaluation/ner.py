@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .. import jsonfile
+from ..corpus import not_utf8
 from .report import check_aligned
 
 ENTITY_LABELS = ("PER", "LOC", "ORG")
@@ -96,7 +97,7 @@ def parse_ner(path: str) -> list[tuple[str, ...]]:
                     raise ValueError(f"{path}:{lineno}: expected FORM<TAB>TAG, got {line!r}")
                 tags.append(parts[1])
         except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise not_utf8(path, e) from None
     if tags:
         sentences.append(tuple(tags))
     return sentences

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..corpus import not_utf8
 from .report import check_aligned
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
@@ -96,7 +97,7 @@ def parse_conllu(path: str, allow_missing_heads: bool = False) -> list[list[UdTo
                         raise ValueError(f"{path}:{lineno}: negative HEAD {head}")
                 current.append(UdToken(id=wid, upos=fields[UPOS], head=head, deprel=fields[DEPREL]))
         except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise not_utf8(path, e) from None
         close(lineno + 1)
     return sentences
 

@@ -394,7 +394,7 @@ _STAGES = (
     ),
     _Stage(
         "pretrain_data",
-        rev=2,
+        rev=3,
         params=lambda c: {
             "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
             **asdict(c.masking),

@@ -21,6 +21,15 @@ maximum because its records are fixed-size arrays. The records here are
 fixed-size too, but the bound is derived per phase from its sequence length
 and the masking rate, so it needs no setting of its own.
 
+BERT shuffles all of an instance's words and then walks the shuffled list.
+Here the words are drawn lazily instead: a Fisher-Yates walk from the end
+of the word list draws each word just before it is tried and stops once
+the budget is full, so an instance of w words whose first m draws fill the
+budget costs m draws, not w - 1. Every order of the words is still equally
+likely, so the masked sets have BERT's distribution, but the RNG stream is
+not the one random.shuffle would consume, and the same seed gives other
+instances than a full shuffle did.
+
 Generation is deterministic: every document derives its own RNG from
 (seed, document ordinal), so output does not depend on worker
 scheduling. A phase is serialized as a short header (magic tag with the
@@ -38,11 +47,13 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
+from operator import itemgetter
 from random import Random
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .jsonfile import FieldError
 from .vocab import CONTINUATION_PREFIX, Vocab, tokenize_text
@@ -138,29 +149,33 @@ def _check_seq_len(max_seq_len: int) -> None:
         raise ValueError(f"max_seq_len must be in [16, {MAX_SEQ_LEN}], got {max_seq_len}")
 
 
-def _shuffle(items: list, getrandbits: Callable[[int], int]) -> None:
-    """Random.shuffle(items) inlined: the same getrandbits draws, so the same
-    order and the same RNG state, without two method calls per item."""
-    for i in range(len(items) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
-
-
 def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int) -> None:
-    """Trim the longer segment's end one piece at a time, alternating on ties."""
-    trim_a = True
-    while len(tokens_a) + len(tokens_b) > max_num_tokens:
-        if len(tokens_a) > len(tokens_b):
-            tokens_a.pop()
-        elif len(tokens_b) > len(tokens_a):
-            tokens_b.pop()
+    """Trim the segments' ends until the pair fits: the longer one loses a
+    piece at a time, and on a tie A and B take turns, A first.
+
+    That is, the longer segment is trimmed down to the shorter one, and the
+    rest of the excess is split evenly. From equal lengths the pops go A, B,
+    B, A, A, B, B, A..., so an odd piece over comes off A when excess // 2
+    is even and off B when it is odd.
+    """
+    len_a, len_b = len(tokens_a), len(tokens_b)
+    excess = len_a + len_b - max_num_tokens
+    if excess <= 0:
+        return
+    gap = min(excess, abs(len_a - len_b))
+    if len_a > len_b:
+        len_a -= gap
+    else:
+        len_b -= gap
+    half, odd = divmod(excess - gap, 2)
+    len_a -= half
+    len_b -= half
+    if odd:
+        if half % 2:
+            len_b -= 1
         else:
-            (tokens_a if trim_a else tokens_b).pop()
-            trim_a = not trim_a
+            len_a -= 1
+    del tokens_a[len_a:], tokens_b[len_b:]
 
 
 def _mask_tokens(
@@ -181,30 +196,47 @@ def _mask_tokens(
     num_to_predict = _masked_bound(cfg.mask_prob, n)
     # A word starts at every initial piece and at the start of A and of B,
     # and ends where the next word, [SEP] or the end begins. Word w is
-    # bounds[w]:bounds[w + 1]; the words are shuffled as indices into bounds.
-    flags = bytearray(map(word_initial.__getitem__, ids))
+    # bounds[w]:bounds[w + 1]; the words are drawn as indices into bounds.
+    flags = bytearray(itemgetter(*ids)(word_initial))
     flags[1] = flags[sep_a + 1] = 1
     bounds = list(compress(range(n), flags))
     words = list(range(1, len(bounds) - 1))
-    del words[bounds.index(sep_a) - 1]
-    _shuffle(words, rng.getrandbits)
-    masked: list[tuple[int, int]] = []
-    for w in words:
-        if len(masked) >= num_to_predict:
+    del words[bisect_left(bounds, sep_a) - 1]
+    # Fisher-Yates from the end, drawn lazily: slot i takes a uniform pick of
+    # words[:i + 1], and the walk stops once the budget is full.
+    getrandbits = rng.getrandbits
+    random = rng.random
+    replace_mask = REPLACE_MASK
+    replace_random = REPLACE_MASK + REPLACE_RANDOM
+    original = ids[:]
+    positions: list[int] = []
+    count = 0
+    for i in range(len(words) - 1, -1, -1):
+        if count >= num_to_predict:
             break
+        if i:
+            size = i + 1
+            k = size.bit_length()
+            j = getrandbits(k)
+            while j >= size:
+                j = getrandbits(k)
+            w = words[j]
+            words[j] = words[i]
+        else:
+            w = words[0]
         start, end = bounds[w], bounds[w + 1]
-        if len(masked) + end - start > num_to_predict:
+        if count + end - start > num_to_predict:
             continue
+        count += end - start
         for pos in range(start, end):
-            original = ids[pos]
-            u = rng.random()
-            if u < REPLACE_MASK:
+            positions.append(pos)
+            u = random()
+            if u < replace_mask:
                 ids[pos] = mask_id
-            elif u < REPLACE_MASK + REPLACE_RANDOM:
+            elif u < replace_random:
                 ids[pos] = random_ids[rng.randrange(len(random_ids))]
-            masked.append((pos, original))
-    masked.sort()
-    return [p for p, _ in masked], [l for _, l in masked]
+    positions.sort()
+    return positions, [original[p] for p in positions]
 
 
 def _instances_from_document(

@@ -77,6 +77,11 @@ class Vocab:
     word_pieces: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # The most characters of a word that one learned piece can match. A "##"
+    # piece counts with its prefix, since a word spelled "##..." matches it
+    # whole. Taken from the pieces: a loaded vocab need not keep to
+    # MAX_PIECE_CHARS.
+    longest_piece: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.pieces)) != len(self.pieces):
@@ -84,6 +89,7 @@ class Vocab:
         if self.pieces[: len(self.reserved)] != self.reserved:
             raise ValueError("reserved tokens must occupy the first indices")
         self.piece_ids = {p: i for i, p in enumerate(self.pieces)}
+        self.longest_piece = max(map(len, self.pieces[len(self.reserved) :]), default=0)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -317,7 +323,9 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
 
     Non-initial matches carry the continuation prefix. Reserved tokens never
     match, so a word spelled "[SEP]" splits into ordinary pieces. A position
-    with no matching piece maps the whole word to [UNK].
+    with no matching piece maps the whole word to [UNK]. Each scan starts
+    at most vocab.longest_piece characters on, not at the word's end, so a
+    word of n characters costs O(n) lookups, not O(n^2).
     """
     if not word:
         raise ValueError("empty word")
@@ -327,8 +335,11 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
     pieces: list[str] = []
     start = 0
     length = len(word)
+    reach = vocab.longest_piece
     while start < length:
-        end = length
+        end = start + reach
+        if end > length:
+            end = length
         match = None
         while end > start:
             piece = word[start:end] if start == 0 else CONTINUATION_PREFIX + word[start:end]

@@ -6,6 +6,8 @@ import unicodedata
 import pytest
 
 from bertpipe.corpus import Granularity, TextUnit, read_documents, read_units
+from bertpipe.evaluation.ner import parse_ner
+from bertpipe.evaluation.ud import parse_conllu
 
 # Composed letters of the paper's languages; NFD splits each into a base
 # letter and a combining mark.
@@ -62,3 +64,22 @@ def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path):
     for read in (read_documents, lambda p: read_units(p, "et")):
         with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xe4")):
             read(str(path))
+
+
+@pytest.mark.parametrize("read", [read_documents, parse_ner, parse_conllu])
+def test_not_utf8_error_gives_the_byte_offset_in_the_file_and_the_line(tmp_path, read):
+    # The bad byte lies past the text reader's first read chunks, where the
+    # decoder's own position is counted from the start of the chunk.
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"a" * 20_000 + b"\n\xff")
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff at offset 20001 (line 2): invalid start byte"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read(str(path))
+
+
+def test_not_utf8_error_counts_the_byte_order_mark_and_a_split_character(tmp_path):
+    path = tmp_path / "split.txt"
+    path.write_bytes(b"\xef\xbb\xbfP\xc3\xa4ike\n\nP\xc3")
+    message = f"{path}: 'utf-8' codec can't decode byte 0xc3 at offset 12 (line 3): unexpected end of data"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_documents(str(path))

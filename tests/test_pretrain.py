@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -284,15 +285,120 @@ class TestPhaseDatasets:
         assert calls == sentences
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 600), seed=st.integers())
-def test_inline_shuffle_draws_like_random_shuffle(n, seed):
-    expected, rng = random.Random(seed), random.Random(seed)
-    want, got = list(range(n)), list(range(n))
-    expected.shuffle(want)
-    pretrain._shuffle(got, rng.getrandbits)
-    assert got == want
-    assert rng.getstate() == expected.getstate()
+# _mask_tokens inputs over ids 0-4 reserved ([CLS] 2, [SEP] 3, [MASK] 4),
+# 5-14 word-initial pieces and 15-24 "##" pieces.
+WORD_INITIAL = bytes([1] * 15 + [0] * 10)
+MASK_ID = 4
+RANDOM_IDS = range(100, 200)  # apart from every input id, so a replacement shows
+
+
+def masking_input(words_a: list[int], words_b: list[int]) -> tuple[list[int], int]:
+    """(ids, sep_a) of [CLS] A [SEP] B [SEP], each word of the given piece count."""
+
+    def pieces(lengths):
+        return [p for n in lengths for p in [5 + n % 10] + [15] * (n - 1)]
+
+    a = pieces(words_a)
+    return [2, *a, 3, *pieces(words_b), 3], len(a) + 1
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        self.calls = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def mask(words_a, words_b, rng, mask_prob=0.15):
+    ids, sep_a = masking_input(words_a, words_b)
+    positions, labels = pretrain._mask_tokens(
+        ids, sep_a, WORD_INITIAL, MASK_ID, MaskingConfig(mask_prob=mask_prob), rng, RANDOM_IDS
+    )
+    return ids, positions, labels
+
+
+class TestLazyWordDraw:
+    """_mask_tokens draws the words in a uniformly random order, one word
+    before each use, and stops once the budget is full."""
+
+    def test_every_word_is_first_equally_often(self):
+        # 10 one-piece words: a budget of floor(0.15 * 10) = 1 masks exactly
+        # the first word drawn
+        firsts = [0] * 13
+        seeds = 3000
+        for seed in range(seeds):
+            _, positions, _ = mask([1] * 5, [1] * 5, random.Random(seed))
+            assert len(positions) == 1
+            firsts[positions[0]] += 1
+        counts = firsts[1:6] + firsts[7:12]
+        assert sum(counts) == seeds
+        expected = seeds / len(counts)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < 27.88, counts  # the 0.999 quantile of chi-square with 9 degrees of freedom
+
+    def test_a_budget_below_the_word_count_stops_the_draws_early(self):
+        # 100 one-piece words and a budget of 15
+        for seed in range(20):
+            rng = CountingRandom(seed)
+            _, positions, _ = mask([1] * 50, [1] * 50, rng)
+            assert len(positions) == 15
+            assert 15 <= rng.calls < 100
+
+    def test_a_budget_that_cannot_be_filled_exactly_tries_every_word(self):
+        # 20 two-piece words and a budget of floor(0.15 * 40) = 6 pieces are
+        # filled exactly; a budget of 3 takes one word and then tries the rest
+        for seed in range(20):
+            rng = CountingRandom(seed)
+            _, positions, _ = mask([2] * 10, [2] * 10, rng, mask_prob=0.09)
+            assert len(positions) == 2
+            assert rng.calls >= 19
+        # with one one-piece word among them, the budget of 3 is always filled,
+        # also where that word is drawn last
+        for seed in range(200):
+            _, positions, _ = mask([2] * 10, [2] * 9 + [1], random.Random(seed), mask_prob=0.09)
+            assert len(positions) == 3
+
+    def test_replacement_split_is_80_10_10(self):
+        replaced = {"mask": 0, "random": 0, "keep": 0}
+        for seed in range(400):
+            ids, positions, labels = mask([1] * 50, [1] * 50, random.Random(seed))
+            for pos, label in zip(positions, labels):
+                shown = ids[pos]
+                kind = "mask" if shown == MASK_ID else "random" if shown in RANDOM_IDS else "keep"
+                assert kind != "keep" or shown == label
+                replaced[kind] += 1
+        n = sum(replaced.values())
+        assert n == 400 * 15
+        for kind, p in (("mask", 0.8), ("random", 0.1), ("keep", 0.1)):
+            assert abs(replaced[kind] - n * p) <= 4.5 * math.sqrt(n * p * (1 - p)), replaced
+
+
+def truncate_by_pops(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int) -> None:
+    """The reference for _truncate_pair: pop the longer segment's last piece
+    until the pair fits, alternating A and B on ties, A first."""
+    trim_a = True
+    while len(tokens_a) + len(tokens_b) > max_num_tokens:
+        if len(tokens_a) > len(tokens_b):
+            tokens_a.pop()
+        elif len(tokens_b) > len(tokens_a):
+            tokens_b.pop()
+        else:
+            (tokens_a if trim_a else tokens_b).pop()
+            trim_a = not trim_a
+
+
+def test_truncate_pair_equals_popping_one_piece_at_a_time():
+    for len_a in range(30):
+        for len_b in range(30):
+            for max_num_tokens in range(60):
+                want = list(range(len_a)), list(range(100, 100 + len_b))
+                got = list(range(len_a)), list(range(100, 100 + len_b))
+                truncate_by_pops(*want, max_num_tokens)
+                pretrain._truncate_pair(*got, max_num_tokens)
+                assert got == want, (len_a, len_b, max_num_tokens)
 
 
 # Documents of words over a-h, every one of which PINNED_PIECES splits
@@ -624,16 +730,16 @@ class TestPinnedBytes:
         vocab = Vocab(PINNED_PIECES)
         streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [stream_sha256(s, seq_len) for s, seq_len in zip(streams, [32, 64])] == [
-            "8477226ad7f0d66e71f84c5a9e8d0325bcdc474bf0d9bd8ddf49a2c23037bbba",
-            "121041c1850b154dd8ee3b6795c95d046a233599f34c75c506d0b1fd6875d81b",
+            "914936299d3a2f10b3369e168e4c0215cf480047f1effd66dd412eb7ead08612",
+            "da31b4dc8bd2138d882ef58337a56f6732feb7cbb080a521d02b7b912e996c75",
         ]
 
     def test_phase_datasets_instances(self):
         vocab = Vocab(PINNED_PIECES)
         streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [instances_sha256(s) for s in streams] == [
-            "933e8be52040d8aa374b9449a118712b1290a1964b45d8ac865a68e5731c8d92",
-            "cb4338dcb90d485414bf34ccb9f14fd33c5543ba1ed0c5211d53fe1e2bb41e0f",
+            "b2f2127f97326721ab2ad33e3e438242dea06a4d93bf02947fc3a2e7e37cf291",
+            "77169aee995ade9ee28a0273fc4c550141a85e71c8577103ba91129bdd9702fe",
         ]
 
     def test_phase_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):

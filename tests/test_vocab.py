@@ -19,6 +19,7 @@ from bertpipe.vocab import (
     MAX_CANDIDATE_WORD_CHARS,
     MAX_PIECE_CHARS,
     RESERVED_TOKENS,
+    UNK,
     Vocab,
     WordCounts,
     count_words,
@@ -548,6 +549,13 @@ class TestTokenize:
         assert tokenize_text("ab [MASK] ba", vocab) == ["ab", "[MA", "##SK]", "ba"]
         assert tokenize("[CLS]", vocab) == ["[UNK]"]
 
+    def test_word_spelled_like_a_continuation_piece_matches_it_whole(self):
+        # longest_piece counts the "##", so the first scan reaches all of "##ab"
+        vocab = self.vocab_with("##ab")
+        assert vocab.longest_piece == 4
+        assert tokenize("##ab", vocab) == ["##ab"]
+        assert tokenize("a##ab", vocab) == ["[UNK]"]
+
     def test_tokenize_text_splits_each_word_once(self, monkeypatch):
         vocab = self.vocab_with("ab", "ba")
         calls = []
@@ -613,3 +621,53 @@ def test_tokenize_text_remembers_each_word_split(seed, texts):
         assert tokenize_text(text, vocab) == expected
     words = {w for text in texts for w in text.split()}
     assert vocab.word_pieces == {w: tuple(tokenize(w, vocab)) for w in words}
+
+
+def tokenize_from_word_end(word: str, vocab: Vocab) -> list[str]:
+    """The reference for tokenize: every scan starts at the word's end."""
+    pieces: list[str] = []
+    start = 0
+    while start < len(word):
+        for end in range(len(word), start, -1):
+            piece = word[start:end] if start == 0 else CONTINUATION_PREFIX + word[start:end]
+            if vocab.piece_ids.get(piece, -1) >= len(vocab.reserved):
+                break
+        else:
+            return [UNK]
+        pieces.append(piece)
+        start = end
+    return pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), word=st.text(alphabet="ab#", min_size=1, max_size=30))
+def test_scan_from_the_longest_piece_matches_a_scan_from_the_word_end(seed, word):
+    # "#" in the alphabet gives words spelled "##..." whose first piece is a
+    # "##" piece matched whole, and pieces spelled "###..."
+    vocab = random_vocab(random.Random(seed), alphabet="ab#")
+    assert tokenize(word, vocab) == tokenize_from_word_end(word, vocab)
+
+
+class CountingLookups(dict):
+    """piece_ids that counts its get calls and fails past a limit."""
+
+    def __init__(self, ids, limit):
+        super().__init__(ids)
+        self.calls = 0
+        self.limit = limit
+
+    def get(self, key, default=None):
+        self.calls += 1
+        assert self.calls <= self.limit, "too many piece lookups"
+        return super().get(key, default)
+
+
+def test_a_long_word_costs_lookups_linear_in_its_length():
+    vocab = Vocab(pieces=RESERVED_TOKENS + ["a", "##a", "aaa", "##aa"])
+    assert vocab.longest_piece == 4
+    # one scan per piece, of at most longest_piece lookups each
+    vocab.piece_ids = CountingLookups(vocab.piece_ids, limit=4 * 50_000)
+    word = "a" * 100_000
+    assert tokenize(word, vocab) == ["aaa"] + ["##aa"] * 49_998 + ["##a"]
+    vocab.piece_ids.calls = 0
+    assert tokenize(word[:-1] + "b", vocab) == [UNK]
