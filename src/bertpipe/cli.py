@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .corpus import normalize
@@ -78,7 +77,7 @@ def _cmd_eval(args) -> int:
     else:
         metrics = attachment_scores(parse_conllu(args.gold), parse_conllu(args.pred))
     report = EvalReport(args.task.upper(), args.train_lang, args.test_lang, args.model, metrics)
-    print(json.dumps(asdict(report), indent=2, sort_keys=True))
+    print(json.dumps(report._asdict(), indent=2, sort_keys=True))
     if args.out:
         save_reports([report], args.out)
     return EXIT_OK

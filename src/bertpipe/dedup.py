@@ -27,9 +27,8 @@ decision.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import TextUnit
 
@@ -52,13 +51,12 @@ def shingle(ids: Sequence[int], n: int) -> list[int]:
     return list(map(hash, zip(*[ids[k:] for k in range(n)])))
 
 
-@dataclass
-class DedupStats:
-    units_in: int = 0
-    units_kept: int = 0
-    units_dropped: int = 0
-    tokens_in: int = 0
-    tokens_kept: int = 0
+class DedupStats(NamedTuple):
+    units_in: int
+    units_kept: int
+    units_dropped: int
+    tokens_in: int
+    tokens_kept: int
 
 
 def dedup_corpus(
@@ -77,27 +75,23 @@ def dedup_corpus(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    stats = DedupStats()
+    units_in = tokens_in = tokens_kept = 0
     ids: defaultdict[str, int] = defaultdict(count().__next__)  # token type -> id, this call only
     seen: set[int] = set()  # fingerprints of the kept units' shingles
     decided: dict[str, int] = {}  # text of every unit so far -> its token count
     kept: list[TextUnit] = []
     for unit in units:
-        stats.units_in += 1
+        units_in += 1
         repeat = decided.get(unit.text)
         if repeat is not None:  # an exact repeat is dropped (module docstring)
-            stats.units_dropped += 1
-            stats.tokens_in += repeat
+            tokens_in += repeat
             continue
         tokens = unit.tokens()
         decided[unit.text] = len(tokens)
-        stats.tokens_in += len(tokens)
+        tokens_in += len(tokens)
         prints = shingle(list(map(ids.__getitem__, tokens)), n)
-        if seen and sum(map(seen.__contains__, prints)) / len(prints) >= threshold:
-            stats.units_dropped += 1
-        else:
-            stats.units_kept += 1
-            stats.tokens_kept += len(tokens)
+        if not seen or sum(map(seen.__contains__, prints)) / len(prints) < threshold:
+            tokens_kept += len(tokens)
             seen.update(prints)
             kept.append(unit)
-    return kept, stats
+    return kept, DedupStats(units_in, len(kept), units_in - len(kept), tokens_in, tokens_kept)

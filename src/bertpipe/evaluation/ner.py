@@ -15,8 +15,7 @@ with the task, languages and model as an EvalReport.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .. import jsonfile
 from ..corpus import not_utf8
@@ -33,8 +32,7 @@ def _split(tag: str) -> tuple[str, str]:
     return "", tag
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(NamedTuple):
     """Mapping from a dataset's entity classes onto {PER, LOC, ORG, O}.
 
     Keys are bare classes, so a map over classes covers the whole BIO
@@ -44,7 +42,7 @@ class LabelMap:
 
     map: dict[str, str]
 
-    def __post_init__(self):
+    def check(self) -> None:
         for raw, harmonized in self.map.items():
             if _split(raw)[0]:
                 raise ValueError(
@@ -106,6 +104,7 @@ def parse_ner(path: str) -> list[tuple[str, ...]]:
 def harmonize(sentences: Iterable[Sequence[str]], label_map: LabelMap) -> list[tuple[str, ...]]:
     """Map every tag's class onto the four-label set, keeping its B-/I- prefix;
     unmapped classes are an error."""
+    label_map.check()
     return [tuple(label_map.resolve(t) for t in s) for s in sentences]
 
 

@@ -8,8 +8,7 @@ the model name to make an EvalReport.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .. import jsonfile
 
@@ -22,8 +21,7 @@ _TASK_METRICS = {
 }
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Scores of one model trained on train_lang and tested on test_lang."""
 
     task: str
@@ -32,7 +30,7 @@ class EvalReport:
     model_name: str
     metrics: dict[str, float]
 
-    def __post_init__(self):
+    def check(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         for name in _TASK_METRICS[self.task]:
@@ -55,8 +53,10 @@ def check_aligned(gold: Sequence[Sequence], pred: Sequence[Sequence], unit: str)
 
 
 def save_reports(reports: list[EvalReport], path: str) -> None:
+    for r in reports:
+        r.check()
     with open(path, "w", encoding="utf-8") as f:
-        json.dump([asdict(r) for r in reports], f, indent=2, sort_keys=True)
+        json.dump([r._asdict() for r in reports], f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -83,6 +83,8 @@ def transfer_matrix(reports: list[EvalReport], baseline: str | None = None) -> s
     """
     if not reports:
         raise ValueError("no reports to render")
+    for r in reports:
+        r.check()
     task = reports[0].task
     if any(r.task != task for r in reports):
         raise ValueError("reports must share a task")

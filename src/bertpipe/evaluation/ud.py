@@ -13,8 +13,7 @@ the task, languages and model as an EvalReport.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..corpus import not_utf8
 from .report import check_aligned
@@ -26,8 +25,7 @@ N_FIELDS = 10
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(N_FIELDS)
 
 
-@dataclass(frozen=True)
-class UdToken:
+class UdToken(NamedTuple):
     id: int
     upos: str
     head: int | None

@@ -1,20 +1,22 @@
 """The one reader of the JSON files bertpipe takes in: the pipeline config,
 the NER label map and eval reports. `load` parses a file, and `read_as`
-turns its value into a dataclass under one set of rules:
+turns its value into a record, a typing.NamedTuple, under one set of rules:
 
 - A key repeated within an object, at any depth, is an error.
-- A dataclass reads from an object with one key per field, nested as the
+- A record reads from an object with one key per field, nested as the
   fields are. A key with a default may be left out, every other key is
-  required, and any other key is an error. A field whose metadata holds
-  "key": False is not a key.
+  required, and any other key is an error. A field that the record names
+  in its `_not_keys` is not a key.
 - A tuple reads from a non-empty array, and a dict[str, T] from an object
   whose values read as T.
 - Numbers must be finite, and an integer field takes only JSON integers
   (not 5.0, not true). A JSON integer stays an int in a float field, so
   that `"epochs": 1` is written back to plan.json as 1.
 - Strings must be non-empty, and an Enum field takes one of its values.
-- Each dataclass checks its bounds in __post_init__: a FieldError names the
-  field at fault, and any other ValueError the object.
+- A record that read_as builds checks its bounds in its check() method,
+  which read_as calls: a FieldError names the field at fault, and any other
+  ValueError the object. Building a record checks nothing, so a function
+  that takes such a record from its caller calls check() itself.
 
 A read_as error is a ValueError naming the JSON path of the value at fault,
 such as $.phases[0].seq_len.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from typing import IO, Any
 
@@ -64,25 +65,28 @@ def read_as(tp, value, path: str = "$"):
         if not ok:
             raise fail(path, f"expected {what}, got {json.dumps(value)}")
 
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):  # a record
         expect(isinstance(value, dict), "an object")
-        keys = {f.name: f for f in fields(tp) if f.metadata.get("key", True)}
+        not_keys = getattr(tp, "_not_keys", ())
+        keys = [name for name in tp._fields if name not in not_keys]
         for key in value:
             if key not in keys:
                 raise fail(f"{path}.{key}", "unknown key")
         hints = typing.get_type_hints(tp)
         kwargs = {}
-        for name, f in keys.items():
+        for name in keys:
             if name in value:
                 kwargs[name] = read_as(hints[name], value[name], f"{path}.{name}")
-            elif f.default is MISSING:
+            elif name not in tp._field_defaults:
                 raise fail(f"{path}.{name}", "missing key")
+        record = tp(**kwargs)
         try:
-            return tp(**kwargs)
+            record.check()
         except FieldError as e:
             raise fail(f"{path}.{e.key}", e.message) from e
         except ValueError as e:
             raise fail(path, str(e)) from e
+        return record
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
         expect(isinstance(value, list) and len(value) > 0, "a non-empty array")

@@ -26,13 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import resource
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__, jsonfile
@@ -67,47 +64,43 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class LanguageConfig:
+class LanguageConfig(NamedTuple):
     code: str
     corpus: tuple[str, ...]
     vocab_budget: int
 
-    def __post_init__(self):
+    def check(self) -> None:
         if self.vocab_budget < 1:
             raise FieldError("vocab_budget", f"must be >= 1, got {self.vocab_budget}")
 
 
-@dataclass(frozen=True)
-class DedupConfig:
+class DedupConfig(NamedTuple):
     n: int
     threshold: float
     granularity: Granularity
 
-    def __post_init__(self):
+    def check(self) -> None:
         if self.n < 1:
             raise FieldError("n", f"must be >= 1, got {self.n}")
         if not 0 <= self.threshold <= 1:
             raise FieldError("threshold", f"must be in [0, 1], got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class VocabConfig:
+class VocabConfig(NamedTuple):
     target_size: int
     seed: int
 
-    def __post_init__(self):
+    def check(self) -> None:
         if self.target_size < 1:
             raise FieldError("target_size", f"must be >= 1, got {self.target_size}")
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
+class PhaseConfig(NamedTuple):
     epochs: float
     batch_size: int
     seq_len: int
 
-    def __post_init__(self):
+    def check(self) -> None:
         if not self.epochs > 0:
             raise FieldError("epochs", f"must be > 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -116,12 +109,11 @@ class PhaseConfig:
             raise FieldError("seq_len", f"must be in [16, {MAX_SEQ_LEN}], got {self.seq_len}")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """A pipeline run's settings; the config file is this object as JSON.
 
     Each key of the file is a field name below, nested as the fields are: an
-    object for each config dataclass, an array for each tuple. The file
+    object for each config record, an array for each tuple. The file
     follows the JSON rules of bertpipe.jsonfile: a repeated key, an unknown
     key or a missing key without a default is an error, numbers are finite,
     and strings and arrays are non-empty.
@@ -164,9 +156,11 @@ class PipelineConfig:
     vocab: VocabConfig
     phases: tuple[PhaseConfig, ...]
     masking: MaskingConfig
-    base_dir: str = field(default=".", metadata={"key": False})
+    base_dir: str = "."
 
-    def __post_init__(self):
+    _not_keys = ("base_dir",)  # fields that are not keys of the file
+
+    def check(self) -> None:
         codes, paths = set(), set()
         for i, lang in enumerate(self.languages):
             if lang.code in codes:
@@ -195,7 +189,7 @@ def load_config(path: str) -> PipelineConfig:
         config = read_as(PipelineConfig, raw)
     except ValueError as e:
         raise ConfigError(f"config {e}") from e
-    return replace(config, base_dir=os.path.dirname(os.path.abspath(path)))
+    return config._replace(base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def file_sha256(path: str) -> str:
@@ -240,8 +234,8 @@ def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         kept, stats = dedup_corpus(units, config.dedup.n, config.dedup.threshold)
         with _atomic(os.path.join(out_dir, f"dedup/{lang.code}.txt"), "w") as f:
             write_units(kept, f, config.dedup.granularity)
-        _write_json(os.path.join(out_dir, f"dedup/{lang.code}.stats.json"), asdict(stats))
-        emit({"event": "dedup_lang", "lang": lang.code, **asdict(stats)})
+        _write_json(os.path.join(out_dir, f"dedup/{lang.code}.stats.json"), stats._asdict())
+        emit({"event": "dedup_lang", "lang": lang.code, **stats._asdict()})
 
 
 def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
@@ -265,10 +259,11 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
 
 
 def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
-    subsets = [
+    # one language's sample at a time, each counted as it is read
+    subsets = (
         read_units(os.path.join(out_dir, f"sample/{lang.code}.txt"), lang.code, config.dedup.granularity)
         for lang in config.languages
-    ]
+    )
     vocab = learn_wordpieces(count_words(subsets), target_size=config.vocab.target_size)
     with _atomic(os.path.join(out_dir, "vocab.txt"), "w") as f:
         vocab.save(f)
@@ -304,8 +299,7 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
     _write_json(os.path.join(out_dir, "pretrain/data.schema.json"), instance_schema())
 
 
-@dataclass(frozen=True)
-class TrainingPlan:
+class TrainingPlan(NamedTuple):
     phases: tuple[PhaseConfig, ...]
     instances: tuple[int, ...]
     steps: tuple[int, ...]
@@ -317,21 +311,32 @@ class TrainingPlan:
     def as_dict(self) -> dict:
         return {
             "phases": [
-                {**asdict(phase), "instances": n, "steps": steps}
+                {**phase._asdict(), "instances": n, "steps": steps}
                 for phase, n, steps in zip(self.phases, self.instances, self.steps)
             ],
             "total_steps": self.total_steps,
         }
 
 
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    """The decimal that repr(x) spells, as (numerator, denominator): 0.3 is
+    (3, 10), 1.5e+16 is (15000000000000000, 1) and 1e-05 is (1, 100000)."""
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    numerator = int(whole + fraction)
+    shift = int(exponent or 0) - len(fraction)
+    return (numerator * 10**shift, 1) if shift >= 0 else (numerator, 10**-shift)
+
+
 def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> TrainingPlan:
     """Phase k trains the full batches of its instances[k] records over its
     epochs: floor(instances * epochs / batch_size) steps, a partial last
-    batch being no step. Exact arithmetic on the decimal that epochs reads
-    as, so 0.3 is 3/10 and not the binary float just below it."""
-    steps = [
-        math.floor(n * Fraction(repr(p.epochs)) / p.batch_size) for n, p in zip(instances, phases, strict=True)
-    ]
+    batch being no step. Exact integer arithmetic on the decimal that
+    epochs reads as, so 0.3 is 3/10 and not the binary float just below it."""
+    steps = []
+    for n, p in zip(instances, phases, strict=True):
+        numerator, denominator = _decimal_ratio(p.epochs)
+        steps.append(n * numerator // (denominator * p.batch_size))
     return TrainingPlan(tuple(phases), tuple(instances), tuple(steps))
 
 
@@ -387,7 +392,7 @@ _STAGES = (
     _Stage(
         "vocab",
         rev=1,
-        params=lambda c: asdict(c.vocab),
+        params=lambda c: c.vocab._asdict(),
         inputs=lambda c: _same(_lang_files(c, "sample/{}.txt")),
         outputs=lambda c: ["vocab.txt"],
         run=_run_vocab,
@@ -397,7 +402,7 @@ _STAGES = (
         rev=3,
         params=lambda c: {
             "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
-            **asdict(c.masking),
+            **c.masking._asdict(),
         },
         inputs=lambda c: _same(_lang_files(c, "dedup/{}.txt") + ["vocab.txt"]),
         outputs=lambda c: _phase_files(c) + ["pretrain/data.schema.json"],
@@ -406,7 +411,7 @@ _STAGES = (
     _Stage(
         "schedule",
         rev=3,
-        params=lambda c: {"phases": [asdict(phase) for phase in c.phases]},
+        params=lambda c: {"phases": [phase._asdict() for phase in c.phases]},
         inputs=lambda c: _same(_phase_files(c)),
         outputs=lambda c: ["plan.json"],
         run=_run_schedule,
@@ -430,8 +435,7 @@ def _previous_stages(manifest_path: str) -> dict[str, dict]:
     return {}
 
 
-@dataclass
-class StageResult:
+class StageResult(NamedTuple):
     name: str
     status: str  # "completed" | "skipped (up-to-date)"
 

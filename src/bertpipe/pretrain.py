@@ -48,12 +48,11 @@ import hashlib
 import os
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from random import Random
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .jsonfile import FieldError
 from .vocab import CONTINUATION_PREFIX, Vocab, tokenize_text
@@ -73,21 +72,19 @@ REPLACE_MASK = 0.8
 REPLACE_RANDOM = 0.1
 
 
-@dataclass(frozen=True)
-class MaskingConfig:
+class MaskingConfig(NamedTuple):
     mask_prob: float = 0.15
     seed: int = 0
     dupe_factor: int = 1
 
-    def __post_init__(self):
+    def check(self) -> None:
         if not 0.0 < self.mask_prob < 1.0:
             raise FieldError("mask_prob", f"must be in (0, 1), got {self.mask_prob}")
         if self.dupe_factor < 1:
             raise FieldError("dupe_factor", f"must be >= 1, got {self.dupe_factor}")
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
+class TrainingInstance(NamedTuple):
     """One packed MLM sequence [CLS] A [SEP] B [SEP], padded to the max
     sequence length; len_a and len_b are the piece counts of A and B."""
 
@@ -98,7 +95,7 @@ class TrainingInstance:
     masked_labels: tuple[int, ...]
     is_next: bool
 
-    def __post_init__(self):
+    def check(self) -> None:
         if self.len_a < 1 or self.len_b < 1 or self.len_a + self.len_b + 3 > len(self.token_ids):
             raise ValueError(
                 f"segments of {self.len_a} and {self.len_b} pieces do not fit {len(self.token_ids)} positions"
@@ -125,12 +122,14 @@ class TrainingInstance:
         return (0,) * a + (1,) * b + (0,) * (len(self.token_ids) - a - b)
 
 
-@dataclass
 class GenerationStats:
-    documents_in: int = 0
-    documents_skipped: int = 0
-    sentences: int = 0
-    pieces: int = 0
+    """Counts of the documents phase_datasets tokenizes, filled in as it goes."""
+
+    def __init__(self):
+        self.documents_in = 0
+        self.documents_skipped = 0
+        self.sentences = 0
+        self.pieces = 0
 
 
 def _child_seed(seed: int, *parts: int) -> int:
@@ -359,8 +358,10 @@ def phase_datasets(
     Documents with zero tokenizable sentences are skipped and counted in
     stats. Phase k draws from its own seed derived from (seed, k), and
     its instances come out grouped by document ordinal, repeated dupe_factor
-    times over the corpus with independent derived RNGs.
+    times over the corpus with independent derived RNGs. A cfg out of its
+    bounds is a FieldError.
     """
+    cfg.check()
     if not seq_lens:
         raise ValueError("no phases")
     for seq_len in seq_lens:
@@ -368,7 +369,7 @@ def phase_datasets(
     stats = stats if stats is not None else GenerationStats()
     tokenized = _tokenize_documents(documents, vocab, stats)
     return [
-        _generate(tokenized, vocab, seq_len, replace(cfg, seed=_child_seed(cfg.seed, k)))
+        _generate(tokenized, vocab, seq_len, cfg._replace(seed=_child_seed(cfg.seed, k)))
         for k, seq_len in enumerate(seq_lens)
     ]
 
@@ -402,7 +403,8 @@ def _record(seq_len: int, max_masked: int) -> struct.Struct:
 
 
 def pack_instance(instance: TrainingInstance, seq_len: int, max_masked: int) -> bytes:
-    """The instance as one record of a phase file with this header."""
+    """The instance, checked, as one record of a phase file with this header."""
+    instance.check()
     m = len(instance.masked_positions)
     if len(instance.token_ids) != seq_len or m > max_masked:
         raise ValueError(
@@ -461,7 +463,7 @@ def read_instances(path: str) -> Iterator[TrainingInstance]:
             len_a, len_b, k = values[n : n + 3]
             if k > m:
                 raise ValueError(f"instance record masks {k} pieces, more than the file's bound of {m}")
-            yield TrainingInstance(
+            instance = TrainingInstance(
                 token_ids=values[:n],
                 len_a=len_a,
                 len_b=len_b,
@@ -469,6 +471,8 @@ def read_instances(path: str) -> Iterator[TrainingInstance]:
                 masked_labels=values[n + 3 + m : n + 3 + m + k],
                 is_next=bool(values[-1]),
             )
+            instance.check()
+            yield instance
 
 
 def count_instances(path: str) -> int:

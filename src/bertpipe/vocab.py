@@ -45,8 +45,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .corpus import TextUnit
 
@@ -61,35 +60,29 @@ MAX_PIECE_CHARS = 16
 MAX_CANDIDATE_WORD_CHARS = 64
 
 
-@dataclass
-class WordCounts:
+class WordCounts(NamedTuple):
     counts: dict[str, int]
 
 
-@dataclass
 class Vocab:
-    """Ordered subword inventory; reserved tokens occupy the first indices."""
+    """Ordered subword inventory; reserved tokens occupy the first indices.
+    The pieces never change after init."""
 
-    pieces: list[str]
-    reserved: list[str] = field(default_factory=lambda: list(RESERVED_TOKENS))
-    piece_ids: dict[str, int] = field(init=False, repr=False, compare=False)
-    # word -> its pieces, filled by tokenize_text; pieces never change after init
-    word_pieces: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # The most characters of a word that one learned piece can match. A "##"
-    # piece counts with its prefix, since a word spelled "##..." matches it
-    # whole. Taken from the pieces: a loaded vocab need not keep to
-    # MAX_PIECE_CHARS.
-    longest_piece: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(set(self.pieces)) != len(self.pieces):
+    def __init__(self, pieces: list[str], reserved: list[str] | None = None):
+        self.pieces = pieces
+        self.reserved = list(RESERVED_TOKENS) if reserved is None else reserved
+        if len(set(pieces)) != len(pieces):
             raise ValueError("vocabulary pieces must be unique")
-        if self.pieces[: len(self.reserved)] != self.reserved:
+        if pieces[: len(self.reserved)] != self.reserved:
             raise ValueError("reserved tokens must occupy the first indices")
-        self.piece_ids = {p: i for i, p in enumerate(self.pieces)}
-        self.longest_piece = max(map(len, self.pieces[len(self.reserved) :]), default=0)
+        self.piece_ids = {p: i for i, p in enumerate(pieces)}
+        # word -> its pieces, filled by tokenize_text
+        self.word_pieces: dict[str, tuple[str, ...]] = {}
+        # The most characters of a word that one learned piece can match. A
+        # "##" piece counts with its prefix, since a word spelled "##..."
+        # matches it whole. Taken from the pieces: a loaded vocab need not
+        # keep to MAX_PIECE_CHARS.
+        self.longest_piece = max(map(len, pieces[len(self.reserved) :]), default=0)
 
     def __len__(self) -> int:
         return len(self.pieces)

@@ -66,21 +66,24 @@ def make_dedup_corpus(rng: random.Random, size: int, lang: str = "xx") -> list[T
 
 # ------------------------------------------------------------ tokenizer oracle
 
+RESERVED = {"[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"}
+
+
 def oracle_tokenize(word: str, pieces: set[str]) -> list[str]:
-    """Longest-match-first segmentation by raw substring probing."""
+    """Longest-match-first segmentation by raw substring probing. A reserved
+    token never matches, and each match moves on by the characters of the
+    word it covers, so a word spelled "##ab" can be the one piece "##ab"."""
     out: list[str] = []
     start = 0
     while start < len(word):
-        matched = None
         for end in range(len(word), start, -1):
             candidate = word[start:end] if start == 0 else "##" + word[start:end]
-            if candidate in pieces:
-                matched = candidate
+            if candidate in pieces and candidate not in RESERVED:
+                out.append(candidate)
+                start = end
                 break
-        if matched is None:
+        else:
             return ["[UNK]"]
-        out.append(matched)
-        start += len(matched) - 2 if matched.startswith("##") else len(matched)
     return out
 
 

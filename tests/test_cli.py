@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import unicodedata
-from dataclasses import asdict
 
 import pytest
 
@@ -57,6 +56,24 @@ def test_import_is_silent_and_starts_no_thread():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1 False False\n"
     assert done.stderr == ""
+
+
+def test_pipeline_run_never_imports_dataclasses_or_fractions(tmp_path):
+    """dataclasses pulls in inspect, and fractions pulls in decimal: about 30
+    ms of start-up in all. None of them loads with the CLI, nor later in a run
+    that reaches its last stage, through a deferred import."""
+    config = write_config(tmp_path)
+    probe = (
+        "import sys, bertpipe.cli;"
+        " heavy = lambda: [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal') if m in sys.modules];"
+        " print(heavy());"
+        " bertpipe.cli.main(sys.argv[1:]);"
+        " print(heavy())"
+    )
+    done = run_python("-c", probe, "pipeline", "run", config, "--out", str(tmp_path / "out"))
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), done.stderr
+    assert (tmp_path / "out" / "plan.json").exists()
 
 
 def test_help_lists_exactly_the_kept_commands():
@@ -119,7 +136,7 @@ def test_eval_report_round_trips_one_report(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     [report] = load_reports(str(one))
-    assert json.loads(done.stdout) == asdict(report)
+    assert json.loads(done.stdout) == report._asdict()
     combined = tmp_path / "all.json"
     done = bertpipe_cli("report", "--task", "ner", "--json", str(combined), str(one))
     assert done.returncode == 0, done.stderr

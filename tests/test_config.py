@@ -6,7 +6,6 @@ import json
 import math
 import re
 import typing
-from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -212,18 +211,18 @@ def test_repeated_key_is_a_validation_error_naming_it(tmp_path, capsys, old, new
 
 
 def config_keys(tp, prefix=""):
-    """Dotted key paths of the config file, walking the dataclass fields as
-    the reader does: tuples by their element type, base_dir skipped."""
+    """Dotted key paths of the config file, walking the record fields as the
+    reader does: tuples by their element type, base_dir skipped."""
     hints = typing.get_type_hints(tp)
-    for f in fields(tp):
-        if not f.metadata.get("key", True):
+    for name in tp._fields:
+        if name in getattr(tp, "_not_keys", ()):
             continue
-        yield prefix + f.name
-        inner = hints[f.name]
+        yield prefix + name
+        inner = hints[name]
         if typing.get_origin(inner) is tuple:
             inner = typing.get_args(inner)[0]
-        if is_dataclass(inner):
-            yield from config_keys(inner, f"{prefix}{f.name}.")
+        if hasattr(inner, "_fields"):
+            yield from config_keys(inner, f"{prefix}{name}.")
 
 
 def documented_keys():

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -182,7 +181,7 @@ class TestDedupCorpus:
     def test_empty_input_zeroed_stats(self):
         kept, stats = dedup_corpus([], n=9, threshold=0.9)
         assert kept == []
-        assert asdict(stats) == {
+        assert stats._asdict() == {
             "units_in": 0,
             "units_kept": 0,
             "units_dropped": 0,

@@ -105,12 +105,14 @@ class TestHarmonize:
 
     def test_map_must_land_in_four_labels(self):
         with pytest.raises(ValueError, match="MISC"):
-            LabelMap({"MISC": "MISC"})
+            LabelMap({"MISC": "MISC"}).check()
+        with pytest.raises(ValueError, match="MISC"):
+            harmonize([sentence(("O",))], LabelMap({"MISC": "MISC", "O": "O"}))
 
     @pytest.mark.parametrize("key", ["B-PER", "I-MISC"])
     def test_prefixed_map_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key}.*prefix"):
-            LabelMap({key: "PER"})
+            LabelMap({key: "PER"}).check()
 
     def test_load_from_json(self, tmp_path):
         path = tmp_path / "map.json"

@@ -3,7 +3,6 @@
 import json
 import logging
 import unicodedata
-from dataclasses import replace
 
 import pytest
 
@@ -90,7 +89,7 @@ def test_budget_shortfalls_are_event_fields_not_log_records(tmp_path, caplog):
 @pytest.mark.parametrize("budget", [6, 50])
 def test_sample_event_tokens_count_the_written_sample(tmp_path, budget):
     config = write_config(tmp_path)
-    config = replace(config, languages=[replace(lang, vocab_budget=budget) for lang in config.languages])
+    config = config._replace(languages=[lang._replace(vocab_budget=budget) for lang in config.languages])
     out = tmp_path / "out"
     events = run_collecting_events(config, str(out))
     for event in (e for e in events if e["event"] == "sample_lang"):
@@ -156,15 +155,15 @@ def test_every_stage_done_reports_its_duration_and_the_peak_rss_so_far(tmp_path,
 def test_changed_vocab_size_reruns_vocab_and_pretrain_data(tmp_path, completing):
     config, out = write_config(tmp_path), str(tmp_path / "out")
     run_pipeline(config, out)
-    larger = replace(config, vocab=replace(config.vocab, target_size=config.vocab.target_size + 5))
+    larger = config._replace(vocab=config.vocab._replace(target_size=config.vocab.target_size + 5))
     assert rerun_stages(larger, out) == ["vocab", "pretrain_data", "schedule"]
 
 
 def test_changed_epochs_rerun_only_schedule(tmp_path, completing):
     config, out = write_config(tmp_path), tmp_path / "out"
     run_pipeline(config, str(out))
-    phases = (replace(config.phases[0], epochs=2.5), *config.phases[1:])
-    assert rerun_stages(replace(config, phases=phases), str(out)) == ["schedule"]
+    phases = (config.phases[0]._replace(epochs=2.5), *config.phases[1:])
+    assert rerun_stages(config._replace(phases=phases), str(out)) == ["schedule"]
     plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
     assert plan["phases"][0]["epochs"] == 2.5
 

@@ -1,10 +1,11 @@
 """make_plan: each training phase's steps from the instances it reads."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bertpipe.pipeline import PhaseConfig, make_plan
@@ -131,3 +132,19 @@ def test_plan_steps_are_the_full_batches(phases):
     for (n, epochs, batch), steps in zip(phases, plan.steps, strict=True):
         assert steps * batch <= n * Fraction(repr(epochs)) < (steps + 1) * batch
     assert plan.total_steps == sum(plan.steps)
+
+
+@given(
+    instances=st.integers(0, 10**12),
+    epochs=st.one_of(
+        st.floats(0, exclude_min=True, allow_nan=False, allow_infinity=False),
+        st.integers(1, 10**6),
+        st.sampled_from([1e-05, 1.5e16, 2.675, 5e-324, 1.7976931348623157e308]),
+    ),
+    batch=st.integers(1, 4096),
+)
+# Fraction(*(0.3).as_integer_ratio()) is just below 3/10 and gives 2 steps
+@example(instances=10, epochs=0.3, batch=1)
+def test_steps_are_the_exact_floor_over_the_decimal_of_epochs(instances, epochs, batch):
+    [steps] = make_plan([instances], [PhaseConfig(epochs, batch, 128)]).steps
+    assert steps == math.floor(instances * Fraction(repr(epochs)) / batch)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from bertpipe import pretrain
 from bertpipe.corpus import read_documents
+from bertpipe.jsonfile import FieldError
 from bertpipe.pipeline import _write_json
 from bertpipe.pretrain import (
     MAX_SEQ_LEN,
@@ -171,6 +172,15 @@ class TestBuildInstances:
         vocab, _ = toy_vocab
         with pytest.raises(ValueError):
             phase_datasets([["a"]], vocab, [8], MaskingConfig())
+
+    @pytest.mark.parametrize(
+        "cfg, key", [(MaskingConfig(mask_prob=1.0), "mask_prob"), (MaskingConfig(dupe_factor=0), "dupe_factor")]
+    )
+    def test_masking_config_out_of_bounds_rejected(self, toy_vocab, cfg, key):
+        vocab, _ = toy_vocab
+        with pytest.raises(FieldError) as rejected:
+            phase_datasets([["a"]], vocab, [32], cfg)
+        assert rejected.value.key == key
 
     def test_masked_count_floors_over_non_special_positions(self):
         # With one-piece words, masking stops exactly at its target count,
@@ -642,22 +652,26 @@ class TestInstanceInvariants:
 
     def test_positions_must_increase(self):
         with pytest.raises(ValueError):
-            TrainingInstance(self.TOKENS, 2, 1, (2, 1), (5, 6), True)
+            TrainingInstance(self.TOKENS, 2, 1, (2, 1), (5, 6), True).check()
 
     @pytest.mark.parametrize("position", [0, 3, 5, 6, 8])
     def test_positions_in_range(self, position):
-        TrainingInstance(self.TOKENS, 2, 1, (1, 2, 4), (5, 6, 7), False)
+        TrainingInstance(self.TOKENS, 2, 1, (1, 2, 4), (5, 6, 7), False).check()
         with pytest.raises(ValueError, match="within A or B"):
-            TrainingInstance(self.TOKENS, 2, 1, (position,), (7,), False)
+            TrainingInstance(self.TOKENS, 2, 1, (position,), (7,), False).check()
 
     def test_labels_align_with_positions(self):
         with pytest.raises(ValueError):
-            TrainingInstance(self.TOKENS, 2, 1, (1,), (), False)
+            TrainingInstance(self.TOKENS, 2, 1, (1,), (), False).check()
 
     @pytest.mark.parametrize("len_a, len_b", [(0, 1), (2, 0), (3, 3)])
     def test_segments_must_be_non_empty_and_fit(self, len_a, len_b):
         with pytest.raises(ValueError, match="do not fit"):
-            TrainingInstance(self.TOKENS, len_a, len_b, (), (), False)
+            TrainingInstance(self.TOKENS, len_a, len_b, (), (), False).check()
+
+    def test_pack_instance_checks_the_instance(self):
+        with pytest.raises(ValueError, match="within A or B"):
+            pack_instance(TrainingInstance(self.TOKENS, 2, 1, (3,), (7,), False), 8, 1)
 
     def test_mask_and_segment_ids_follow_from_the_lengths(self):
         instance = TrainingInstance(self.TOKENS, 2, 1, (), (), True)

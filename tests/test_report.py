@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import asdict
 
 import pytest
 
@@ -141,11 +140,21 @@ def test_load_reports_rejects_a_malformed_report(tmp_path, text, message):
         load_reports(str(path))
 
 
+def test_save_and_render_check_each_report(tmp_path):
+    bad = EvalReport("NER", "fi", "fi", "m", {"macro_f1": 1.5})
+    message = re.escape("metric macro_f1=1.5 is not a number in [0, 1]")
+    with pytest.raises(ValueError, match=message):
+        save_reports([ner("fi", "fi", "m", 0.5), bad], str(tmp_path / "reports.json"))
+    assert not (tmp_path / "reports.json").exists()
+    with pytest.raises(ValueError, match=message):
+        transfer_matrix([ner("fi", "fi", "m", 0.5), bad])
+
+
 def test_save_and_load_reports_round_trip(tmp_path):
     reports = [dp("sl", "hr", "m", 0.75, 0.5), ner("fi", "et", "m", 1)]
     path = tmp_path / "reports.json"
     save_reports(reports, str(path))
     assert load_reports(str(path)) == reports
     # a file may also hold one report object, not in an array
-    path.write_text(json.dumps(asdict(reports[0])), encoding="utf-8")
+    path.write_text(json.dumps(reports[0]._asdict()), encoding="utf-8")
     assert load_reports(str(path)) == reports[:1]

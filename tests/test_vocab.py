@@ -594,9 +594,17 @@ def random_vocab(rng: random.Random, alphabet: str = "abcd") -> Vocab:
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), word=st.text(alphabet="abcd", min_size=1, max_size=12))
-def test_greedy_matches_oracle(seed, word):
-    vocab = random_vocab(random.Random(seed))
+@given(seed=st.integers(0, 2**32 - 1), alphabet=st.sampled_from(["abcd", "ab#"]), data=st.data())
+def test_greedy_matches_oracle(seed, alphabet, data):
+    """Words over the alphabet, and words spelled by joining pieces: a
+    reserved token or a "##" piece among them, or a "#" word."""
+    vocab = random_vocab(random.Random(seed), alphabet)
+    word = data.draw(
+        st.one_of(
+            st.text(alphabet=alphabet, min_size=1, max_size=12),
+            st.lists(st.sampled_from(vocab.pieces), min_size=1, max_size=3).map("".join),
+        )
+    )
     assert tokenize(word, vocab) == oracle_tokenize(word, set(vocab.pieces))
 
 
