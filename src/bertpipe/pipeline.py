@@ -64,6 +64,14 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def _check_at(key: str, record) -> None:
+    """record.check(), with the key of a FieldError prefixed by key."""
+    try:
+        record.check()
+    except FieldError as e:
+        raise FieldError(f"{key}.{e.key}", e.message) from e
+
+
 class LanguageConfig(NamedTuple):
     code: str
     corpus: tuple[str, ...]
@@ -161,6 +169,12 @@ class PipelineConfig(NamedTuple):
     _not_keys = ("base_dir",)  # fields that are not keys of the file
 
     def check(self) -> None:
+        for i, lang in enumerate(self.languages):
+            _check_at(f"languages[{i}]", lang)
+        for key in ("dedup", "vocab", "masking"):
+            _check_at(key, getattr(self, key))
+        for k, phase in enumerate(self.phases):
+            _check_at(f"phases[{k}]", phase)
         codes, paths = set(), set()
         for i, lang in enumerate(self.languages):
             if lang.code in codes:
@@ -277,9 +291,12 @@ def _phase_files(config: PipelineConfig) -> list[str]:
 
 def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     vocab = Vocab.load(os.path.join(out_dir, "vocab.txt"))
-    documents = []
-    for rel in _lang_files(config, "dedup/{}.txt"):
-        documents.extend(read_documents(os.path.join(out_dir, rel)))
+    # one dedup file's text at a time, each tokenized before the next is read
+    documents = (
+        doc
+        for rel in _lang_files(config, "dedup/{}.txt")
+        for doc in read_documents(os.path.join(out_dir, rel))
+    )
     seq_lens = [phase.seq_len for phase in config.phases]
     stats = GenerationStats()
     streams = phase_datasets(documents, vocab, seq_lens, config.masking, stats)
@@ -332,7 +349,10 @@ def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> Traini
     """Phase k trains the full batches of its instances[k] records over its
     epochs: floor(instances * epochs / batch_size) steps, a partial last
     batch being no step. Exact integer arithmetic on the decimal that
-    epochs reads as, so 0.3 is 3/10 and not the binary float just below it."""
+    epochs reads as, so 0.3 is 3/10 and not the binary float just below it.
+    A phase out of its bounds is a FieldError naming it, as phases[k]."""
+    for k, phase in enumerate(phases):
+        _check_at(f"phases[{k}]", phase)
     steps = []
     for n, p in zip(instances, phases, strict=True):
         numerator, denominator = _decimal_ratio(p.epochs)
@@ -446,7 +466,12 @@ def run_pipeline(
     events: EventSink | None = None,
     force: bool = False,
 ) -> list[StageResult]:
-    """Run all stages, writing artifacts and a manifest under out_dir."""
+    """Run all stages, writing artifacts and a manifest under out_dir. A
+    config out of its bounds is a ConfigError, before any event or write."""
+    try:
+        config.check()
+    except ValueError as e:
+        raise ConfigError(f"config {e}") from e
     emit = events if events is not None else (lambda e: None)
     os.makedirs(out_dir, exist_ok=True)
     for sub in ("dedup", "sample", "pretrain"):

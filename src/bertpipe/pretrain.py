@@ -6,6 +6,10 @@ next-sentence task, and masked whole words at a time: every piece of a
 selected word is masked, each piece independently drawing the
 mask/random/keep replacement. Instances are padded to max_seq_len.
 
+The documents are consumed once, in order, so a caller may pass a
+generator and hold only the text not yet tokenized: the pipeline reads
+one dedup file at a time.
+
 The corpus is tokenized once into piece ids, and every phase of
 phase_datasets builds its instances from that one copy; each distinct word
 is split once (tokenize_text remembers its pieces on the Vocab). Word
@@ -346,7 +350,7 @@ def _generate(
 
 
 def phase_datasets(
-    documents: Sequence[Sequence[str]],
+    documents: Iterable[Sequence[str]],
     vocab: Vocab,
     seq_lens: Sequence[int],
     cfg: MaskingConfig,
@@ -354,12 +358,13 @@ def phase_datasets(
 ) -> list[Iterator[TrainingInstance]]:
     """One independent instance stream per phase, at that phase's sequence length.
 
-    The documents are tokenized once, here, and shared by every stream.
-    Documents with zero tokenizable sentences are skipped and counted in
-    stats. Phase k draws from its own seed derived from (seed, k), and
-    its instances come out grouped by document ordinal, repeated dupe_factor
-    times over the corpus with independent derived RNGs. A cfg out of its
-    bounds is a FieldError.
+    The documents are consumed once, here, and tokenized into one copy of
+    piece ids that every stream shares, so they may come from a generator
+    that reads them lazily. Documents with zero tokenizable sentences are
+    skipped and counted in stats. Phase k draws from its own seed derived
+    from (seed, k), and its instances come out grouped by document ordinal,
+    repeated dupe_factor times over the corpus with independent derived
+    RNGs. A cfg out of its bounds is a FieldError.
     """
     cfg.check()
     if not seq_lens:

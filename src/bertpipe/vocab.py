@@ -24,11 +24,13 @@ length, so the table's scores are its counts times that length. Their
 histogram over the tables of length 2 and up, which leave out exactly the
 single characters, gives the k-th best score so far; more candidates can
 only raise it, so it never exceeds the final cutoff, and each table keeps
-only the keys whose count reaches it. After the last table it is the
-cutoff. Only the kept candidates at or above it become (-score, piece)
-pairs, which are sorted and cut to k. Ties at the cutoff are broken by the
-piece string, as everywhere in the ordering, so a "##" piece comes before
-an initial piece of the same score.
+only the keys whose count reaches it. Each time the bound rises, the
+tables kept so far drop the keys that no longer reach it, so no more than
+the candidates of the bound so far are held. After the last table it is
+the cutoff, and every kept candidate reaches it. They become (-score,
+piece) pairs, which are sorted and cut to k. Ties at the cutoff are broken
+by the piece string, as everywhere in the ordering, so a "##" piece comes
+before an initial piece of the same score.
 
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
@@ -251,12 +253,13 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     more join one histogram, and its k-th best score so far is a lower
     bound on the final k-th best, since more candidates can only raise it.
     Each table keeps only its keys of count at least that bound over L,
-    rounded up; the tables of length 1 are kept whole. After the last table
-    the bound is the final cutoff: the kept candidates that reach it are
-    sorted by the key and the first k kept. If the corpus has fewer
-    candidates than the budget, the cutoff is 0, every candidate is kept,
-    the score-0 piece "##" of a word starting with "##" included, and the
-    vocabulary is smaller than target_size.
+    rounded up, and a new bound re-filters every table kept so far whose
+    least count it raises; the tables of length 1 are kept whole. After the
+    last table the bound is the final cutoff, which every kept candidate
+    reaches: they are sorted by the key and the first k kept. If the
+    corpus has fewer candidates than the budget, the cutoff is 0, every
+    candidate is kept, the score-0 piece "##" of a word starting with "##"
+    included, and the vocabulary is smaller than target_size.
     """
     chars = sorted({ch for word in counts.counts for ch in word})
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
@@ -273,7 +276,8 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     budget = target_size - floor_size
     hist: Counter[int] = Counter()
     cutoff = 0
-    kept: list[tuple[int, str, dict[str, int]]] = []
+    # (length, prefix, least count kept, table)
+    kept: list[tuple[int, str, int, dict[str, int]]] = []
     single: dict[str, dict[str, int]] = {}
     for prefix in ("", CONTINUATION_PREFIX):
         # A training word may spell a reserved token; it is never a learned
@@ -289,16 +293,19 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
                 if token in table:
                     hist[table[token] * length] -= 1
             cutoff = _nth_best(hist, budget)
+            # The bound only rises: a kept table drops what it no longer reaches.
+            for i, (kept_length, kept_prefix, kept_least, kept_table) in enumerate(kept):
+                least = -(-cutoff // kept_length)
+                if least > kept_least:
+                    kept_table = {raw: n for raw, n in kept_table.items() if n >= least}
+                    kept[i] = (kept_length, kept_prefix, least, kept_table)
             least = -(-cutoff // length)  # the least count that reaches the cutoff
             above = {raw: n for raw, n in table.items() if n >= least}
             for token in dropped:
                 above.pop(token, None)
-            kept.append((length, prefix, above))
-    optional = []
-    for length, prefix, table in kept:
-        least = -(-cutoff // length)
-        above = itertools.compress(table, map(least.__le__, table.values()))
-        optional += [(-table[raw] * length, prefix + raw) for raw in above]
+            kept.append((length, prefix, least, above))
+    # every kept table is filtered at the final cutoff
+    optional = [(-n * length, prefix + raw) for length, prefix, _, table in kept for raw, n in table.items()]
     if cutoff == 0 and any(w.startswith(CONTINUATION_PREFIX) for ws in by_length for w in ws):
         optional.append((0, CONTINUATION_PREFIX))
     kept_pieces = sorted(optional)[:budget]
@@ -318,11 +325,14 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
     match, so a word spelled "[SEP]" splits into ordinary pieces. A position
     with no matching piece maps the whole word to [UNK]. Each scan starts
     at most vocab.longest_piece characters on, not at the word's end, so a
-    word of n characters costs O(n) lookups, not O(n^2).
+    word of n characters costs O(n) lookups, not O(n^2). A matched piece is
+    the string object of vocab.pieces, not a copy, so the pieces that
+    vocab.word_pieces remembers share the vocab's strings.
     """
     if not word:
         raise ValueError("empty word")
     ids = vocab.piece_ids
+    known = vocab.pieces
     # Reserved tokens hold the ids below this one.
     first_learned = len(vocab.reserved)
     pieces: list[str] = []
@@ -336,8 +346,9 @@ def tokenize(word: str, vocab: Vocab) -> list[str]:
         match = None
         while end > start:
             piece = word[start:end] if start == 0 else CONTINUATION_PREFIX + word[start:end]
-            if ids.get(piece, -1) >= first_learned:
-                match = piece
+            i = ids.get(piece, -1)
+            if i >= first_learned:
+                match = known[i]
                 break
             end -= 1
         if match is None:

@@ -130,7 +130,12 @@ class TestFingerprints:
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
             done = subprocess.run(
-                [sys.executable, "-c", probe, str(corpus)], capture_output=True, text=True, env=env, timeout=60
+                [sys.executable, "-c", probe, str(corpus)],
+                capture_output=True,
+                text=True,
+                encoding="utf-8",
+                env=env,
+                timeout=60,
             )
             assert done.returncode == 0, done.stderr
             runs.append(json.loads(done.stdout))

@@ -2,13 +2,14 @@
 
 import json
 import logging
+import re
 import unicodedata
 
 import pytest
 
-from bertpipe import pipeline
+from bertpipe import pipeline, pretrain
 from bertpipe.corpus import read_documents, read_units
-from bertpipe.pipeline import StageError, file_sha256, load_config, run_pipeline
+from bertpipe.pipeline import ConfigError, PhaseConfig, StageError, file_sha256, load_config, run_pipeline
 from bertpipe.pretrain import count_instances, read_instances
 from bertpipe.vocab import Vocab, tokenize_text
 
@@ -300,3 +301,49 @@ def test_plan_counts_the_instances_of_each_phase_file(tmp_path, completing):
         }
     assert plan["total_steps"] == sum(phase["steps"] for phase in plan["phases"])
 
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("phases[0].batch_size", lambda c: c._replace(phases=(PhaseConfig(1, 0, 128),))),
+        ("phases[1].seq_len", lambda c: c._replace(phases=(c.phases[0], c.phases[1]._replace(seq_len=8)))),
+        (
+            "languages[1].vocab_budget",
+            lambda c: c._replace(languages=(c.languages[0], c.languages[1]._replace(vocab_budget=0))),
+        ),
+        ("dedup.threshold", lambda c: c._replace(dedup=c.dedup._replace(threshold=1.5))),
+        ("vocab.target_size", lambda c: c._replace(vocab=c.vocab._replace(target_size=0))),
+        ("masking.mask_prob", lambda c: c._replace(masking=c.masking._replace(mask_prob=0.0))),
+    ],
+)
+def test_config_built_out_of_bounds_is_rejected_before_any_event_or_write(tmp_path, field, edit):
+    config, out = edit(write_config(tmp_path)), tmp_path / "out"
+    events = []
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        run_pipeline(config, str(out), events=events.append)
+    assert events == []
+    assert not out.exists()
+
+
+def test_pretrain_data_reads_each_dedup_file_after_the_last_one_is_tokenized(tmp_path, completing, monkeypatch):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    log = []
+
+    def reading(path):
+        log.append(("read", path))
+        return read_documents(path)
+
+    def tokenizing(text, vocab):
+        log.append(("tokenize", text))
+        return tokenize_text(text, vocab)
+
+    monkeypatch.setattr(pipeline, "read_documents", reading)
+    monkeypatch.setattr(pretrain, "tokenize_text", tokenizing)
+    run_pipeline(config, str(out))
+    expected = []
+    for lang in CORPORA:
+        path = str(out / "dedup" / f"{lang}.txt")
+        expected.append(("read", path))
+        expected += [("tokenize", s) for doc in read_documents(path) for s in doc]
+    assert log == expected

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bertpipe.jsonfile import FieldError
 from bertpipe.pipeline import PhaseConfig, make_plan
 
 # BERT's two phases (Devlin et al. 2019, A.2) over a 3.7G- and a 5.9G-token
@@ -77,6 +78,20 @@ def test_a_phase_without_instances_has_no_steps():
 def test_each_phase_needs_exactly_one_instance_count(instances, phases):
     with pytest.raises(ValueError):
         make_plan(instances, phases)
+
+
+@pytest.mark.parametrize(
+    "phases, key",
+    [
+        ([PhaseConfig(1, 0, 128)], "phases[0].batch_size"),
+        ([PhaseConfig(1, 8, 128), PhaseConfig(0, 8, 512)], "phases[1].epochs"),
+        ([PhaseConfig(1, 8, 8)], "phases[0].seq_len"),
+    ],
+)
+def test_a_phase_out_of_its_bounds_is_a_field_error_naming_it(phases, key):
+    with pytest.raises(FieldError) as error:
+        make_plan([10] * len(phases), phases)
+    assert error.value.key == key
 
 
 def test_as_dict_is_the_plan_json():

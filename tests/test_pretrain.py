@@ -604,7 +604,7 @@ class TestSerialization:
     def test_schema_sidecar_lists_fields_in_type_order(self, tmp_path):
         path = tmp_path / "data.schema.json"
         _write_json(str(path), instance_schema())
-        schema = json.loads(path.read_text())
+        schema = json.loads(path.read_text(encoding="utf-8"))
         assert [f["name"] for f in schema["header"]] == ["magic", "seq_len", "max_masked"]
         assert [f["name"] for f in schema["record"]] == [
             "token_ids",
@@ -778,6 +778,7 @@ class TestPinnedBytes:
                 [sys.executable, "-c", probe, str(corpus), prefix],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
                 env=env,
                 timeout=60,
             )

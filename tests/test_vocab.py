@@ -402,6 +402,30 @@ def test_learning_peaks_below_half_of_a_full_candidate_count():
     assert peak(lambda: learn_wordpieces(WordCounts(words), target)) <= peak(lambda: hand_count(words)) / 2
 
 
+def test_learning_drops_kept_candidates_as_the_bound_rises():
+    # Each word is a two-letter head and a prefix of one tail, and a prefix
+    # count doubles at every shorter length, so every table's scores beat
+    # the last table's and the bound rises at every length, down to the
+    # shortest. Every table reaches the bound of its time; kept whole until
+    # the end, the tables would outweigh a full candidate count.
+    rng = random.Random(5)
+    tail = "".join(rng.choice("abcdefghij") for _ in range(MAX_PIECE_CHARS - 2))
+    heads = [a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ012345" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ012345"]
+    words = {head + tail[:j]: 2 ** (len(tail) - j) for head in heads for j in range(1, len(tail) + 1)}
+    target = floor_of(words) + 100
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: learn_wordpieces(WordCounts(words), target)) <= peak(lambda: hand_count(words))
+    assert learn_wordpieces(WordCounts(words), target).pieces == reference_wordpieces(words, target)
+
+
 def words_of_length(n: int):
     return st.text(alphabet="ab#", min_size=n, max_size=n)
 
@@ -478,6 +502,7 @@ def test_learned_file_bytes_do_not_depend_on_the_hash_seed(tmp_path):
             [sys.executable, "-c", probe, str(corpus), str(out), str(target)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=env,
             timeout=60,
         )
@@ -567,6 +592,23 @@ class TestTokenize:
         monkeypatch.setattr(vocab_module, "tokenize", counting)
         assert tokenize_text("ab ba ab", vocab) + tokenize_text("ba ab", vocab) == ["ab", "ba", "ab", "ba", "ab"]
         assert calls == ["ab", "ba"]
+
+    def test_pieces_are_the_vocab_strings_not_copies(self, tmp_path):
+        # a loaded vocab and the words of a text are fresh string objects, so
+        # a piece that is no copy is the vocab's own object
+        counts = count_words([units_of(pinned_texts(2, "abcdé"))])
+        path = tmp_path / "vocab.txt"
+        with open(path, "w", encoding="utf-8") as f:
+            learn_wordpieces(counts, floor_of(counts.counts) + 40).save(f)
+        vocab = Vocab.load(str(path))
+        text = " ".join(counts.counts) + " ##ab abé"
+        for word in text.split():
+            for piece in tokenize(word, vocab):
+                assert piece is vocab.pieces[vocab.piece_ids[piece]]
+        tokenize_text(text, vocab)
+        pieces = [p for split in vocab.word_pieces.values() for p in split]
+        assert len(pieces) > len(vocab.word_pieces)
+        assert all(p is vocab.pieces[vocab.piece_ids[p]] for p in pieces)
 
     def test_enlarging_vocab_can_increase_piece_count(self):
         # Greedy longest-match is not monotone: a new piece can divert the
