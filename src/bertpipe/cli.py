@@ -77,6 +77,10 @@ def _cmd_eval(args) -> int:
     else:
         metrics = attachment_scores(parse_conllu(args.gold), parse_conllu(args.pred))
     report = EvalReport(args.task.upper(), args.train_lang, args.test_lang, args.model, metrics)
+    try:
+        report.check()  # the scores are in bounds, but a label may be empty
+    except ValueError as e:
+        raise ConfigError(f"report {e}") from e
     print(json.dumps(report._asdict(), indent=2, sort_keys=True))
     if args.out:
         save_reports([report], args.out)

@@ -33,6 +33,9 @@ class EvalReport(NamedTuple):
     def check(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        for key in ("train_lang", "test_lang", "model_name"):
+            if not getattr(self, key):
+                raise jsonfile.FieldError(key, "must not be empty")
         for name in _TASK_METRICS[self.task]:
             if name not in self.metrics:
                 raise ValueError(f"{self.task} report lacks metric {name!r}")

@@ -1,9 +1,12 @@
 """End-to-end pipeline: dedup -> sample -> vocab -> pretrain_data -> schedule.
 
-Each stage is one row of a table: its parameters, its input files, its
-output files and the function that writes them. Every artifact is written
-atomically (tmp file + rename), and the manifest records each stage's
-parameters and the content hashes of its inputs and outputs. Re-running
+Each run builds its stage table once from the config (`_stages`): one row
+per stage of plain values, its parameters, its input files, its output
+files and the function that writes them. In the table a file list is
+formed once, as the outputs of the stage that writes it and the inputs of
+the stages that read it. Every artifact is written atomically (tmp file
++ rename, making its directory if need be), and the manifest records each
+stage's parameters and the content hashes of its inputs and outputs. Re-running
 with unchanged inputs and parameters skips up-to-date stages. A stage's
 parameters include its `rev`, which a code change that alters the stage's
 output bytes by design bumps, so that output dirs written by the older
@@ -78,6 +81,13 @@ class LanguageConfig(NamedTuple):
     vocab_budget: int
 
     def check(self) -> None:
+        if not self.code:
+            raise FieldError("code", "must not be empty")
+        if not self.corpus:
+            raise FieldError("corpus", "must not be empty")
+        for j, path in enumerate(self.corpus):
+            if not path:
+                raise FieldError(f"corpus[{j}]", "must not be empty")
         if self.vocab_budget < 1:
             raise FieldError("vocab_budget", f"must be >= 1, got {self.vocab_budget}")
 
@@ -169,6 +179,9 @@ class PipelineConfig(NamedTuple):
     _not_keys = ("base_dir",)  # fields that are not keys of the file
 
     def check(self) -> None:
+        for key in ("languages", "phases"):
+            if not getattr(self, key):
+                raise FieldError(key, "must not be empty")
         for i, lang in enumerate(self.languages):
             _check_at(f"languages[{i}]", lang)
         for key in ("dedup", "vocab", "masking"):
@@ -217,6 +230,7 @@ def file_sha256(path: str) -> str:
 @contextmanager
 def _atomic(path: str, mode: str) -> Iterator[IO]:
     """Write path + ".tmp" and rename it over path; remove it if the write fails."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
@@ -232,10 +246,6 @@ def _atomic(path: str, mode: str) -> Iterator[IO]:
 def _write_json(path: str, obj) -> None:
     with _atomic(path, "w") as f:
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _lang_files(config: PipelineConfig, *patterns: str) -> list[str]:
-    return [p.format(lang.code) for lang in config.languages for p in patterns]
 
 
 def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
@@ -285,17 +295,13 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     emit({"event": "vocab_built", "size": len(vocab), "target": config.vocab.target_size})
 
 
-def _phase_files(config: PipelineConfig) -> list[str]:
-    return [f"pretrain/phase{k}.bin" for k in range(len(config.phases))]
-
-
 def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     vocab = Vocab.load(os.path.join(out_dir, "vocab.txt"))
     # one dedup file's text at a time, each tokenized before the next is read
     documents = (
         doc
-        for rel in _lang_files(config, "dedup/{}.txt")
-        for doc in read_documents(os.path.join(out_dir, rel))
+        for lang in config.languages
+        for doc in read_documents(os.path.join(out_dir, f"dedup/{lang.code}.txt"))
     )
     seq_lens = [phase.seq_len for phase in config.phases]
     stats = GenerationStats()
@@ -309,8 +315,8 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
             "pieces": stats.pieces,
         }
     )
-    for k, (rel, seq_len, stream) in enumerate(zip(_phase_files(config), seq_lens, streams)):
-        with _atomic(os.path.join(out_dir, rel), "wb") as f:
+    for k, (seq_len, stream) in enumerate(zip(seq_lens, streams)):
+        with _atomic(os.path.join(out_dir, f"pretrain/phase{k}.bin"), "wb") as f:
             n = write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
     _write_json(os.path.join(out_dir, "pretrain/data.schema.json"), instance_schema())
@@ -361,8 +367,8 @@ def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> Traini
 
 
 def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
-    instances = [count_instances(os.path.join(out_dir, rel)) for rel in _phase_files(config)]
-    plan = make_plan(instances, config.phases)
+    paths = (os.path.join(out_dir, f"pretrain/phase{k}.bin") for k in range(len(config.phases)))
+    plan = make_plan([count_instances(path) for path in paths], config.phases)
     _write_json(os.path.join(out_dir, "plan.json"), plan.as_dict())
     emit({"event": "schedule", "total_steps": plan.total_steps, "tokens": n_tok})
 
@@ -371,72 +377,58 @@ class _Stage(NamedTuple):
     name: str
     # bumped when a code change alters this stage's output bytes by design
     rev: int
-    params: Callable[[PipelineConfig], dict]
-    # (manifest key, path relative to the output dir or absolute)
-    inputs: Callable[[PipelineConfig], list[tuple[str, str]]]
-    outputs: Callable[[PipelineConfig], list[str]]
+    params: dict
+    # manifest key -> path, relative to the output dir or absolute
+    inputs: dict[str, str]
+    outputs: list[str]
     run: Callable[[PipelineConfig, str, EventSink], None]
 
 
-def _same(rels: list[str]) -> list[tuple[str, str]]:
-    return [(rel, rel) for rel in rels]
-
-
-_STAGES = (
-    _Stage(
-        "dedup",
-        rev=1,
-        params=lambda c: {
-            "n": c.dedup.n,
-            "threshold": c.dedup.threshold,
-            "granularity": c.dedup.granularity.value,
-            "languages": [lang.code for lang in c.languages],
-        },
-        inputs=lambda c: [
-            (p, os.path.abspath(c.corpus_path(p))) for lang in c.languages for p in lang.corpus
-        ],
-        outputs=lambda c: _lang_files(c, "dedup/{}.txt", "dedup/{}.stats.json"),
-        run=_run_dedup,
-    ),
-    _Stage(
-        "sample",
-        rev=1,
-        params=lambda c: {
-            "seed": c.vocab.seed,
-            "budgets": {lang.code: lang.vocab_budget for lang in c.languages},
-        },
-        inputs=lambda c: _same(_lang_files(c, "dedup/{}.txt")),
-        outputs=lambda c: _lang_files(c, "sample/{}.txt"),
-        run=_run_sample,
-    ),
-    _Stage(
-        "vocab",
-        rev=1,
-        params=lambda c: c.vocab._asdict(),
-        inputs=lambda c: _same(_lang_files(c, "sample/{}.txt")),
-        outputs=lambda c: ["vocab.txt"],
-        run=_run_vocab,
-    ),
-    _Stage(
-        "pretrain_data",
-        rev=3,
-        params=lambda c: {
-            "phases": [{"seq_len": phase.seq_len} for phase in c.phases],
-            **c.masking._asdict(),
-        },
-        inputs=lambda c: _same(_lang_files(c, "dedup/{}.txt") + ["vocab.txt"]),
-        outputs=lambda c: _phase_files(c) + ["pretrain/data.schema.json"],
-        run=_run_pretrain,
-    ),
-    _Stage(
-        "schedule",
-        rev=3,
-        params=lambda c: {"phases": [phase._asdict() for phase in c.phases]},
-        inputs=lambda c: _same(_phase_files(c)),
-        outputs=lambda c: ["plan.json"],
-        run=_run_schedule,
-    ),
-)
+def _stages(config: PipelineConfig) -> list[_Stage]:
+    """The stage table of one run, in run order. Each file list is formed
+    once here, so the list that one stage writes is the list that the later
+    stages read, and the rows' outputs and inputs are the dependency graph."""
+    codes = [lang.code for lang in config.languages]
+    corpus = {
+        p: os.path.abspath(config.corpus_path(p)) for lang in config.languages for p in lang.corpus
+    }
+    dedup = [f"dedup/{code}.txt" for code in codes]
+    samples = [f"sample/{code}.txt" for code in codes]
+    phases = [f"pretrain/phase{k}.bin" for k in range(len(config.phases))]
+    budgets = {lang.code: lang.vocab_budget for lang in config.languages}
+    # Each row is name, rev, params, inputs, outputs, run. The language
+    # order is a param of sample, which seeds language i with seed + i, and
+    # of pretrain_data, which numbers and seeds the documents in that order.
+    return [
+        _Stage(
+            "dedup", 1,
+            {**config.dedup._asdict(), "granularity": config.dedup.granularity.value,
+             "languages": codes},
+            corpus, dedup + [f"dedup/{code}.stats.json" for code in codes], _run_dedup,
+        ),
+        _Stage(
+            "sample", 1,
+            {"seed": config.vocab.seed, "budgets": budgets, "languages": codes},
+            {rel: rel for rel in dedup}, samples, _run_sample,
+        ),
+        _Stage(
+            "vocab", 1,
+            config.vocab._asdict(),
+            {rel: rel for rel in samples}, ["vocab.txt"], _run_vocab,
+        ),
+        _Stage(
+            "pretrain_data", 3,
+            {"phases": [{"seq_len": p.seq_len} for p in config.phases], "languages": codes,
+             **config.masking._asdict()},
+            {rel: rel for rel in dedup + ["vocab.txt"]},
+            phases + ["pretrain/data.schema.json"], _run_pretrain,
+        ),
+        _Stage(
+            "schedule", 3,
+            {"phases": [p._asdict() for p in config.phases]},
+            {rel: rel for rel in phases}, ["plan.json"], _run_schedule,
+        ),
+    ]
 
 
 def _previous_stages(manifest_path: str) -> dict[str, dict]:
@@ -474,8 +466,6 @@ def run_pipeline(
         raise ConfigError(f"config {e}") from e
     emit = events if events is not None else (lambda e: None)
     os.makedirs(out_dir, exist_ok=True)
-    for sub in ("dedup", "sample", "pretrain"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     previous = {} if force else _previous_stages(manifest_path)
@@ -500,16 +490,15 @@ def run_pipeline(
 
     records: list[dict] = []
     results: list[StageResult] = []
-    for stage in _STAGES:
+    for stage in _stages(config):
         emit({"event": "stage_start", "stage": stage.name})
         started = time.perf_counter()
         try:
-            params = {"rev": stage.rev, **stage.params(config)}
-            inputs = {key: digest(os.path.join(out_dir, path)) for key, path in stage.inputs(config)}
-            outputs = sorted(stage.outputs(config))
+            params = {"rev": stage.rev, **stage.params}
+            inputs = {key: digest(os.path.join(out_dir, path)) for key, path in stage.inputs.items()}
             skipped = up_to_date(previous.get(stage.name), params, inputs)
             if not skipped:
-                for rel in outputs:
+                for rel in stage.outputs:
                     digests.pop(os.path.join(out_dir, rel), None)
                 stage.run(config, out_dir, emit)
             records.append(
@@ -517,7 +506,7 @@ def run_pipeline(
                     "name": stage.name,
                     "params": params,
                     "inputs": inputs,
-                    "outputs": {rel: digest(os.path.join(out_dir, rel)) for rel in outputs},
+                    "outputs": {rel: digest(os.path.join(out_dir, rel)) for rel in stage.outputs},
                 }
             )
         except Exception as e:

@@ -202,6 +202,19 @@ def test_eval_dp_compares_universal_deprels(tmp_path):
     assert json.loads(done.stdout)["metrics"] == {"uas": 0.75, "las": 0.5}
 
 
+@pytest.mark.parametrize(
+    "flag, key", [("--train-lang", "train_lang"), ("--test-lang", "test_lang"), ("--model", "model_name")]
+)
+def test_eval_empty_label_is_a_validation_error_before_any_output(tmp_path, flag, key):
+    gold = conllu(("NOUN", 0, "root"))
+    out = tmp_path / "report.json"
+    done = eval_cli(tmp_path, "pos", gold, gold, "--out", str(out), flag, "")
+    assert done.returncode == 1
+    assert done.stderr == f"bertpipe: validation error: report {key} must not be empty\n"
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 def test_eval_dp_strip_subtypes_flag_is_gone(tmp_path):
     gold = conllu(("NOUN", 0, "root"))
     done = eval_cli(tmp_path, "dp", gold, gold, "--strip-subtypes")

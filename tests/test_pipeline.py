@@ -170,8 +170,12 @@ def test_changed_epochs_rerun_only_schedule(tmp_path, completing):
 
 
 def bump_rev(monkeypatch, name):
-    stages = tuple(s._replace(rev=s.rev + 1) if s.name == name else s for s in pipeline._STAGES)
-    monkeypatch.setattr(pipeline, "_STAGES", stages)
+    stages = pipeline._stages
+
+    def bumped(config):
+        return [s._replace(rev=s.rev + 1) if s.name == name else s for s in stages(config)]
+
+    monkeypatch.setattr(pipeline, "_stages", bumped)
 
 
 def test_bumped_rev_reruns_its_stage_and_the_stages_its_bytes_reach(tmp_path, completing, monkeypatch):
@@ -241,6 +245,27 @@ def test_stage_record_without_output_hashes_reruns_every_stage(tmp_path, complet
 
 def artifacts(out):
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_reordered_languages_rerun_to_the_artifacts_of_a_fresh_run(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    reordered = config._replace(languages=config.languages[::-1])
+    assert {"sample", "pretrain_data"} <= set(rerun_stages(reordered, str(out)))
+    run_pipeline(reordered, str(tmp_path / "fresh"))
+    assert artifacts(out) == artifacts(tmp_path / "fresh")
+
+
+def test_stage_table_declares_every_file_a_run_writes_and_reads(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(out))
+    stages = pipeline._stages(config)
+    assert [stage.name for stage in stages] == list(STAGES)
+    assert set(artifacts(out)) == {rel for stage in stages for rel in stage.outputs} | {"manifest.json"}
+    written = set(stages[0].outputs)
+    for stage in stages[1:]:
+        assert set(stage.inputs.values()) <= written, stage.name
+        written.update(stage.outputs)
 
 
 def test_decomposed_corpus_gives_the_artifacts_of_its_composed_twin(tmp_path, completing):
@@ -315,6 +340,14 @@ def test_plan_counts_the_instances_of_each_phase_file(tmp_path, completing):
         ("dedup.threshold", lambda c: c._replace(dedup=c.dedup._replace(threshold=1.5))),
         ("vocab.target_size", lambda c: c._replace(vocab=c.vocab._replace(target_size=0))),
         ("masking.mask_prob", lambda c: c._replace(masking=c.masking._replace(mask_prob=0.0))),
+        ("languages", lambda c: c._replace(languages=())),
+        ("phases", lambda c: c._replace(phases=())),
+        ("languages[0].code", lambda c: c._replace(languages=(c.languages[0]._replace(code=""),))),
+        ("languages[1].corpus", lambda c: c._replace(languages=(c.languages[0], c.languages[1]._replace(corpus=())))),
+        (
+            "languages[0].corpus[1]",
+            lambda c: c._replace(languages=(c.languages[0]._replace(corpus=(*c.languages[0].corpus, "")),)),
+        ),
     ],
 )
 def test_config_built_out_of_bounds_is_rejected_before_any_event_or_write(tmp_path, field, edit):

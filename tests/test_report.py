@@ -150,6 +150,16 @@ def test_save_and_render_check_each_report(tmp_path):
         transfer_matrix([ner("fi", "fi", "m", 0.5), bad])
 
 
+@pytest.mark.parametrize("key", ["train_lang", "test_lang", "model_name"])
+def test_save_and_render_reject_an_empty_label(tmp_path, key):
+    empty = ner("fi", "fi", "m", 0.5)._replace(**{key: ""})
+    with pytest.raises(ValueError, match=f"{key} must not be empty"):
+        save_reports([empty], str(tmp_path / "reports.json"))
+    assert not (tmp_path / "reports.json").exists()
+    with pytest.raises(ValueError, match=f"{key} must not be empty"):
+        transfer_matrix([empty])
+
+
 def test_save_and_load_reports_round_trip(tmp_path):
     reports = [dp("sl", "hr", "m", 0.75, 0.5), ner("fi", "et", "m", 1)]
     path = tmp_path / "reports.json"
