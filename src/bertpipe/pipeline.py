@@ -12,9 +12,25 @@ parameters include its `rev`, which a code change that alters the stage's
 output bytes by design bumps, so that output dirs written by the older
 code re-run it. The manifest carries no timestamps or absolute paths, so
 identical runs produce identical bytes. Timings and memory go only into
-the events: each `stage_done` carries the stage's `duration_s` and the
-process's peak RSS so far, `max_rss_mb`, so a run shows which stage sets
-its peak.
+the events: each `stage_done` carries the stage's `duration_s`, the
+number of processes it ran on, `workers`, and the peak RSS so far of any
+single process of the run, `max_rss_mb`, so a run shows which stage sets
+its peak. Before a stage is checked, and after it fails, the run removes
+the `<output>.tmp` files of its outputs that a killed process left.
+
+Two stages spread independent work over the CPUs of
+`os.sched_getaffinity(0)`: `dedup` runs one task per language (read,
+dedup, write its `.txt` and `.stats.json`; an index is never shared across
+languages) and `pretrain_data` one task per phase file, after the shared
+tokenization (each phase has its own derived seed). Task i runs in process
+i % n, where n is the number of CPUs or of tasks, whichever is smaller;
+process 0 is the pipeline's own, the others are forked workers that reply
+over a pipe and exit. Each task returns its counts, and the pipeline emits
+the `dedup_lang` and `pretrain_phase` events from them in language and
+phase order, so the artifacts, the manifest and the events other than the
+timings, the peaks and `workers` do not depend on the CPU count. With one
+CPU or one task everything runs in this process. An in-process tracer that
+wraps the layer functions sees only the calls of process 0's share.
 
 The manifest is written once, after the last stage, so it only ever
 describes a completed run: after a failure, the next run re-checks every
@@ -32,8 +48,9 @@ import json
 import os
 import resource
 import time
-from contextlib import contextmanager
-from typing import IO, Callable, Iterator, NamedTuple, Sequence
+from contextlib import contextmanager, suppress
+from functools import partial
+from typing import IO, Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import __version__, jsonfile
 from .corpus import Granularity, read_documents, read_units, write_units
@@ -54,6 +71,10 @@ CONFIG_SCHEMA_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 
 EventSink = Callable[[dict], None]
+# a stage's independent unit of work; it returns a JSON value
+Task = Callable[[], object]
+# runs tasks as _run_tasks does and returns their values in task order
+Spread = Callable[[Sequence[Task]], list]
 
 
 class ConfigError(ValueError):
@@ -248,8 +269,105 @@ def _write_json(path: str, obj) -> None:
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
-    for lang in config.languages:
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 without fork or the affinity call."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
+    """Run independent tasks across this process's CPUs: task i runs in
+    process i % n, n = min(CPUs, tasks), where process 0 is this one and the
+    others are forked workers. Returns the values in task order and each
+    worker's peak RSS in KiB. A worker's failure is raised here, after every
+    worker is reaped, as the exception its task raised, or as a RuntimeError
+    with its message where that exception does not pickle. If this process's
+    own share fails, the workers are killed and reaped before it re-raises."""
+    n = min(_cpus(), len(tasks))
+    if n <= 1:
+        return [task() for task in tasks], []
+    pids: list[int] = []
+    replies: list[IO[bytes]] = []
+    try:
+        for w in range(1, n):
+            read, write = os.pipe()
+            replies.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(tasks[w::n], write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        mine = [task() for task in tasks[::n]]
+        received = [f.read() for f in replies]
+    except BaseException:
+        import signal  # only a failed share loads it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for f in replies:
+            f.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+
+    values: list = [None] * len(tasks)
+    values[::n] = mine
+    peaks = []
+    for w, (reply, status) in enumerate(zip(received, statuses), 1):
+        if status != 0:  # a worker that replied exits 0
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker process {w} exited with status {code} before it replied")
+        head, _, pickled = reply.partition(b"\n")
+        reply = json.loads(head)
+        if "error" in reply:
+            raise _unpickled(pickled, reply["error"])
+        values[w::n] = reply["values"]
+        peaks.append(reply["max_rss_kib"])
+    return values, peaks
+
+
+def _worker(tasks: Sequence[Task], fd: int) -> NoReturn:
+    """A forked worker's whole life: run its tasks, write one reply to fd
+    and exit. It ends in os._exit on every path, so that it never returns
+    into its parent's code."""
+    status = 1
+    try:
+        try:
+            reply, pickled = {"values": [task() for task in tasks]}, b""
+        except Exception as e:
+            reply, pickled = {"error": str(e)}, _pickled(e)
+        reply["max_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        with open(fd, "wb") as f:
+            f.write(json.dumps(reply).encode() + b"\n" + pickled)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(e: Exception) -> bytes:
+    import pickle  # only a failed task loads it
+
+    try:
+        return pickle.dumps(e)
+    except Exception:
+        return b""
+
+
+def _unpickled(pickled: bytes, message: str) -> BaseException:
+    import pickle  # only a failed task loads it
+
+    try:
+        e = pickle.loads(pickled)
+    except Exception:
+        e = None
+    return e if isinstance(e, BaseException) else RuntimeError(message)
+
+
+def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
+    def task(lang: LanguageConfig) -> dict:
         units = [
             unit
             for path in lang.corpus
@@ -259,10 +377,14 @@ def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         with _atomic(os.path.join(out_dir, f"dedup/{lang.code}.txt"), "w") as f:
             write_units(kept, f, config.dedup.granularity)
         _write_json(os.path.join(out_dir, f"dedup/{lang.code}.stats.json"), stats._asdict())
-        emit({"event": "dedup_lang", "lang": lang.code, **stats._asdict()})
+        return stats._asdict()
+
+    counts = spread([partial(task, lang) for lang in config.languages])
+    for lang, stats in zip(config.languages, counts):
+        emit({"event": "dedup_lang", "lang": lang.code, **stats})
 
 
-def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
+def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     for i, lang in enumerate(config.languages):
         units = read_units(
             os.path.join(out_dir, f"dedup/{lang.code}.txt"), lang.code, config.dedup.granularity
@@ -282,7 +404,7 @@ def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
         )
 
 
-def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
+def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     # one language's sample at a time, each counted as it is read
     subsets = (
         read_units(os.path.join(out_dir, f"sample/{lang.code}.txt"), lang.code, config.dedup.granularity)
@@ -295,7 +417,7 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
     emit({"event": "vocab_built", "size": len(vocab), "target": config.vocab.target_size})
 
 
-def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
+def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     vocab = Vocab.load(os.path.join(out_dir, "vocab.txt"))
     # one dedup file's text at a time, each tokenized before the next is read
     documents = (
@@ -315,9 +437,13 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink) -> None
             "pieces": stats.pieces,
         }
     )
-    for k, (seq_len, stream) in enumerate(zip(seq_lens, streams)):
+
+    def task(k: int, seq_len: int, stream) -> int:
         with _atomic(os.path.join(out_dir, f"pretrain/phase{k}.bin"), "wb") as f:
-            n = write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
+            return write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
+
+    tasks = [partial(task, k, seq_len, stream) for k, (seq_len, stream) in enumerate(zip(seq_lens, streams))]
+    for k, (seq_len, n) in enumerate(zip(seq_lens, spread(tasks))):
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
     _write_json(os.path.join(out_dir, "pretrain/data.schema.json"), instance_schema())
 
@@ -366,7 +492,7 @@ def make_plan(instances: Sequence[int], phases: Sequence[PhaseConfig]) -> Traini
     return TrainingPlan(tuple(phases), tuple(instances), tuple(steps))
 
 
-def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink) -> None:
+def _run_schedule(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     paths = (os.path.join(out_dir, f"pretrain/phase{k}.bin") for k in range(len(config.phases)))
     plan = make_plan([count_instances(path) for path in paths], config.phases)
     _write_json(os.path.join(out_dir, "plan.json"), plan.as_dict())
@@ -381,7 +507,7 @@ class _Stage(NamedTuple):
     # manifest key -> path, relative to the output dir or absolute
     inputs: dict[str, str]
     outputs: list[str]
-    run: Callable[[PipelineConfig, str, EventSink], None]
+    run: Callable[[PipelineConfig, str, EventSink, Spread], None]
 
 
 def _stages(config: PipelineConfig) -> list[_Stage]:
@@ -488,19 +614,37 @@ def run_pipeline(
                 return False
         return True
 
+    def remove_tmp(outputs: list[str]) -> None:
+        """Remove the tmp files of outputs that a killed process left."""
+        for rel in outputs:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, rel) + ".tmp")
+
+    # the processes the running stage spreads over, and the peak RSS in KiB
+    # of any worker of the run so far
+    workers, worker_peak = 1, 0
+
+    def spread(tasks: Sequence[Task]) -> list:
+        nonlocal workers, worker_peak
+        values, peaks = _run_tasks(tasks)
+        workers, worker_peak = 1 + len(peaks), max([worker_peak, *peaks])
+        return values
+
     records: list[dict] = []
     results: list[StageResult] = []
     for stage in _stages(config):
         emit({"event": "stage_start", "stage": stage.name})
         started = time.perf_counter()
+        workers = 1
         try:
+            remove_tmp(stage.outputs)
             params = {"rev": stage.rev, **stage.params}
             inputs = {key: digest(os.path.join(out_dir, path)) for key, path in stage.inputs.items()}
             skipped = up_to_date(previous.get(stage.name), params, inputs)
             if not skipped:
                 for rel in stage.outputs:
                     digests.pop(os.path.join(out_dir, rel), None)
-                stage.run(config, out_dir, emit)
+                stage.run(config, out_dir, emit, spread)
             records.append(
                 {
                     "name": stage.name,
@@ -510,6 +654,7 @@ def run_pipeline(
                 }
             )
         except Exception as e:
+            remove_tmp(stage.outputs)
             emit({"event": "stage_failed", "stage": stage.name, "error": str(e)})
             raise StageError(stage.name, e) from e
         results.append(StageResult(stage.name, "skipped (up-to-date)" if skipped else "completed"))
@@ -519,8 +664,9 @@ def run_pipeline(
                 "stage": stage.name,
                 "status": results[-1].status,
                 "duration_s": time.perf_counter() - started,
+                "workers": workers,
                 # ru_maxrss is in KiB on Linux
-                "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "max_rss_mb": max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, worker_peak) / 1024,
             }
         )
 

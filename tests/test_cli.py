@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 import unicodedata
 
 import pytest
@@ -482,3 +484,89 @@ def test_pipeline_run_does_not_depend_on_the_hash_seed(tmp_path):
     assert {"vocab.txt", "pretrain/phase0.bin", "plan.json"} <= names
     assert any(name.startswith("dedup/") for name in names)
     assert any(name.startswith("sample/") for name in names)
+
+
+# `python -c ON_CPUS n args...` runs the CLI on args as if this process had
+# n CPUs, with schedule's undefined `n_tok` given a value so the run
+# completes, and reports each fork on stderr
+ON_CPUS = """
+import os, sys
+n = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(n))
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print("forked", file=sys.stderr, flush=True)
+    return pid
+os.fork = reporting_fork
+import bertpipe.pipeline
+bertpipe.pipeline.n_tok = 0
+from bertpipe.cli import main
+sys.exit(main())
+"""
+
+
+def without_timings(stderr):
+    keys = ("duration_s", "max_rss_mb", "workers")
+    return [
+        {k: v for k, v in json.loads(line).items() if k not in keys} if line.startswith("{") else line
+        for line in stderr.splitlines()
+    ]
+
+
+def test_pipeline_run_on_two_cpus_prints_and_writes_what_one_cpu_does(tmp_path):
+    config = write_config(tmp_path, phases=[{"epochs": 1, "batch_size": 8, "seq_len": s} for s in (32, 64)])
+    runs, forks = [], []
+    for n in (1, 2):
+        out = tmp_path / f"out{n}"
+        done = run_python("-c", ON_CPUS, str(n), "pipeline", "run", config, "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        lines = without_timings(done.stderr)
+        forks.append(lines.count("forked"))
+        runs.append((done.stdout, [line for line in lines if line != "forked"], files))
+    # two languages and two phases: one fork each in dedup and pretrain_data
+    assert forks == [0, 2]
+    assert runs[0] == runs[1]
+    assert "manifest.json" in runs[0][2]
+
+
+def corpus_config(tmp_path, words):
+    """The config of write_config over two corpora of about `words` words each."""
+    config = write_config(tmp_path)
+    rng = random.Random(5)
+    for lang in ("en", "fi"):
+        lines = [unit.text for unit in make_dedup_corpus(rng, words // 14, lang)]
+        (tmp_path / f"{lang}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("at", ['{"event": "stage_start", "stage": "dedup"}', "forked"], ids=["stage_start", "forked"])
+def test_killed_run_leaves_no_process_in_its_group(tmp_path, at):
+    """SIGKILL at dedup's stage_start, as the benchmark's set-up probes do,
+    or just after dedup forks its worker: every process of the run ends."""
+    config = corpus_config(tmp_path, 200_000)
+    cmd = [sys.executable, "-c", ON_CPUS, "2", "pipeline", "run", config, "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, encoding="utf-8", env=env, start_new_session=True
+    )
+    try:
+        for line in proc.stderr:
+            if line.strip() == at:
+                break
+        else:
+            pytest.fail(f"the run ended without printing {at}")
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the killed run outlived it by 10 s"
+        time.sleep(0.05)

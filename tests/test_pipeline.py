@@ -2,7 +2,9 @@
 
 import json
 import logging
+import os
 import re
+import time
 import unicodedata
 
 import pytest
@@ -380,3 +382,133 @@ def test_pretrain_data_reads_each_dedup_file_after_the_last_one_is_tokenized(tmp
         expected.append(("read", path))
         expected += [("tokenize", s) for doc in read_documents(path) for s in doc]
     assert log == expected
+
+
+def on_cpus(monkeypatch, n):
+    """Make the pipeline see n CPUs, through the affinity call it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_stage_done_reports_the_processes_each_stage_ran_on(tmp_path, completing, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    config, out = write_config(tmp_path), str(tmp_path / "out")
+    # two languages and two phases: dedup and pretrain_data fork one worker
+    expected = {"dedup": 2, "sample": 1, "vocab": 1, "pretrain_data": 2, "schedule": 1}
+    for workers in (expected, dict.fromkeys(STAGES, 1)):  # a full run, then one that skips every stage
+        events = []
+        run_pipeline(config, out, events=events.append)
+        assert {e["stage"]: e["workers"] for e in events if e["event"] == "stage_done"} == workers
+
+
+def without_timings(events):
+    return [{k: v for k, v in e.items() if k not in ("duration_s", "max_rss_mb", "workers")} for e in events]
+
+
+def test_one_and_two_cpus_write_the_same_files_and_events(tmp_path, completing, monkeypatch):
+    config = write_config(tmp_path)
+    runs = []
+    for n in (1, 2):
+        on_cpus(monkeypatch, n)
+        out, events = tmp_path / f"out{n}", []
+        run_pipeline(config, str(out), events=events.append)
+        runs.append((artifacts(out), without_timings(events)))
+    assert {"manifest.json", "plan.json", "pretrain/phase1.bin", "dedup/fi.stats.json"} <= set(runs[0][0])
+    assert runs[0] == runs[1]
+
+
+def test_stale_tmp_files_are_removed_and_the_run_writes_what_a_clean_run_does(tmp_path, completing):
+    config, out = write_config(tmp_path), tmp_path / "out"
+    run_pipeline(config, str(tmp_path / "clean"))
+    for rel in ("dedup/fi.txt.tmp", "pretrain/phase1.bin.tmp"):
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_bytes(b"left by a killed run")
+    run_pipeline(config, str(out))
+    assert list(out.rglob("*.tmp")) == []
+    assert artifacts(out) == artifacts(tmp_path / "clean")
+
+
+def failing_at(seq_len, before=lambda: None):
+    """write_instances that, at seq_len, writes part of a file, calls before
+    and raises; at any other seq_len it writes the file."""
+    write = pipeline.write_instances
+
+    def failing(instances, out, **header):
+        if header["seq_len"] != seq_len:
+            return write(instances, out, **header)
+        out.write(b"partial")
+        before()
+        raise OSError("disk full")
+
+    return failing
+
+
+def assert_failed_cleanly(failure, out):
+    assert failure.value.stage == "pretrain_data"
+    assert isinstance(failure.value.__cause__, OSError)
+    assert str(failure.value.__cause__) == "disk full"
+    assert list(out.rglob("*.tmp")) == []
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_worker_task_is_the_stage_error_of_its_cause(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    # phase 1 (seq_len 64) is task 1, the worker's
+    monkeypatch.setattr(pipeline, "write_instances", failing_at(64))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(write_config(tmp_path), str(out))
+    assert_failed_cleanly(failure, out)
+
+
+def test_failed_own_share_kills_and_reaps_the_running_worker(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    worker_tmp = out / "pretrain" / "phase1.bin.tmp"
+
+    def worker_started():
+        deadline = time.monotonic() + 10
+        while not worker_tmp.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert worker_tmp.exists()
+
+    # the worker's phase 1 (seq_len 64) sleeps once it has opened its tmp
+    # file, and then phase 0, this process's share, fails
+    monkeypatch.setattr(pipeline, "write_instances", failing_at(64, lambda: time.sleep(60)))
+    monkeypatch.setattr(pipeline, "write_instances", failing_at(32, worker_started))
+    started = time.monotonic()
+    with pytest.raises(StageError) as failure:
+        run_pipeline(write_config(tmp_path), str(out))
+    assert time.monotonic() - started < 30  # the parent did not wait for the worker's sleep
+    assert_failed_cleanly(failure, out)
+
+
+class TwoPartError(Exception):
+    """Pickles, but does not unpickle: its constructor takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def raise_two_part():
+    raise TwoPartError("disk full", "phase1.bin")
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (raise_two_part, "disk full at phase1.bin"),
+        (lambda: os._exit(3), "worker process 1 exited with status 3 before it replied"),
+    ],
+    ids=["exception_that_does_not_unpickle", "exit_without_reply"],
+)
+def test_worker_failure_that_cannot_be_sent_is_a_runtime_error(tmp_path, monkeypatch, fail, message):
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "write_instances", failing_at(64, fail))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(write_config(tmp_path), str(out))
+    assert type(failure.value.__cause__) is RuntimeError
+    assert str(failure.value.__cause__) == message
+    assert list(out.rglob("*.tmp")) == []
