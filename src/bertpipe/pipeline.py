@@ -21,16 +21,21 @@ the `<output>.tmp` files of its outputs that a killed process left.
 Two stages spread independent work over the CPUs of
 `os.sched_getaffinity(0)`: `dedup` runs one task per language (read,
 dedup, write its `.txt` and `.stats.json`; an index is never shared across
-languages) and `pretrain_data` one task per phase file, after the shared
-tokenization (each phase has its own derived seed). Task i runs in process
-i % n, where n is the number of CPUs or of tasks, whichever is smaller;
-process 0 is the pipeline's own, the others are forked workers that reply
-over a pipe and exit. Each task returns its counts, and the pipeline emits
-the `dedup_lang` and `pretrain_phase` events from them in language and
+languages). `pretrain_data` runs one task per language that reads its
+dedup file and returns its piece ids and counts, joins the ids in
+language order, and then runs one task per phase file (each phase has its
+own derived seed). Task i runs in process i % n, where n is the number of
+CPUs or of tasks, whichever is smaller; process 0 is the pipeline's own,
+the others are forked workers that reply over a pipe and exit. Each task
+returns its counts, and the pipeline emits the `dedup_lang`,
+`pretrain_tokenized` and `pretrain_phase` events from them in language and
 phase order, so the artifacts, the manifest and the events other than the
-timings, the peaks and `workers` do not depend on the CPU count. With one
-CPU or one task everything runs in this process. An in-process tracer that
-wraps the layer functions sees only the calls of process 0's share.
+timings, the peaks and `workers` do not depend on the CPU count; `workers`
+is the most processes of any spread of the stage. With one CPU or one
+task everything runs in this process. An in-process tracer that wraps the
+layer functions sees only the calls of process 0's share. A worker whose
+parent has died exits at its next commit instead of renaming its output
+into the killed run's directory.
 
 The manifest is written once, after the last stage, so it only ever
 describes a completed run: after a failure, the next run re-checks every
@@ -58,11 +63,11 @@ from .dedup import dedup_corpus
 from .jsonfile import FieldError, read_as
 from .pretrain import (
     MAX_SEQ_LEN,
-    GenerationStats,
     MaskingConfig,
     count_instances,
     instance_schema,
     phase_datasets,
+    tokenize_documents,
     write_instances,
 )
 from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
@@ -248,15 +253,26 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# The pid of the process that forked this one, set only in a worker of
+# _run_tasks, which exits after its tasks; None in the run's own process.
+_parent: int | None = None
+
+
 @contextmanager
 def _atomic(path: str, mode: str) -> Iterator[IO]:
-    """Write path + ".tmp" and rename it over path; remove it if the write fails."""
+    """Write path + ".tmp" and rename it over path; remove it if the write
+    fails. A worker whose parent has died removes it and exits instead,
+    without a reply: the run was killed, and its directory may be removed
+    or reused."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
         with open(tmp, mode, **text) as f:
             yield f
+        if _parent is not None and os.getppid() != _parent:
+            os.remove(tmp)
+            os._exit(1)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -289,6 +305,7 @@ def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
         return [task() for task in tasks], []
     pids: list[int] = []
     replies: list[IO[bytes]] = []
+    parent = os.getpid()
     try:
         for w in range(1, n):
             read, write = os.pipe()
@@ -296,7 +313,7 @@ def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(tasks[w::n], write)
+                    _worker(tasks[w::n], write, parent)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -329,10 +346,13 @@ def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
     return values, peaks
 
 
-def _worker(tasks: Sequence[Task], fd: int) -> NoReturn:
+def _worker(tasks: Sequence[Task], fd: int, parent: int) -> NoReturn:
     """A forked worker's whole life: run its tasks, write one reply to fd
     and exit. It ends in os._exit on every path, so that it never returns
-    into its parent's code."""
+    into its parent's code. parent is the pid of the process that forked
+    it, which _atomic checks before each commit."""
+    global _parent
+    _parent = parent
     status = 1
     try:
         try:
@@ -419,24 +439,19 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Sp
 
 def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     vocab = Vocab.load(os.path.join(out_dir, "vocab.txt"))
-    # one dedup file's text at a time, each tokenized before the next is read
-    documents = (
-        doc
-        for lang in config.languages
-        for doc in read_documents(os.path.join(out_dir, f"dedup/{lang.code}.txt"))
-    )
+
+    def tokenize(lang: LanguageConfig) -> tuple:
+        # a process holds one dedup file's text at a time, until it is tokenized
+        return tokenize_documents(read_documents(os.path.join(out_dir, f"dedup/{lang.code}.txt")), vocab)
+
+    parts = spread([partial(tokenize, lang) for lang in config.languages])
+    # the documents are numbered and seeded in language order
+    tokenized = [doc for docs, _ in parts for doc in docs]
+    counts = [lang_counts for _, lang_counts in parts]
+    emit({"event": "pretrain_tokenized", **{key: sum(c[key] for c in counts) for key in counts[0]}})
+
     seq_lens = [phase.seq_len for phase in config.phases]
-    stats = GenerationStats()
-    streams = phase_datasets(documents, vocab, seq_lens, config.masking, stats)
-    emit(
-        {
-            "event": "pretrain_tokenized",
-            "documents": stats.documents_in,
-            "documents_skipped": stats.documents_skipped,
-            "sentences": stats.sentences,
-            "pieces": stats.pieces,
-        }
-    )
+    streams = phase_datasets(tokenized, vocab, seq_lens, config.masking)
 
     def task(k: int, seq_len: int, stream) -> int:
         with _atomic(os.path.join(out_dir, f"pretrain/phase{k}.bin"), "wb") as f:
@@ -620,14 +635,14 @@ def run_pipeline(
             with suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, rel) + ".tmp")
 
-    # the processes the running stage spreads over, and the peak RSS in KiB
-    # of any worker of the run so far
+    # the most processes any spread of the running stage ran on, and the
+    # peak RSS in KiB of any worker of the run so far
     workers, worker_peak = 1, 0
 
     def spread(tasks: Sequence[Task]) -> list:
         nonlocal workers, worker_peak
         values, peaks = _run_tasks(tasks)
-        workers, worker_peak = 1 + len(peaks), max([worker_peak, *peaks])
+        workers, worker_peak = max(workers, 1 + len(peaks)), max([worker_peak, *peaks])
         return values
 
     records: list[dict] = []

@@ -6,18 +6,18 @@ next-sentence task, and masked whole words at a time: every piece of a
 selected word is masked, each piece independently drawing the
 mask/random/keep replacement. Instances are padded to max_seq_len.
 
-The documents are consumed once, in order, so a caller may pass a
-generator and hold only the text not yet tokenized: the pipeline reads
-one dedup file at a time.
+tokenize_documents consumes its documents once, in order. The pipeline
+tokenizes each language's dedup file as its own task, so that a process
+holds one file's text at a time, and joins the ids in language order.
 
 The corpus is tokenized once into piece ids, and every phase of
 phase_datasets builds its instances from that one copy; each distinct word
-is split once (tokenize_text remembers its pieces on the Vocab). Word
-groups for masking come from the ids: a word starts at every piece that
-does not start with "##" and at the start of each segment. So a corpus
-word spelled "##x", which is the single piece "##x", joins the previous
-word's mask group. Words are masked in random order, skipping any that
-would overshoot, up to floor(mask_prob * (len - 3)) pieces over the
+is split once per process (tokenize_text remembers its pieces on the
+Vocab). Word groups for masking come from the ids: a word starts at every
+piece that does not start with "##" and at the start of each segment. So a
+corpus word spelled "##x", which is the single piece "##x", joins the
+previous word's mask group. Words are masked in random order, skipping any
+that would overshoot, up to floor(mask_prob * (len - 3)) pieces over the
 len - 3 non-special positions, so the count scales with the phase's
 sequence length. BERT's create_pretraining_data.py uses
 max(1, round(len * mask_prob)) over the whole sequence, capped by a per-run
@@ -124,16 +124,6 @@ class TrainingInstance(NamedTuple):
     def segment_ids(self) -> tuple[int, ...]:
         a, b = self.len_a + 2, self.len_b + 1
         return (0,) * a + (1,) * b + (0,) * (len(self.token_ids) - a - b)
-
-
-class GenerationStats:
-    """Counts of the documents phase_datasets tokenizes, filled in as it goes."""
-
-    def __init__(self):
-        self.documents_in = 0
-        self.documents_skipped = 0
-        self.sentences = 0
-        self.pieces = 0
 
 
 def _child_seed(seed: int, *parts: int) -> int:
@@ -309,24 +299,32 @@ def _instances_from_document(
         i += 1
 
 
-def _tokenize_documents(
-    documents: Iterable[Sequence[str]], vocab: Vocab, stats: GenerationStats
-) -> list[list[list[int]]]:
-    """Documents as lists of sentences of piece ids; empty sentences and
-    documents without a tokenizable sentence are dropped."""
+def tokenize_documents(
+    documents: Iterable[Sequence[str]], vocab: Vocab
+) -> tuple[list[list[list[int]]], dict[str, int]]:
+    """Documents as lists of sentences of piece ids, for phase_datasets,
+    and their counts. Empty sentences and documents without a tokenizable
+    sentence are dropped. The counts are of the documents read
+    (documents), those dropped (documents_skipped), and the sentences and
+    pieces kept."""
     piece_id = vocab.piece_ids.__getitem__
     tokenized: list[list[list[int]]] = []
+    read = sentences_kept = pieces = 0
     for doc in documents:
-        stats.documents_in += 1
+        read += 1
         sentences = [list(map(piece_id, tokenize_text(s, vocab))) for s in doc]
         sentences = [s for s in sentences if s]
         if sentences:
             tokenized.append(sentences)
-            stats.sentences += len(sentences)
-            stats.pieces += sum(map(len, sentences))
-        else:
-            stats.documents_skipped += 1
-    return tokenized
+            sentences_kept += len(sentences)
+            pieces += sum(map(len, sentences))
+    counts = {
+        "documents": read,
+        "documents_skipped": read - len(tokenized),
+        "sentences": sentences_kept,
+        "pieces": pieces,
+    }
+    return tokenized, counts
 
 
 def _generate(
@@ -350,18 +348,15 @@ def _generate(
 
 
 def phase_datasets(
-    documents: Iterable[Sequence[str]],
+    tokenized: list[list[list[int]]],
     vocab: Vocab,
     seq_lens: Sequence[int],
     cfg: MaskingConfig,
-    stats: GenerationStats | None = None,
 ) -> list[Iterator[TrainingInstance]]:
     """One independent instance stream per phase, at that phase's sequence length.
 
-    The documents are consumed once, here, and tokenized into one copy of
-    piece ids that every stream shares, so they may come from a generator
-    that reads them lazily. Documents with zero tokenizable sentences are
-    skipped and counted in stats. Phase k draws from its own seed derived
+    tokenized is the documents as tokenize_documents gives them, in order,
+    and every stream shares it. Phase k draws from its own seed derived
     from (seed, k), and its instances come out grouped by document ordinal,
     repeated dupe_factor times over the corpus with independent derived
     RNGs. A cfg out of its bounds is a FieldError.
@@ -371,8 +366,6 @@ def phase_datasets(
         raise ValueError("no phases")
     for seq_len in seq_lens:
         _check_seq_len(seq_len)
-    stats = stats if stats is not None else GenerationStats()
-    tokenized = _tokenize_documents(documents, vocab, stats)
     return [
         _generate(tokenized, vocab, seq_len, cfg._replace(seed=_child_seed(cfg.seed, k)))
         for k, seq_len in enumerate(seq_lens)

@@ -17,6 +17,11 @@ table of length L + 1 plus the windows of exactly length L. Each family,
 initial pieces first and then "##" pieces, is built from the longest table
 down, holding only the previous table; the words are bucketed by length
 once, so the windows of one length are read straight from the buckets.
+A "##" window shorter than MAX_PIECE_CHARS is a word's ending, and the
+endings of length L are those of length L + 1 less their first character
+plus the words of length L + 1 less theirs. They are counted down that
+chain, one update per distinct ending rather than one per word, so the
+stacked suffixes of Finnish and Estonian words are each counted once.
 
 The top-k is chosen by a score cutoff that is known only at the end, so a
 running lower bound stands in for it. Every key of a table has the table's
@@ -165,7 +170,7 @@ def count_words(subsets: Iterable[Iterable[TextUnit]]) -> WordCounts:
 
 
 def _piece_tables(
-    by_length: list[dict[str, int]], continuation: bool
+    by_length: list[dict[str, int]], hashed: dict[str, int], continuation: bool
 ) -> Iterator[tuple[int, dict[str, int]]]:
     """Occurrence counts of one family's substring pieces, one length at a time.
 
@@ -173,7 +178,8 @@ def _piece_tables(
     each raw slice of length L to its count: the summed count of the words
     it occurs in, once per position. A continuation slice x is the
     vocabulary piece "##x". by_length[n] maps each training word of n
-    characters to its count, for n up to MAX_CANDIDATE_WORD_CHARS.
+    characters to its count, for n up to MAX_CANDIDATE_WORD_CHARS, and
+    hashed holds those of its words that start with "##".
 
     Every slice is a prefix of a window: the initial slices of a word are
     the prefixes of its head word[:MAX_PIECE_CHARS], the continuation
@@ -181,51 +187,67 @@ def _piece_tables(
     is the prefixes of table L + 1, plus the windows of exactly length L;
     only the previous table is held. The empty slice is no window's prefix,
     so no table of length 0 is made.
+
+    A continuation window shorter than MAX_PIECE_CHARS is a word's ending
+    word[-L:], and the endings of length L are those of length L + 1 less
+    their first character, plus the words of length L + 1 less theirs. So
+    they are counted by a chain, one update per distinct ending and not
+    one per word, and only the previous length's endings are held.
     """
-    hashed = {
-        word: count
-        for words in by_length
-        for word, count in words.items()
-        if word.startswith(CONTINUATION_PREFIX)
-    }
     longer: dict[str, int] = {}
+    ends: dict[str, int] = {}
     for length in range(MAX_PIECE_CHARS, 0, -1):
-        table: dict[str, int] = {}
-        get = table.get
-        for key, total in longer.items():
-            prefix = key[:-1]
-            table[prefix] = get(prefix, 0) + total
-        longer = table
         full = length == MAX_PIECE_CHARS
         if not continuation:
             # Pieces are strings: the word-initial slice "##x" is the
             # continuation piece "##x", so a "##" word's only initial piece
-            # is "#".
-            for words in by_length[length:] if full else (by_length[length],):
-                for word, count in words.items():
-                    if not word.startswith(CONTINUATION_PREFIX):
-                        head = word[:MAX_PIECE_CHARS]
-                        table[head] = get(head, 0) + count
-            if length == 1 and hashed:
-                table["#"] = get("#", 0) + sum(hashed.values())
-        else:
-            # Windows that reach past the piece limit are cut to it; the
-            # rest are the suffixes of the longer words.
+            # is "#". A word shorter than the limit is its own head.
             if full:
+                table = {}
+                get = table.get
+                for words in by_length[length:]:
+                    for word, count in words.items():
+                        if word not in hashed:
+                            head = word[:MAX_PIECE_CHARS]
+                            table[head] = get(head, 0) + count
+            else:
+                words = by_length[length]
+                table = {w: n for w, n in words.items() if w not in hashed} if hashed else dict(words)
+            if length == 1 and hashed:
+                table["#"] = table.get("#", 0) + sum(hashed.values())
+        else:
+            if full:
+                # Windows that reach past the piece limit are cut to it; a
+                # word's last window is its first ending.
+                table = {}
+                get = table.get
                 for n in range(length + 1, len(by_length)):
                     for word, count in by_length[n].items():
                         for i in range(1, n - length + 1):
                             window = word[i : i + length]
                             table[window] = get(window, 0) + count
+                        end = word[-length:]
+                        ends[end] = ends.get(end, 0) + count
             else:
-                for words in by_length[length + 1 :]:
-                    for word, count in words.items():
-                        window = word[-length:]
-                        table[window] = get(window, 0) + count
+                shorter: dict[str, int] = {}
+                get = shorter.get
+                for end, total in ends.items():
+                    end = end[1:]
+                    shorter[end] = get(end, 0) + total
+                for word, count in by_length[length + 1].items():
+                    end = word[1:]
+                    shorter[end] = get(end, 0) + count
+                ends = shorter
+                table = dict(ends)
             for word, count in hashed.items():
                 head = word[len(CONTINUATION_PREFIX) : MAX_PIECE_CHARS]
                 if len(head) == length:
-                    table[head] = get(head, 0) + count
+                    table[head] = table.get(head, 0) + count
+        get = table.get
+        for key, total in longer.items():
+            prefix = key[:-1]
+            table[prefix] = get(prefix, 0) + total
+        longer = table
         yield length, table
 
 
@@ -237,6 +259,14 @@ def _nth_best(hist: Counter[int], n: int) -> int:
         if remaining <= 0:
             return score
     return 0
+
+
+def _reaching(table: dict[str, int], least: int) -> dict[str, int]:
+    """The keys of table whose count is at least least. Every count is at
+    least 1, so a bound of 1 or less keeps table itself, not a copy."""
+    if least <= 1:
+        return table
+    return dict(itertools.compress(table.items(), map(least.__le__, table.values())))
 
 
 def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
@@ -261,7 +291,8 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     candidate is kept, the score-0 piece "##" of a word starting with "##"
     included, and the vocabulary is smaller than target_size.
     """
-    chars = sorted({ch for word in counts.counts for ch in word})
+    alphabet = set("".join(counts.counts))
+    chars = sorted(alphabet)
     floor_size = len(RESERVED_TOKENS) + 2 * len(chars)
     if target_size < floor_size:
         raise ValueError(
@@ -273,6 +304,11 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     for word, count in counts.counts.items():
         if len(word) <= MAX_CANDIDATE_WORD_CHARS:
             by_length[len(word)][word] = count
+    hashed = (
+        {word: count for words in by_length for word, count in words.items() if word.startswith(CONTINUATION_PREFIX)}
+        if "#" in alphabet
+        else {}
+    )
     budget = target_size - floor_size
     hist: Counter[int] = Counter()
     cutoff = 0
@@ -283,7 +319,7 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
         # A training word may spell a reserved token; it is never a learned
         # piece. It stays in the table, whose prefixes it still counts in.
         dropped = () if prefix else RESERVED_TOKENS
-        for length, table in _piece_tables(by_length, bool(prefix)):
+        for length, table in _piece_tables(by_length, hashed, bool(prefix)):
             if length == 1:
                 single[prefix] = table
                 continue
@@ -297,16 +333,17 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
             for i, (kept_length, kept_prefix, kept_least, kept_table) in enumerate(kept):
                 least = -(-cutoff // kept_length)
                 if least > kept_least:
-                    kept_table = {raw: n for raw, n in kept_table.items() if n >= least}
-                    kept[i] = (kept_length, kept_prefix, least, kept_table)
+                    kept[i] = (kept_length, kept_prefix, least, _reaching(kept_table, least))
             least = -(-cutoff // length)  # the least count that reaches the cutoff
-            above = {raw: n for raw, n in table.items() if n >= least}
-            for token in dropped:
-                above.pop(token, None)
-            kept.append((length, prefix, least, above))
-    # every kept table is filtered at the final cutoff
+            kept.append((length, prefix, least, _reaching(table, least)))
+    # Every kept table is filtered at the final cutoff. No table is read
+    # again, so the reserved tokens are taken out of them in place.
+    for _, prefix, _, table in kept:
+        if not prefix:
+            for token in RESERVED_TOKENS:
+                table.pop(token, None)
     optional = [(-n * length, prefix + raw) for length, prefix, _, table in kept for raw, n in table.items()]
-    if cutoff == 0 and any(w.startswith(CONTINUATION_PREFIX) for ws in by_length for w in ws):
+    if cutoff == 0 and hashed:
         optional.append((0, CONTINUATION_PREFIX))
     kept_pieces = sorted(optional)[:budget]
     # Single characters are the mandatory pieces. A character seen only

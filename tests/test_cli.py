@@ -526,8 +526,9 @@ def test_pipeline_run_on_two_cpus_prints_and_writes_what_one_cpu_does(tmp_path):
         lines = without_timings(done.stderr)
         forks.append(lines.count("forked"))
         runs.append((done.stdout, [line for line in lines if line != "forked"], files))
-    # two languages and two phases: one fork each in dedup and pretrain_data
-    assert forks == [0, 2]
+    # two languages and two phases: one fork each in dedup, in the
+    # tokenization of pretrain_data and in its phase writing
+    assert forks == [0, 3]
     assert runs[0] == runs[1]
     assert "manifest.json" in runs[0][2]
 
@@ -570,3 +571,52 @@ def test_killed_run_leaves_no_process_in_its_group(tmp_path, at):
             break
         assert time.monotonic() < deadline, "a process of the killed run outlived it by 10 s"
         time.sleep(0.05)
+
+
+# `python -c ORPHANED args...` runs the CLI on args on two CPUs, with
+# `n_tok` given a value; dedup's worker, once it has written its output to
+# its tmp file, prints "waiting" and waits for the run's process to die
+ORPHANED = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+import bertpipe.pipeline as pipeline
+pipeline.n_tok = 0
+run = os.getpid()
+write_units = pipeline.write_units
+def waiting(units, out, granularity):
+    write_units(units, out, granularity)
+    if os.getpid() != run:
+        print("waiting", file=sys.stderr, flush=True)
+        deadline = time.monotonic() + 30
+        while os.getppid() == run and time.monotonic() < deadline:
+            time.sleep(0.01)
+pipeline.write_units = waiting
+from bertpipe.cli import main
+sys.exit(main())
+"""
+
+
+def test_worker_of_a_killed_run_commits_no_output(tmp_path):
+    """SIGKILL the run while dedup's worker has fi's output in its tmp file:
+    the worker removes it and exits, and renames nothing into the run's
+    directory."""
+    config, out = write_config(tmp_path), tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED, "pipeline", "run", config, "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, encoding="utf-8", env=env, start_new_session=True,
+    )
+    try:
+        for line in proc.stderr:
+            if line.strip() == "waiting":
+                break
+        else:
+            pytest.fail("the run ended before its worker waited")
+        assert (out / "dedup" / "fi.txt.tmp").exists()
+        proc.send_signal(signal.SIGKILL)
+        proc.stderr.read()  # the end of the file: the worker, which holds it open too, has exited
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=10)
+    assert not (out / "dedup" / "fi.txt").exists()
+    assert not (out / "dedup" / "fi.txt.tmp").exists()

@@ -362,26 +362,48 @@ def test_config_built_out_of_bounds_is_rejected_before_any_event_or_write(tmp_pa
 
 
 def test_pretrain_data_reads_each_dedup_file_after_the_last_one_is_tokenized(tmp_path, completing, monkeypatch):
-    config, out = write_config(tmp_path), tmp_path / "out"
-    log = []
+    config, log = write_config(tmp_path), tmp_path / "calls.jsonl"
+
+    def logged(*call):
+        # one short append per call, so that the lines of two processes never mix
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps([os.getpid(), *call]) + "\n")
 
     def reading(path):
-        log.append(("read", path))
+        logged("read", path)
         return read_documents(path)
 
     def tokenizing(text, vocab):
-        log.append(("tokenize", text))
+        logged("tokenize", text)
         return tokenize_text(text, vocab)
 
     monkeypatch.setattr(pipeline, "read_documents", reading)
     monkeypatch.setattr(pretrain, "tokenize_text", tokenizing)
-    run_pipeline(config, str(out))
-    expected = []
-    for lang in CORPORA:
-        path = str(out / "dedup" / f"{lang}.txt")
-        expected.append(("read", path))
-        expected += [("tokenize", s) for doc in read_documents(path) for s in doc]
-    assert log == expected
+    for n in (1, 2):
+        on_cpus(monkeypatch, n)
+        out = tmp_path / f"out{n}"
+        log.unlink(missing_ok=True)
+        run_pipeline(config, str(out))
+        # the calls of one dedup file: its read, then a tokenization of each sentence
+        files = {}
+        for lang in CORPORA:
+            path = str(out / "dedup" / f"{lang}.txt")
+            files[path] = [["read", path]] + [["tokenize", s] for doc in read_documents(path) for s in doc]
+        calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        if n == 1:
+            assert [call[1:] for call in calls] == [call for block in files.values() for call in block]
+        by_process = {}
+        for pid, *call in calls:
+            by_process.setdefault(pid, []).append(call)
+        assert len(by_process) == n
+        read = []
+        for process_calls in by_process.values():
+            while process_calls:
+                kind, path = process_calls[0]
+                assert kind == "read" and process_calls[: len(files[path])] == files[path]
+                del process_calls[: len(files[path])]
+                read.append(path)
+        assert sorted(read) == sorted(files)
 
 
 def on_cpus(monkeypatch, n):
@@ -398,6 +420,18 @@ def test_stage_done_reports_the_processes_each_stage_ran_on(tmp_path, completing
         events = []
         run_pipeline(config, out, events=events.append)
         assert {e["stage"]: e["workers"] for e in events if e["event"] == "stage_done"} == workers
+
+
+def test_stage_done_reports_the_most_processes_of_any_spread_of_the_stage(tmp_path, completing, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    config = write_config(tmp_path)
+    # two languages and one phase: pretrain_data tokenizes on two processes
+    # and writes its one phase file on one
+    config = config._replace(phases=config.phases[:1])
+    events = []
+    run_pipeline(config, str(tmp_path / "out"), events=events.append)
+    workers = {e["stage"]: e["workers"] for e in events if e["event"] == "stage_done"}
+    assert workers == {"dedup": 2, "sample": 1, "vocab": 1, "pretrain_data": 2, "schedule": 1}
 
 
 def without_timings(events):

@@ -22,7 +22,6 @@ from bertpipe.jsonfile import FieldError
 from bertpipe.pipeline import _write_json
 from bertpipe.pretrain import (
     MAX_SEQ_LEN,
-    GenerationStats,
     MaskingConfig,
     TrainingInstance,
     count_instances,
@@ -30,6 +29,7 @@ from bertpipe.pretrain import (
     pack_instance,
     phase_datasets,
     read_instances,
+    tokenize_documents,
     write_instances,
 )
 from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces, tokenize_text
@@ -79,13 +79,19 @@ def word_groups(ids, vocab: Vocab):
     return groups
 
 
+def datasets(documents, vocab, seq_lens, cfg):
+    """The phase streams of documents, tokenized as the pipeline tokenizes them."""
+    tokenized, _ = tokenize_documents(documents, vocab)
+    return phase_datasets(tokenized, vocab, seq_lens, cfg)
+
+
 class TestBuildInstances:
     """Instance building, through phase_datasets with one phase."""
 
     def test_packing_bounds(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(1))
-        instances = list(phase_datasets(docs, vocab, [128], MaskingConfig(seed=5))[0])
+        instances = list(datasets(docs, vocab, [128], MaskingConfig(seed=5))[0])
         assert instances
         for inst in instances:
             assert len(inst.token_ids) <= 128
@@ -98,7 +104,7 @@ class TestBuildInstances:
     def test_no_masked_position_on_cls_or_sep(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(2))
-        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=3))[0]:
+        for inst in datasets(docs, vocab, [64], MaskingConfig(seed=3))[0]:
             originals = restore_original_ids(inst)
             for pos in inst.masked_positions:
                 assert originals[pos] not in (vocab.cls_id, vocab.sep_id, vocab.pad_id)
@@ -107,7 +113,7 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(3), n_docs=40)
         checked_multi = 0
-        for inst in phase_datasets(docs, vocab, [128], MaskingConfig(seed=11))[0]:
+        for inst in datasets(docs, vocab, [128], MaskingConfig(seed=11))[0]:
             originals = restore_original_ids(inst)
             masked = set(inst.masked_positions)
             for group in word_groups(originals, vocab):
@@ -123,7 +129,7 @@ class TestBuildInstances:
         docs = make_docs(lexicon, random.Random(4), n_docs=10)
         monkeypatch.setattr(pretrain, "REPLACE_MASK", 0.0)
         monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 0.0)
-        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=8))[0]:
+        for inst in datasets(docs, vocab, [64], MaskingConfig(seed=8))[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] == label
 
@@ -134,7 +140,7 @@ class TestBuildInstances:
         monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 1.0)
         reserved = {vocab.piece_ids[t] for t in RESERVED_TOKENS}
         seen_replacement = 0
-        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=9))[0]:
+        for inst in datasets(docs, vocab, [64], MaskingConfig(seed=9))[0]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 assert inst.token_ids[pos] not in reserved
                 if inst.token_ids[pos] != label:
@@ -146,7 +152,7 @@ class TestBuildInstances:
         docs = make_docs(lexicon, random.Random(6), n_docs=10)
         monkeypatch.setattr(pretrain, "REPLACE_MASK", 1.0)
         monkeypatch.setattr(pretrain, "REPLACE_RANDOM", 0.0)
-        for inst in phase_datasets(docs, vocab, [64], MaskingConfig(seed=10))[0]:
+        for inst in datasets(docs, vocab, [64], MaskingConfig(seed=10))[0]:
             for pos in inst.masked_positions:
                 assert inst.token_ids[pos] == vocab.mask_id
 
@@ -154,24 +160,24 @@ class TestBuildInstances:
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(7))
         cfg = MaskingConfig(seed=21)
-        a = list(phase_datasets(docs, vocab, [96], cfg)[0])
-        b = list(phase_datasets(docs, vocab, [96], cfg)[0])
+        a = list(datasets(docs, vocab, [96], cfg)[0])
+        b = list(datasets(docs, vocab, [96], cfg)[0])
         assert a == b
-        c = list(phase_datasets(docs, vocab, [96], MaskingConfig(seed=22))[0])
+        c = list(datasets(docs, vocab, [96], MaskingConfig(seed=22))[0])
         assert a != c
 
     def test_document_without_tokenizable_sentences_is_skipped(self, toy_vocab):
         vocab, lexicon = toy_vocab
-        stats = GenerationStats()
         docs = [[" ", ""], [lexicon[0] + " " + lexicon[1]] * 4]
-        list(phase_datasets(docs, vocab, [32], MaskingConfig(seed=1), stats)[0])
-        assert stats.documents_in == 2
-        assert stats.documents_skipped == 1
+        tokenized, counts = tokenize_documents(docs, vocab)
+        assert len(tokenized) == 1
+        assert counts["documents"] == 2
+        assert counts["documents_skipped"] == 1
 
     def test_short_max_seq_len_rejected(self, toy_vocab):
         vocab, _ = toy_vocab
         with pytest.raises(ValueError):
-            phase_datasets([["a"]], vocab, [8], MaskingConfig())
+            datasets([["a"]], vocab, [8], MaskingConfig())
 
     @pytest.mark.parametrize(
         "cfg, key", [(MaskingConfig(mask_prob=1.0), "mask_prob"), (MaskingConfig(dupe_factor=0), "dupe_factor")]
@@ -179,7 +185,7 @@ class TestBuildInstances:
     def test_masking_config_out_of_bounds_rejected(self, toy_vocab, cfg, key):
         vocab, _ = toy_vocab
         with pytest.raises(FieldError) as rejected:
-            phase_datasets([["a"]], vocab, [32], cfg)
+            datasets([["a"]], vocab, [32], cfg)
         assert rejected.value.key == key
 
     def test_masked_count_floors_over_non_special_positions(self):
@@ -188,7 +194,7 @@ class TestBuildInstances:
         vocab = Vocab(RESERVED_TOKENS + list("abcdefgh"))
         docs = make_docs(list("abcdefgh"), random.Random(17), n_docs=20, sents=(1, 40), words=(1, 12))
         counts = set()
-        for inst in phase_datasets(docs, vocab, [256], MaskingConfig(seed=7))[0]:
+        for inst in datasets(docs, vocab, [256], MaskingConfig(seed=7))[0]:
             expected = int(0.15 * (sum(inst.input_mask) - 3))
             assert len(inst.masked_positions) == expected
             counts.add(expected)
@@ -197,12 +203,12 @@ class TestBuildInstances:
     def test_max_seq_len_above_u16_rejected(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = [[lexicon[0]]]
-        instances = list(phase_datasets(docs, vocab, [MAX_SEQ_LEN], MaskingConfig())[0])
+        instances = list(datasets(docs, vocab, [MAX_SEQ_LEN], MaskingConfig())[0])
         assert [len(i.token_ids) for i in instances] == [MAX_SEQ_LEN]
         with pytest.raises(ValueError, match="max_seq_len"):
-            phase_datasets(docs, vocab, [MAX_SEQ_LEN + 1], MaskingConfig())
+            datasets(docs, vocab, [MAX_SEQ_LEN + 1], MaskingConfig())
         with pytest.raises(ValueError, match="max_seq_len"):
-            phase_datasets(docs, vocab, [128, MAX_SEQ_LEN + 1], MaskingConfig())
+            datasets(docs, vocab, [128, MAX_SEQ_LEN + 1], MaskingConfig())
 
     def test_reserved_words_stay_out_of_content(self):
         lexicon = ["[SEP]", "[MASK]", "[CLS]", "[PAD]", "[UNK]", "ab", "ba", "abba", "##b"]
@@ -214,7 +220,7 @@ class TestBuildInstances:
                 counts[word] = counts.get(word, 0) + 1
         vocab = learn_wordpieces(WordCounts(counts), target_size=80)
         reserved = {vocab.piece_ids[t] for t in RESERVED_TOKENS}
-        instances = list(phase_datasets(docs, vocab, [48], MaskingConfig(seed=2, dupe_factor=3))[0])
+        instances = list(datasets(docs, vocab, [48], MaskingConfig(seed=2, dupe_factor=3))[0])
         assert instances
         bracket_words = 0
         for inst in instances:
@@ -233,9 +239,9 @@ class TestBuildInstances:
     def test_dupe_factor_multiplies_passes(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(8), n_docs=5)
-        once = list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=2))[0])
+        once = list(datasets(docs, vocab, [64], MaskingConfig(seed=2))[0])
         twice = list(
-            phase_datasets(docs, vocab, [64], MaskingConfig(seed=2, dupe_factor=2))[0]
+            datasets(docs, vocab, [64], MaskingConfig(seed=2, dupe_factor=2))[0]
         )
         assert len(twice) >= 2 * len(once) - len(docs)  # chunking identical per pass
         assert twice[: len(once)] == once
@@ -245,7 +251,7 @@ class TestPhaseDatasets:
     def test_one_stream_per_phase_with_phase_lengths(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(10))
-        streams = phase_datasets(docs, vocab, [128, 512], MaskingConfig(seed=6))
+        streams = datasets(docs, vocab, [128, 512], MaskingConfig(seed=6))
         lengths = []
         for stream in streams:
             batch = list(stream)
@@ -256,7 +262,7 @@ class TestPhaseDatasets:
     def test_single_phase_plan_single_stream(self, toy_vocab):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(11), n_docs=5)
-        streams = phase_datasets(docs, vocab, [32], MaskingConfig(seed=6))
+        streams = datasets(docs, vocab, [32], MaskingConfig(seed=6))
         assert len(streams) == 1
         assert all(len(i.token_ids) == 32 for i in streams[0])
 
@@ -266,7 +272,7 @@ class TestPhaseDatasets:
 
         def serialize():
             out = []
-            for seq_len, stream in zip([64, 128], phase_datasets(docs, vocab, [64, 128], MaskingConfig(seed=33))):
+            for seq_len, stream in zip([64, 128], datasets(docs, vocab, [64, 128], MaskingConfig(seed=33))):
                 buf = io.BytesIO()
                 write_instances(stream, buf, seq_len=seq_len, mask_prob=0.15)
                 out.append(buf.getvalue())
@@ -284,13 +290,13 @@ class TestPhaseDatasets:
             return tokenize_text(text, vocab)
 
         monkeypatch.setattr(pretrain, "tokenize_text", counting)
-        stats = GenerationStats()
-        streams = phase_datasets(docs, vocab, [32, 64, 128], MaskingConfig(seed=6), stats)
+        tokenized, counts = tokenize_documents(docs, vocab)
+        streams = phase_datasets(tokenized, vocab, [32, 64, 128], MaskingConfig(seed=6))
         sentences = [s for doc in docs for s in doc]
         assert calls == sentences
-        assert (stats.documents_in, stats.documents_skipped) == (7, 1)
-        assert stats.sentences == len(sentences) - 2
-        assert stats.pieces == sum(len(tokenize_text(s, vocab)) for s in sentences)
+        assert (counts["documents"], counts["documents_skipped"]) == (7, 1)
+        assert counts["sentences"] == len(sentences) - 2
+        assert counts["pieces"] == sum(len(tokenize_text(s, vocab)) for s in sentences)
         assert all(sum(1 for _ in stream) > 0 for stream in streams)
         assert calls == sentences
 
@@ -412,7 +418,7 @@ def test_truncate_pair_equals_popping_one_piece_at_a_time():
 
 
 # Documents of words over a-h, every one of which PINNED_PIECES splits
-# without [UNK]; empty sentences stay in, and phase_datasets drops them.
+# without [UNK]; empty sentences stay in, and tokenize_documents drops them.
 ORACLE_DOCUMENTS = st.lists(
     st.lists(
         st.lists(st.text("abcdefgh", min_size=1, max_size=9), max_size=14).map(" ".join),
@@ -440,7 +446,7 @@ def read_back(instances, seq_len: int, mask_prob: float = 0.15) -> list[Training
 @given(documents=ORACLE_DOCUMENTS, seed=st.integers(0, 2**32))
 def test_instances_pass_the_independent_oracle(seq_len, documents, seed):
     cfg = MaskingConfig(seed=seed)
-    [stream] = phase_datasets(documents, Vocab(PINNED_PIECES), [seq_len], cfg)
+    [stream] = datasets(documents, Vocab(PINNED_PIECES), [seq_len], cfg)
     instances = list(stream)
     read = read_back(instances, seq_len, cfg.mask_prob)
     assert read == instances
@@ -518,7 +524,7 @@ class TestSerialization:
     def phase(self, toy_vocab, seed, n_docs=6):
         vocab, lexicon = toy_vocab
         docs = make_docs(lexicon, random.Random(seed), n_docs=n_docs)
-        return list(phase_datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
+        return list(datasets(docs, vocab, [64], MaskingConfig(seed=5))[0])
 
     def written(self, instances, path, seq_len=64):
         with open(path, "wb") as f:
@@ -742,7 +748,7 @@ class TestPinnedBytes:
 
     def test_phase_datasets_bytes(self):
         vocab = Vocab(PINNED_PIECES)
-        streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
+        streams = datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [stream_sha256(s, seq_len) for s, seq_len in zip(streams, [32, 64])] == [
             "914936299d3a2f10b3369e168e4c0215cf480047f1effd66dd412eb7ead08612",
             "da31b4dc8bd2138d882ef58337a56f6732feb7cbb080a521d02b7b912e996c75",
@@ -750,7 +756,7 @@ class TestPinnedBytes:
 
     def test_phase_datasets_instances(self):
         vocab = Vocab(PINNED_PIECES)
-        streams = phase_datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
+        streams = datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
         assert [instances_sha256(s) for s in streams] == [
             "b2f2127f97326721ab2ad33e3e438242dea06a4d93bf02947fc3a2e7e37cf291",
             "77169aee995ade9ee28a0273fc4c550141a85e71c8577103ba91129bdd9702fe",
@@ -761,11 +767,12 @@ class TestPinnedBytes:
         corpus.write_text(json.dumps([pinned_corpus(), PINNED_PIECES]), encoding="utf-8")
         probe = (
             "import json, sys\n"
-            "from bertpipe.pretrain import MaskingConfig, phase_datasets, write_instances\n"
+            "from bertpipe.pretrain import MaskingConfig, phase_datasets, tokenize_documents, write_instances\n"
             "from bertpipe.vocab import Vocab\n"
             "docs, pieces = json.load(open(sys.argv[1], encoding='utf-8'))\n"
-            "cfg = MaskingConfig(seed=1234, dupe_factor=2)\n"
-            "for k, stream in enumerate(phase_datasets(docs, Vocab(pieces), [32, 64], cfg)):\n"
+            "cfg, vocab = MaskingConfig(seed=1234, dupe_factor=2), Vocab(pieces)\n"
+            "tokenized, _ = tokenize_documents(docs, vocab)\n"
+            "for k, stream in enumerate(phase_datasets(tokenized, vocab, [32, 64], cfg)):\n"
             "    with open(f'{sys.argv[2]}{k}.bin', 'wb') as f:\n"
             "        write_instances(stream, f, seq_len=[32, 64][k], mask_prob=cfg.mask_prob)\n"
         )
@@ -785,7 +792,7 @@ class TestPinnedBytes:
             assert done.returncode == 0, done.stderr
             written.append([Path(f"{prefix}{k}.bin").read_bytes() for k in range(2)])
         assert written[0] == written[1]
-        here = phase_datasets(pinned_corpus(), Vocab(PINNED_PIECES), [32, 64], self.CFG)
+        here = datasets(pinned_corpus(), Vocab(PINNED_PIECES), [32, 64], self.CFG)
         assert [hashlib.sha256(b).hexdigest() for b in written[0]] == [
             stream_sha256(s, seq_len) for s, seq_len in zip(here, [32, 64])
         ]

@@ -245,7 +245,8 @@ def family_tables(counts: dict[str, int], continuation: bool) -> list[tuple[int,
     for word, count in counts.items():
         if len(word) <= MAX_CANDIDATE_WORD_CHARS:
             by_length[len(word)][word] = count
-    return list(vocab_module._piece_tables(by_length, continuation))
+    hashed = {word: count for words in by_length for word, count in words.items() if word.startswith("##")}
+    return list(vocab_module._piece_tables(by_length, hashed, continuation))
 
 
 def score_cutoff(counts: dict[str, int], budget: int) -> int:
@@ -430,6 +431,18 @@ def words_of_length(n: int):
     return st.text(alphabet="ab#", min_size=n, max_size=n)
 
 
+# Stems with up to four of a few suffixes stacked on, as in Finnish and
+# Estonian: many words share their endings, and the stem lengths put the
+# words around the piece limit of 16 and the word limit of 64.
+stacked_words = st.builds(
+    lambda stem, suffixes: stem + "".join(suffixes),
+    st.sampled_from([1, 3, 9, 12, 14, 16, 50, 55, 58, 61, 63]).flatmap(
+        lambda n: st.text(alphabet="abé", min_size=n, max_size=n)
+    ),
+    st.lists(st.sampled_from(["a", "ssa", "ssä", "an", "ba", "#a", "é"]), max_size=4),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     words=st.dictionaries(
@@ -441,6 +454,7 @@ def words_of_length(n: int):
         min_size=1,
         max_size=25,
     )
+    | st.dictionaries(stacked_words, st.integers(1, 40), min_size=1, max_size=40)
 )
 def test_candidate_counts_match_a_hand_count_of_every_slice(words):
     # A word-initial slice spelled "##x" is the continuation piece "##x".
