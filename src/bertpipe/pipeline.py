@@ -16,26 +16,35 @@ the events: each `stage_done` carries the stage's `duration_s`, the
 number of processes it ran on, `workers`, and the peak RSS so far of any
 single process of the run, `max_rss_mb`, so a run shows which stage sets
 its peak. Before a stage is checked, and after it fails, the run removes
-the `<output>.tmp` files of its outputs that a killed process left.
+the `<output>.tmp` and `<output>.part<r>.tmp` files of its outputs that a
+killed process left.
 
-Two stages spread independent work over the CPUs of
+Three stages spread independent work over the CPUs of
 `os.sched_getaffinity(0)`: `dedup` runs one task per language (read,
 dedup, write its `.txt` and `.stats.json`; an index is never shared across
-languages). `pretrain_data` runs one task per language that reads its
-dedup file and returns its piece ids and counts, joins the ids in
-language order, and then runs one task per phase file (each phase has its
-own derived seed). Task i runs in process i % n, where n is the number of
-CPUs or of tasks, whichever is smaller; process 0 is the pipeline's own,
-the others are forked workers that reply over a pipe and exit. Each task
-returns its counts, and the pipeline emits the `dedup_lang`,
-`pretrain_tokenized` and `pretrain_phase` events from them in language and
-phase order, so the artifacts, the manifest and the events other than the
-timings, the peaks and `workers` do not depend on the CPU count; `workers`
-is the most processes of any spread of the stage. With one CPU or one
-task everything runs in this process. An in-process tracer that wraps the
-layer functions sees only the calls of process 0's share. A worker whose
-parent has died exits at its next commit instead of renaming its output
-into the killed run's directory.
+languages), and `sample` one per language (read, sample with the
+language's own seed, write). `pretrain_data` runs one task per language
+that reads its dedup file and returns its piece ids and counts, and joins
+the ids in language order. It then takes the (phase, pass, document) units
+of the phase files in file order, each seeded on its own, and cuts them
+into n contiguous runs of about equal pieces, n = min(CPUs, units), one
+task each. The run that holds a phase's first unit writes the file's
+header and records, and commits the file when it holds the whole phase; a
+later run writes its records of the phase to a part file, which the
+pipeline appends to the file in run order before it commits it. Task i
+runs in process i % n, where n is the number of CPUs or of tasks,
+whichever is smaller; process 0 is the pipeline's own, the others are
+workers forked from a frozen heap (`gc.freeze`), so that no collection
+walks the objects they share, and each replies with one pickle and exits.
+Each task returns its counts, and the pipeline emits the `dedup_lang`,
+`sample_lang`, `pretrain_tokenized` and `pretrain_phase` events from them
+in language and phase order, so the artifacts, the manifest and the events
+other than the timings, the peaks and `workers` do not depend on the CPU
+count; `workers` is the most processes of any spread of the stage. With
+one CPU or one task everything runs in this process. An in-process tracer
+that wraps the layer functions sees only the calls of process 0's share. A
+worker whose parent has died removes the file it has just written and
+exits, instead of committing it into the killed run's directory.
 
 The manifest is written once, after the last stage, so it only ever
 describes a completed run: after a failure, the next run re-checks every
@@ -48,13 +57,17 @@ the benchmark can measure skipped stages.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import resource
 import time
 from contextlib import contextmanager, suppress
+from bisect import bisect_left
 from functools import partial
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import IO, Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import __version__, jsonfile
@@ -66,8 +79,9 @@ from .pretrain import (
     MaskingConfig,
     count_instances,
     instance_schema,
-    phase_datasets,
+    phase_units,
     tokenize_documents,
+    unit_instances,
     write_instances,
 )
 from .vocab import Vocab, count_words, learn_wordpieces, sample_subset
@@ -76,7 +90,7 @@ CONFIG_SCHEMA_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 
 EventSink = Callable[[dict], None]
-# a stage's independent unit of work; it returns a JSON value
+# a stage's independent unit of work; it returns a value that pickles
 Task = Callable[[], object]
 # runs tasks as _run_tasks does and returns their values in task order
 Spread = Callable[[Sequence[Task]], list]
@@ -259,11 +273,11 @@ _parent: int | None = None
 
 
 @contextmanager
-def _atomic(path: str, mode: str) -> Iterator[IO]:
-    """Write path + ".tmp" and rename it over path; remove it if the write
-    fails. A worker whose parent has died removes it and exits instead,
-    without a reply: the run was killed, and its directory may be removed
-    or reused."""
+def _atomic(path: str, mode: str, commit: bool = True) -> Iterator[IO]:
+    """Write path + ".tmp" and rename it over path, or without commit leave
+    it for the caller to finish; remove it if the write fails. A worker
+    whose parent has died removes it and exits instead, without a reply:
+    the run was killed, and its directory may be removed or reused."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
@@ -273,7 +287,8 @@ def _atomic(path: str, mode: str) -> Iterator[IO]:
         if _parent is not None and os.getppid() != _parent:
             os.remove(tmp)
             os._exit(1)
-        os.replace(tmp, path)
+        if commit:
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -295,17 +310,25 @@ def _cpus() -> int:
 def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
     """Run independent tasks across this process's CPUs: task i runs in
     process i % n, n = min(CPUs, tasks), where process 0 is this one and the
-    others are forked workers. Returns the values in task order and each
-    worker's peak RSS in KiB. A worker's failure is raised here, after every
-    worker is reaped, as the exception its task raised, or as a RuntimeError
-    with its message where that exception does not pickle. If this process's
-    own share fails, the workers are killed and reaped before it re-raises."""
+    others are forked workers. Each worker replies with one pickle of its
+    values and its peak RSS in KiB. Returns the values in task order and the
+    workers' peaks. A worker's failure is raised here, after every worker
+    is reaped, as the exception its task raised, or as a RuntimeError with
+    its message where that exception does not pickle; a worker's exit
+    status is checked before its reply is read. If this process's own share
+    fails, the workers are killed and reaped before it re-raises. The heap
+    is frozen from just before the first fork until the workers are reaped,
+    so that no collection, in a worker or here, walks the objects they
+    share."""
     n = min(_cpus(), len(tasks))
     if n <= 1:
         return [task() for task in tasks], []
+    import pickle  # only a spread that forks loads it
+
     pids: list[int] = []
     replies: list[IO[bytes]] = []
     parent = os.getpid()
+    gc.freeze()
     try:
         for w in range(1, n):
             read, write = os.pipe()
@@ -329,6 +352,7 @@ def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
         for f in replies:
             f.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        gc.unfreeze()
 
     values: list = [None] * len(tasks)
     values[::n] = mine
@@ -337,10 +361,9 @@ def _run_tasks(tasks: Sequence[Task]) -> tuple[list, list[int]]:
         if status != 0:  # a worker that replied exits 0
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError(f"worker process {w} exited with status {code} before it replied")
-        head, _, pickled = reply.partition(b"\n")
-        reply = json.loads(head)
+        reply = pickle.loads(reply)
         if "error" in reply:
-            raise _unpickled(pickled, reply["error"])
+            raise _unpickled(reply["pickled"], reply["error"])
         values[w::n] = reply["values"]
         peaks.append(reply["max_rss_kib"])
     return values, peaks
@@ -355,20 +378,24 @@ def _worker(tasks: Sequence[Task], fd: int, parent: int) -> NoReturn:
     _parent = parent
     status = 1
     try:
+        import pickle  # loaded by _run_tasks before the fork
+
         try:
-            reply, pickled = {"values": [task() for task in tasks]}, b""
+            reply = {"values": [task() for task in tasks]}
         except Exception as e:
-            reply, pickled = {"error": str(e)}, _pickled(e)
+            # the exception goes as a pickle of its own, so that the reply
+            # still loads where the exception does not
+            reply = {"error": str(e), "pickled": _pickled(e)}
         reply["max_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         with open(fd, "wb") as f:
-            f.write(json.dumps(reply).encode() + b"\n" + pickled)
+            pickle.dump(reply, f, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
 def _pickled(e: Exception) -> bytes:
-    import pickle  # only a failed task loads it
+    import pickle
 
     try:
         return pickle.dumps(e)
@@ -377,7 +404,7 @@ def _pickled(e: Exception) -> bytes:
 
 
 def _unpickled(pickled: bytes, message: str) -> BaseException:
-    import pickle  # only a failed task loads it
+    import pickle
 
     try:
         e = pickle.loads(pickled)
@@ -405,22 +432,20 @@ def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Sp
 
 
 def _run_sample(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
-    for i, lang in enumerate(config.languages):
+    def task(i: int, lang: LanguageConfig) -> tuple[int, int]:
         units = read_units(
             os.path.join(out_dir, f"dedup/{lang.code}.txt"), lang.code, config.dedup.granularity
         )
         subset, tokens = sample_subset(units, lang.vocab_budget, seed=config.vocab.seed + i)
         with _atomic(os.path.join(out_dir, f"sample/{lang.code}.txt"), "w") as f:
             write_units(subset, f, config.dedup.granularity)
+        return len(subset), tokens
+
+    counts = spread([partial(task, i, lang) for i, lang in enumerate(config.languages)])
+    for lang, (units, tokens) in zip(config.languages, counts):
         # tokens below budget: the whole corpus was too small for the budget
         emit(
-            {
-                "event": "sample_lang",
-                "lang": lang.code,
-                "units": len(subset),
-                "tokens": tokens,
-                "budget": lang.vocab_budget,
-            }
+            {"event": "sample_lang", "lang": lang.code, "units": units, "tokens": tokens, "budget": lang.vocab_budget}
         )
 
 
@@ -451,16 +476,75 @@ def _run_pretrain(config: PipelineConfig, out_dir: str, emit: EventSink, spread:
     emit({"event": "pretrain_tokenized", **{key: sum(c[key] for c in counts) for key in counts[0]}})
 
     seq_lens = [phase.seq_len for phase in config.phases]
-    streams = phase_datasets(tokenized, vocab, seq_lens, config.masking)
+    masking = config.masking
+    per_phase = masking.dupe_factor * len(tokenized)
+    units = [u for k in range(len(seq_lens)) for u in phase_units(k, masking.dupe_factor, len(tokenized))]
+    pieces = [sum(map(len, doc)) for doc in tokenized]
+    bounds = _cut([pieces[doc] for _, _, doc in units], _cpus())
+    # each run as its phases' units: (phase, the run's units of that phase)
+    runs = [
+        [(k, list(group)) for k, group in groupby(units[start:end], key=itemgetter(0))]
+        for start, end in zip(bounds, bounds[1:])
+    ]
+    paths = [os.path.join(out_dir, f"pretrain/phase{k}.bin") for k in range(len(seq_lens))]
 
-    def task(k: int, seq_len: int, stream) -> int:
-        with _atomic(os.path.join(out_dir, f"pretrain/phase{k}.bin"), "wb") as f:
-            return write_instances(stream, f, seq_len=seq_len, mask_prob=config.masking.mask_prob)
+    def task(r: int) -> list[tuple[int, int]]:
+        written = []
+        for k, run_units in runs[r]:
+            # the run of a phase's first unit writes the file, and commits it
+            # if it holds the whole phase; a later run writes a part of it
+            first = run_units[0] == (k, 0, 0)
+            path = paths[k] if first else f"{paths[k]}.part{r}"
+            stream = unit_instances(tokenized, vocab, seq_lens, masking, run_units)
+            with _atomic(path, "wb", commit=len(run_units) == per_phase) as f:
+                n = write_instances(stream, f, seq_len=seq_lens[k], mask_prob=masking.mask_prob, header=first)
+            written.append((k, n))
+        return written
 
-    tasks = [partial(task, k, seq_len, stream) for k, (seq_len, stream) in enumerate(zip(seq_lens, streams))]
-    for k, (seq_len, n) in enumerate(zip(seq_lens, spread(tasks))):
+    instances = [0] * len(seq_lens)
+    for written in spread([partial(task, r) for r in range(len(runs))]):
+        for k, n in written:
+            instances[k] += n
+    # only a run's first phase can have begun in an earlier run
+    part_files: dict[int, list[str]] = {}
+    for r, ((k, run_units), *_) in enumerate(runs):
+        if run_units[0] != (k, 0, 0):
+            part_files.setdefault(k, []).append(f"{paths[k]}.part{r}.tmp")
+    for k, tmps in part_files.items():
+        _append_parts(paths[k], tmps)
+    for k, (seq_len, n) in enumerate(zip(seq_lens, instances)):
         emit({"event": "pretrain_phase", "phase": k, "seq_len": seq_len, "instances": n})
     _write_json(os.path.join(out_dir, "pretrain/data.schema.json"), instance_schema())
+
+
+def _append_parts(path: str, parts: list[str]) -> None:
+    """Append the part files, in order, to path's tmp file, which holds the
+    file's first records, removing each part; then commit it."""
+    with open(path + ".tmp", "ab") as f:
+        for part in parts:
+            with open(part, "rb") as g:
+                for chunk in iter(lambda: g.read(1 << 20), b""):
+                    f.write(chunk)
+            os.remove(part)
+    os.replace(path + ".tmp", path)
+
+
+def _cut(weights: Sequence[int], n: int) -> list[int]:
+    """The bounds of min(n, len(weights)) contiguous, non-empty runs of
+    weights, run r being weights[bounds[r]:bounds[r + 1]]: each cut falls
+    where the weight before it is nearest to its equal share of the total."""
+    n = min(n, len(weights))
+    before = list(accumulate(weights, initial=0))
+    total = before[-1]
+    bounds = [0]
+    for r in range(1, n):
+        # the first cut with r / n of the total before it, or the one
+        # before that where it is nearer
+        i = bisect_left(before, r * total, key=lambda w: w * n)
+        if r * total - before[i - 1] * n < before[i] * n - r * total:
+            i -= 1
+        bounds.append(min(max(i, bounds[-1] + 1), len(weights) - n + r))
+    return bounds + [len(weights)]
 
 
 class TrainingPlan(NamedTuple):
@@ -630,10 +714,15 @@ def run_pipeline(
         return True
 
     def remove_tmp(outputs: list[str]) -> None:
-        """Remove the tmp files of outputs that a killed process left."""
+        """Remove the tmp files of outputs, and of their parts, that a
+        killed process left."""
         for rel in outputs:
+            folder, name = os.path.split(os.path.join(out_dir, rel))
             with suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, rel) + ".tmp")
+                stale = [n for n in os.listdir(folder) if n.startswith(name + ".part") and n.endswith(".tmp")]
+                for tmp in [name + ".tmp", *stale]:
+                    with suppress(FileNotFoundError):
+                        os.remove(os.path.join(folder, tmp))
 
     # the most processes any spread of the running stage ran on, and the
     # peak RSS in KiB of any worker of the run so far

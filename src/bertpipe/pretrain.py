@@ -10,8 +10,8 @@ tokenize_documents consumes its documents once, in order. The pipeline
 tokenizes each language's dedup file as its own task, so that a process
 holds one file's text at a time, and joins the ids in language order.
 
-The corpus is tokenized once into piece ids, and every phase of
-phase_datasets builds its instances from that one copy; each distinct word
+The corpus is tokenized once into piece ids, and the units of every phase
+build their instances from that one copy; each distinct word
 is split once per process (tokenize_text remembers its pieces on the
 Vocab). Word groups for masking come from the ids: a word starts at every
 piece that does not start with "##" and at the start of each segment. So a
@@ -34,11 +34,20 @@ likely, so the masked sets have BERT's distribution, but the RNG stream is
 not the one random.shuffle would consume, and the same seed gives other
 instances than a full shuffle did.
 
-Generation is deterministic: every document derives its own RNG from
-(seed, document ordinal), so output does not depend on worker
-scheduling. A phase is serialized as a short header (magic tag with the
-format version, seq_len and the masked bound) followed by records that all
-have one size, as BERT's write_instance_to_example_files writes
+Generation is deterministic and cut into units: a phase file holds, in
+order, each pass of dupe_factor over each document, and every such
+(phase, pass, document) unit draws from its own RNG, derived from the
+phase's seed, the document ordinal and the pass. A unit's instances do
+not depend on the units around it, so unit_instances over any list of
+units gives the records of those units, and the pipeline cuts a phase
+file into contiguous runs of units that processes write side by side:
+the file's bytes do not depend on where the cuts fall or which process
+writes a run. A run after a phase's first one writes only records
+(write_instances without its header), as a part to append.
+
+A phase is serialized as a short header (magic tag with the format
+version, seq_len and the masked bound) followed by records that all have
+one size, as BERT's write_instance_to_example_files writes
 fixed-length features: a record holds the token ids, the lengths of
 segments A and B, the masked count, the masked positions and labels padded
 to the bound, and is_next. The input mask and segment ids follow from the
@@ -302,7 +311,7 @@ def _instances_from_document(
 def tokenize_documents(
     documents: Iterable[Sequence[str]], vocab: Vocab
 ) -> tuple[list[list[list[int]]], dict[str, int]]:
-    """Documents as lists of sentences of piece ids, for phase_datasets,
+    """Documents as lists of sentences of piece ids, for unit_instances,
     and their counts. Empty sentences and documents without a tokenizable
     sentence are dropped. The counts are of the documents read
     (documents), those dropped (documents_skipped), and the sentences and
@@ -327,49 +336,59 @@ def tokenize_documents(
     return tokenized, counts
 
 
+# (phase, pass, document): the instances that one document gives in one
+# pass over the corpus for one phase, each drawn from its own RNG
+Unit = tuple[int, int, int]
+
+
+def phase_units(phase: int, dupe_factor: int, documents: int) -> list[Unit]:
+    """The units of a phase file, in file order: by pass, then by document."""
+    return [(phase, p, d) for p in range(dupe_factor) for d in range(documents)]
+
+
 def _generate(
     tokenized: list[list[list[int]]],
     vocab: Vocab,
-    max_seq_len: int,
+    seq_lens: Sequence[int],
     cfg: MaskingConfig,
+    units: Iterable[Unit],
 ) -> Iterator[TrainingInstance]:
     # the reserved tokens are the first pieces
     random_ids = range(len(vocab.reserved), len(vocab))
     if not random_ids:
         raise ValueError("vocabulary has no non-reserved pieces")
     word_initial = bytes(not p.startswith(CONTINUATION_PREFIX) for p in vocab.pieces)
+    phase_seeds = [_child_seed(cfg.seed, k) for k in range(len(seq_lens))]
 
-    for pass_idx in range(cfg.dupe_factor):
-        for doc_index in range(len(tokenized)):
-            rng = Random(_child_seed(cfg.seed, doc_index, pass_idx))
-            yield from _instances_from_document(
-                tokenized, doc_index, vocab, word_initial, max_seq_len, cfg, rng, random_ids
-            )
+    for phase, pass_idx, doc_index in units:
+        rng = Random(_child_seed(phase_seeds[phase], doc_index, pass_idx))
+        yield from _instances_from_document(
+            tokenized, doc_index, vocab, word_initial, seq_lens[phase], cfg, rng, random_ids
+        )
 
 
-def phase_datasets(
+def unit_instances(
     tokenized: list[list[list[int]]],
     vocab: Vocab,
     seq_lens: Sequence[int],
     cfg: MaskingConfig,
-) -> list[Iterator[TrainingInstance]]:
-    """One independent instance stream per phase, at that phase's sequence length.
+    units: Iterable[Unit],
+) -> Iterator[TrainingInstance]:
+    """The instances of units, in order, at seq_lens[phase] pieces each.
 
-    tokenized is the documents as tokenize_documents gives them, in order,
-    and every stream shares it. Phase k draws from its own seed derived
-    from (seed, k), and its instances come out grouped by document ordinal,
-    repeated dupe_factor times over the corpus with independent derived
-    RNGs. A cfg out of its bounds is a FieldError.
+    tokenized is the documents as tokenize_documents gives them, in order.
+    Phase k draws from its own seed derived from (seed, k), and unit (k, p,
+    d) from a seed derived from that one and (d, p), so a unit's instances
+    do not depend on the units around it: the units of a phase file cut
+    into runs give the file's records run by run. A cfg out of its bounds
+    is a FieldError.
     """
     cfg.check()
     if not seq_lens:
         raise ValueError("no phases")
     for seq_len in seq_lens:
         _check_seq_len(seq_len)
-    return [
-        _generate(tokenized, vocab, seq_len, cfg._replace(seed=_child_seed(cfg.seed, k)))
-        for k, seq_len in enumerate(seq_lens)
-    ]
+    return _generate(tokenized, vocab, seq_lens, cfg, units)
 
 
 def instance_schema() -> dict:
@@ -423,11 +442,20 @@ def pack_instance(instance: TrainingInstance, seq_len: int, max_masked: int) -> 
     )
 
 
-def write_instances(instances: Iterable[TrainingInstance], out: BinaryIO, *, seq_len: int, mask_prob: float) -> int:
+def write_instances(
+    instances: Iterable[TrainingInstance],
+    out: BinaryIO,
+    *,
+    seq_len: int,
+    mask_prob: float,
+    header: bool = True,
+) -> int:
     """Write a phase file of instances of seq_len pieces masked at mask_prob;
-    returns the number of instances."""
+    returns the number of instances. Without its header, the records are a
+    part to append to a phase file of that header."""
     max_masked = _masked_bound(mask_prob, seq_len)
-    out.write(_HEADER.pack(_MAGIC, seq_len, max_masked))
+    if header:
+        out.write(_HEADER.pack(_MAGIC, seq_len, max_masked))
     count = 0
     for instance in instances:
         out.write(pack_instance(instance, seq_len, max_masked))

@@ -192,10 +192,13 @@ def _piece_tables(
     word[-L:], and the endings of length L are those of length L + 1 less
     their first character, plus the words of length L + 1 less theirs. So
     they are counted by a chain, one update per distinct ending and not
-    one per word, and only the previous length's endings are held.
+    one per word. Table L starts as the endings of length L and grows in
+    place, and the chain holds only the previous length's endings, as two
+    lists, which take less memory than a second dict.
     """
     longer: dict[str, int] = {}
-    ends: dict[str, int] = {}
+    end_keys: list[str] = []
+    end_counts: list[int] = []
     for length in range(MAX_PIECE_CHARS, 0, -1):
         full = length == MAX_PIECE_CHARS
         if not continuation:
@@ -221,6 +224,7 @@ def _piece_tables(
                 # word's last window is its first ending.
                 table = {}
                 get = table.get
+                ends: dict[str, int] = {}
                 for n in range(length + 1, len(by_length)):
                     for word, count in by_length[n].items():
                         for i in range(1, n - length + 1):
@@ -228,17 +232,18 @@ def _piece_tables(
                             table[window] = get(window, 0) + count
                         end = word[-length:]
                         ends[end] = ends.get(end, 0) + count
+                end_keys, end_counts = list(ends), list(ends.values())
+                del ends
             else:
-                shorter: dict[str, int] = {}
-                get = shorter.get
-                for end, total in ends.items():
+                table = {}
+                get = table.get
+                for end, total in zip(end_keys, end_counts):
                     end = end[1:]
-                    shorter[end] = get(end, 0) + total
+                    table[end] = get(end, 0) + total
                 for word, count in by_length[length + 1].items():
                     end = word[1:]
-                    shorter[end] = get(end, 0) + count
-                ends = shorter
-                table = dict(ends)
+                    table[end] = get(end, 0) + count
+                end_keys, end_counts = list(table), list(table.values())
             for word, count in hashed.items():
                 head = word[len(CONTINUATION_PREFIX) : MAX_PIECE_CHARS]
                 if len(head) == length:

@@ -526,9 +526,9 @@ def test_pipeline_run_on_two_cpus_prints_and_writes_what_one_cpu_does(tmp_path):
         lines = without_timings(done.stderr)
         forks.append(lines.count("forked"))
         runs.append((done.stdout, [line for line in lines if line != "forked"], files))
-    # two languages and two phases: one fork each in dedup, in the
-    # tokenization of pretrain_data and in its phase writing
-    assert forks == [0, 3]
+    # two languages and two phases: one fork each in dedup, in sample, in
+    # the tokenization of pretrain_data and in its phase writing
+    assert forks == [0, 4]
     assert runs[0] == runs[1]
     assert "manifest.json" in runs[0][2]
 

@@ -4,13 +4,14 @@ import json
 import logging
 import os
 import re
+import signal
 import time
 import unicodedata
 
 import pytest
 
 from bertpipe import pipeline, pretrain
-from bertpipe.corpus import read_documents, read_units
+from bertpipe.corpus import Granularity, read_documents, read_units
 from bertpipe.pipeline import ConfigError, PhaseConfig, StageError, file_sha256, load_config, run_pipeline
 from bertpipe.pretrain import count_instances, read_instances
 from bertpipe.vocab import Vocab, tokenize_text
@@ -414,8 +415,8 @@ def on_cpus(monkeypatch, n):
 def test_stage_done_reports_the_processes_each_stage_ran_on(tmp_path, completing, monkeypatch):
     on_cpus(monkeypatch, 2)
     config, out = write_config(tmp_path), str(tmp_path / "out")
-    # two languages and two phases: dedup and pretrain_data fork one worker
-    expected = {"dedup": 2, "sample": 1, "vocab": 1, "pretrain_data": 2, "schedule": 1}
+    # two languages and two phases: dedup, sample and pretrain_data fork one worker
+    expected = {"dedup": 2, "sample": 2, "vocab": 1, "pretrain_data": 2, "schedule": 1}
     for workers in (expected, dict.fromkeys(STAGES, 1)):  # a full run, then one that skips every stage
         events = []
         run_pipeline(config, out, events=events.append)
@@ -426,12 +427,13 @@ def test_stage_done_reports_the_most_processes_of_any_spread_of_the_stage(tmp_pa
     on_cpus(monkeypatch, 2)
     config = write_config(tmp_path)
     # two languages and one phase: pretrain_data tokenizes on two processes
-    # and writes its one phase file on one
+    # and, with its units cut into one run, writes its phase file on one
+    monkeypatch.setattr(pipeline, "_cut", lambda weights, n: [0, len(weights)])
     config = config._replace(phases=config.phases[:1])
     events = []
     run_pipeline(config, str(tmp_path / "out"), events=events.append)
     workers = {e["stage"]: e["workers"] for e in events if e["event"] == "stage_done"}
-    assert workers == {"dedup": 2, "sample": 1, "vocab": 1, "pretrain_data": 2, "schedule": 1}
+    assert workers == {"dedup": 2, "sample": 2, "vocab": 1, "pretrain_data": 2, "schedule": 1}
 
 
 def without_timings(events):
@@ -453,7 +455,7 @@ def test_one_and_two_cpus_write_the_same_files_and_events(tmp_path, completing, 
 def test_stale_tmp_files_are_removed_and_the_run_writes_what_a_clean_run_does(tmp_path, completing):
     config, out = write_config(tmp_path), tmp_path / "out"
     run_pipeline(config, str(tmp_path / "clean"))
-    for rel in ("dedup/fi.txt.tmp", "pretrain/phase1.bin.tmp"):
+    for rel in ("dedup/fi.txt.tmp", "pretrain/phase1.bin.tmp", "pretrain/phase0.bin.part1.tmp", "pretrain/phase1.bin.part3.tmp"):
         (out / rel).parent.mkdir(parents=True, exist_ok=True)
         (out / rel).write_bytes(b"left by a killed run")
     run_pipeline(config, str(out))
@@ -546,3 +548,116 @@ def test_worker_failure_that_cannot_be_sent_is_a_runtime_error(tmp_path, monkeyp
     assert type(failure.value.__cause__) is RuntimeError
     assert str(failure.value.__cause__) == message
     assert list(out.rglob("*.tmp")) == []
+
+
+def documents_config(tmp_path, dupe_factor=1, phases=2):
+    """write_config at paragraph granularity, which keeps each corpus's two
+    paragraphs as documents: four documents, each in dupe_factor passes."""
+    config = write_config(tmp_path)
+    return config._replace(
+        dedup=config.dedup._replace(granularity=Granularity.PARAGRAPH),
+        phases=config.phases[:phases],
+        masking=config.masking._replace(dupe_factor=dupe_factor),
+    )
+
+
+@pytest.mark.parametrize("dupe_factor", [1, 3])
+def test_phase_files_and_events_do_not_depend_on_the_cpus(tmp_path, completing, monkeypatch, dupe_factor):
+    config = documents_config(tmp_path, dupe_factor)
+    runs = []
+    for n in (1, 2, 3):
+        on_cpus(monkeypatch, n)
+        out, events = tmp_path / f"out{n}", []
+        run_pipeline(config, str(out), events=events.append)
+        phases = {rel: data for rel, data in artifacts(out).items() if rel.startswith("pretrain/")}
+        runs.append((phases, without_timings(events)))
+    tokenized = [e for e in runs[0][1] if e["event"] == "pretrain_tokenized"]
+    assert tokenized[0]["documents"] == 4
+    assert {"pretrain/phase0.bin", "pretrain/phase1.bin"} <= set(runs[0][0])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_cut_gives_nonempty_runs_of_about_equal_weight():
+    # two phases of equal weight on two CPUs: the cut is the phase boundary
+    assert pipeline._cut([3, 5, 2, 3, 5, 2], 2) == [0, 3, 6]
+    assert pipeline._cut([1, 1, 1, 1], 3) == [0, 1, 3, 4]
+    # the nearer of the two places around an equal share, the later on a tie
+    assert pipeline._cut([3, 6, 1], 2) == [0, 1, 3]
+    assert pipeline._cut([1, 6, 3], 2) == [0, 2, 3]
+    assert pipeline._cut([2, 6, 2], 2) == [0, 2, 3]
+    # no run is empty, and there are no more runs than weights
+    assert pipeline._cut([100, 1, 1], 3) == [0, 1, 2, 3]
+    assert pipeline._cut([1, 1, 100], 3) == [0, 1, 2, 3]
+    assert pipeline._cut([7], 3) == [0, 1]
+
+
+def logging_writes(monkeypatch, log):
+    """Log the file name of each write_instances call, with its pid, to log."""
+    write = pipeline.write_instances
+
+    def logged(instances, out, **header):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps([os.getpid(), os.path.basename(out.name), header.get("header", True)]) + "\n")
+        return write(instances, out, **header)
+
+    monkeypatch.setattr(pipeline, "write_instances", logged)
+
+
+def test_phase_cut_inside_a_phase_is_written_in_parts_and_joined(tmp_path, completing, monkeypatch):
+    config, log = documents_config(tmp_path, phases=1), tmp_path / "writes.jsonl"
+    logging_writes(monkeypatch, log)
+    outs = {}
+    for n in (1, 3):
+        on_cpus(monkeypatch, n)
+        log.unlink(missing_ok=True)
+        outs[n] = tmp_path / f"out{n}"
+        run_pipeline(config, str(outs[n]))
+        writes = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len({pid for pid, _, _ in writes}) == n
+    # one phase of four documents on three CPUs: this process writes the
+    # file's first run with its header, and each worker a part of it
+    assert sorted(name for _, name, _ in writes) == ["phase0.bin.part1.tmp", "phase0.bin.part2.tmp", "phase0.bin.tmp"]
+    assert all(header == (name == "phase0.bin.tmp") for _, name, header in writes)
+    assert list(outs[3].rglob("*.tmp")) == []
+    assert artifacts(outs[3]) == artifacts(outs[1])
+
+
+def failing_in(name, fail):
+    """write_instances that, into the tmp file called name, writes some
+    bytes and calls fail; into any other file it writes the records."""
+    write = pipeline.write_instances
+
+    def failing(instances, out, **header):
+        if os.path.basename(out.name) != name:
+            return write(instances, out, **header)
+        out.write(b"partial")
+        out.flush()
+        fail()
+
+    return failing
+
+
+def disk_full():
+    raise OSError("disk full")
+
+
+def test_failed_second_part_of_a_phase_is_the_stage_error_of_its_cause(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "write_instances", failing_in("phase0.bin.part2.tmp", disk_full))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(documents_config(tmp_path, phases=1), str(out))
+    assert_failed_cleanly(failure, out)
+
+
+def test_worker_killed_while_writing_a_part_leaves_no_file(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    kill = lambda: os.kill(os.getpid(), signal.SIGKILL)  # noqa: E731
+    monkeypatch.setattr(pipeline, "write_instances", failing_in("phase0.bin.part1.tmp", kill))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(documents_config(tmp_path, phases=1), str(out))
+    assert failure.value.stage == "pretrain_data"
+    assert str(failure.value.__cause__) == "worker process 1 exited with status -9 before it replied"
+    assert list(out.rglob("*.tmp")) == []
+    assert not (out / "pretrain" / "phase0.bin").exists()

@@ -27,9 +27,10 @@ from bertpipe.pretrain import (
     count_instances,
     instance_schema,
     pack_instance,
-    phase_datasets,
+    phase_units,
     read_instances,
     tokenize_documents,
+    unit_instances,
     write_instances,
 )
 from bertpipe.vocab import RESERVED_TOKENS, Vocab, WordCounts, learn_wordpieces, tokenize_text
@@ -79,14 +80,22 @@ def word_groups(ids, vocab: Vocab):
     return groups
 
 
+def phase_streams(tokenized, vocab, seq_lens, cfg):
+    """One instance stream per phase: the phase's units, in file order, as one run."""
+    return [
+        unit_instances(tokenized, vocab, seq_lens, cfg, phase_units(k, cfg.dupe_factor, len(tokenized)))
+        for k in range(len(seq_lens))
+    ]
+
+
 def datasets(documents, vocab, seq_lens, cfg):
     """The phase streams of documents, tokenized as the pipeline tokenizes them."""
     tokenized, _ = tokenize_documents(documents, vocab)
-    return phase_datasets(tokenized, vocab, seq_lens, cfg)
+    return phase_streams(tokenized, vocab, seq_lens, cfg)
 
 
 class TestBuildInstances:
-    """Instance building, through phase_datasets with one phase."""
+    """Instance building, through the phase streams with one phase."""
 
     def test_packing_bounds(self, toy_vocab):
         vocab, lexicon = toy_vocab
@@ -291,7 +300,7 @@ class TestPhaseDatasets:
 
         monkeypatch.setattr(pretrain, "tokenize_text", counting)
         tokenized, counts = tokenize_documents(docs, vocab)
-        streams = phase_datasets(tokenized, vocab, [32, 64, 128], MaskingConfig(seed=6))
+        streams = phase_streams(tokenized, vocab, [32, 64, 128], MaskingConfig(seed=6))
         sentences = [s for doc in docs for s in doc]
         assert calls == sentences
         assert (counts["documents"], counts["documents_skipped"]) == (7, 1)
@@ -754,6 +763,20 @@ class TestPinnedBytes:
             "da31b4dc8bd2138d882ef58337a56f6732feb7cbb080a521d02b7b912e996c75",
         ]
 
+    def test_units_cut_anywhere_write_the_phase_file(self):
+        vocab = Vocab(PINNED_PIECES)
+        tokenized, _ = tokenize_documents(pinned_corpus(), vocab)
+        units = phase_units(1, self.CFG.dupe_factor, len(tokenized))
+        assert len(units) == 2 * len(tokenized)
+        for cut in range(1, len(units)):
+            buf = io.BytesIO()
+            for i, run in enumerate((units[:cut], units[cut:])):
+                stream = unit_instances(tokenized, vocab, [32, 64], self.CFG, run)
+                write_instances(stream, buf, seq_len=64, mask_prob=0.15, header=i == 0)
+            assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+                "da31b4dc8bd2138d882ef58337a56f6732feb7cbb080a521d02b7b912e996c75"
+            ), cut
+
     def test_phase_datasets_instances(self):
         vocab = Vocab(PINNED_PIECES)
         streams = datasets(pinned_corpus(), vocab, [32, 64], self.CFG)
@@ -767,12 +790,13 @@ class TestPinnedBytes:
         corpus.write_text(json.dumps([pinned_corpus(), PINNED_PIECES]), encoding="utf-8")
         probe = (
             "import json, sys\n"
-            "from bertpipe.pretrain import MaskingConfig, phase_datasets, tokenize_documents, write_instances\n"
+            "from bertpipe.pretrain import MaskingConfig, phase_units, tokenize_documents, unit_instances, write_instances\n"
             "from bertpipe.vocab import Vocab\n"
             "docs, pieces = json.load(open(sys.argv[1], encoding='utf-8'))\n"
             "cfg, vocab = MaskingConfig(seed=1234, dupe_factor=2), Vocab(pieces)\n"
             "tokenized, _ = tokenize_documents(docs, vocab)\n"
-            "for k, stream in enumerate(phase_datasets(tokenized, vocab, [32, 64], cfg)):\n"
+            "for k in range(2):\n"
+            "    stream = unit_instances(tokenized, vocab, [32, 64], cfg, phase_units(k, 2, len(tokenized)))\n"
             "    with open(f'{sys.argv[2]}{k}.bin', 'wb') as f:\n"
             "        write_instances(stream, f, seq_len=[32, 64][k], mask_prob=cfg.mask_prob)\n"
         )
