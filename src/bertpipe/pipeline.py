@@ -19,19 +19,24 @@ its peak. Before a stage is checked, and after it fails, the run removes
 the `<output>.tmp` and `<output>.part<r>.tmp` files of its outputs that a
 killed process left.
 
-Three stages spread independent work over the CPUs of
+Four stages spread independent work over the CPUs of
 `os.sched_getaffinity(0)`: `dedup` runs one task per language (read,
 dedup, write its `.txt` and `.stats.json`; an index is never shared across
 languages), and `sample` one per language (read, sample with the
-language's own seed, write). `pretrain_data` runs one task per language
-that reads its dedup file and returns its piece ids and counts, and joins
-the ids in language order. It then takes the (phase, pass, document) units
-of the phase files in file order, each seeded on its own, and cuts them
-into n contiguous runs of about equal pieces, n = min(CPUs, units), one
-task each. The run that holds a phase's first unit writes the file's
-header and records, and commits the file when it holds the whole phase; a
-later run writes its records of the phase to a part file, which the
-pipeline appends to the file in run order before it commits it. Task i
+language's own seed, write). `vocab` runs two tasks, one per family of
+candidate pieces, word-initial and "##": each keeps its candidates by the
+bound that its own score histogram gives, or a shared one when both run in
+this process, and the second returns its histogram and kept tables; the
+summed histograms give the final cutoff, so the vocabulary is the one that
+one process learns (`bertpipe.vocab`). `pretrain_data` runs one task per
+language that reads its dedup file and returns its piece ids and counts,
+and joins the ids in language order. It then takes the (phase, pass,
+document) units of the phase files in file order, each seeded on its own,
+and cuts them into n contiguous runs of about equal pieces, n = min(CPUs,
+units), one task each. The run that holds a phase's first unit writes the
+file's header and records, and commits the file when it holds the whole
+phase; a later run writes its records of the phase to a part file, which
+the pipeline appends to the file in run order before it commits it. Task i
 runs in process i % n, where n is the number of CPUs or of tasks,
 whichever is smaller; process 0 is the pipeline's own, the others are
 workers forked from a frozen heap (`gc.freeze`), so that no collection
@@ -415,11 +420,12 @@ def _unpickled(pickled: bytes, message: str) -> BaseException:
 
 def _run_dedup(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Spread) -> None:
     def task(lang: LanguageConfig) -> dict:
-        units = [
-            unit
-            for path in lang.corpus
-            for unit in read_units(config.corpus_path(path), lang.code, config.dedup.granularity)
-        ]
+        paths = [config.corpus_path(path) for path in lang.corpus]
+        units = [unit for path in paths for unit in read_units(path, lang.code, config.dedup.granularity)]
+        if not units:
+            # dedup keeps the first unit, so only a corpus without text
+            # leaves the later stages nothing to sample
+            raise ValueError(f"language {lang.code!r}: no text in {', '.join(paths)}")
         kept, stats = dedup_corpus(units, config.dedup.n, config.dedup.threshold)
         with _atomic(os.path.join(out_dir, f"dedup/{lang.code}.txt"), "w") as f:
             write_units(kept, f, config.dedup.granularity)
@@ -455,7 +461,7 @@ def _run_vocab(config: PipelineConfig, out_dir: str, emit: EventSink, spread: Sp
         read_units(os.path.join(out_dir, f"sample/{lang.code}.txt"), lang.code, config.dedup.granularity)
         for lang in config.languages
     )
-    vocab = learn_wordpieces(count_words(subsets), target_size=config.vocab.target_size)
+    vocab = learn_wordpieces(count_words(subsets), target_size=config.vocab.target_size, spread=spread)
     with _atomic(os.path.join(out_dir, "vocab.txt"), "w") as f:
         vocab.save(f)
     # size below target: the samples had too few candidate pieces

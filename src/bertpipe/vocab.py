@@ -14,9 +14,9 @@ at a position of a word is a prefix of the window of MAX_PIECE_CHARS
 characters there, or of the rest of the word where that is shorter. The
 table of length L is therefore the one-character-shorter prefixes of the
 table of length L + 1 plus the windows of exactly length L. Each family,
-initial pieces first and then "##" pieces, is built from the longest table
-down, holding only the previous table; the words are bucketed by length
-once, so the windows of one length are read straight from the buckets.
+initial pieces and "##" pieces, is built from the longest table down,
+holding only the previous table; the words are bucketed by length once, so
+the windows of one length are read straight from the buckets.
 A "##" window shorter than MAX_PIECE_CHARS is a word's ending, and the
 endings of length L are those of length L + 1 less their first character
 plus the words of length L + 1 less theirs. They are counted down that
@@ -31,11 +31,22 @@ single characters, gives the k-th best score so far; more candidates can
 only raise it, so it never exceeds the final cutoff, and each table keeps
 only the keys whose count reaches it. Each time the bound rises, the
 tables kept so far drop the keys that no longer reach it, so no more than
-the candidates of the bound so far are held. After the last table it is
-the cutoff, and every kept candidate reaches it. They become (-score,
-piece) pairs, which are sorted and cut to k. Ties at the cutoff are broken
-by the piece string, as everywhere in the ordering, so a "##" piece comes
-before an initial piece of the same score.
+the candidates of the bound so far are held.
+
+The two families share nothing but that bound, so each is a task of its
+own, which the pipeline runs in a second process when it has a second CPU:
+the initial family in the run's own process, the "##" family in a forked
+worker. Tasks that run in one process share one histogram, and so one
+bound, as if they were one task. A family in a process of its own keeps
+its own histogram; its candidates are a subset of all, so the bound it
+gives is still a lower bound on the final cutoff. The worker replies with
+its histogram, its kept tables and its table of length 1. The histograms
+add up to the histogram of all candidates, whose k-th best score is the
+final cutoff, and every kept table drops what does not reach it. So every
+kept candidate reaches the cutoff, on any number of processes. They become
+(-score, piece) pairs, which are sorted and cut to k. Ties at the cutoff
+are broken by the piece string, as everywhere in the ordering, so a "##"
+piece comes before an initial piece of the same score.
 
 There is no minimum-count cutoff search. T2T's num_iterations counts
 refinement rounds of its learner; read as a cap of four binary-search steps
@@ -50,9 +61,11 @@ format bit-exactly.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .corpus import TextUnit
 
@@ -274,7 +287,62 @@ def _reaching(table: dict[str, int], least: int) -> dict[str, int]:
     return dict(itertools.compress(table.items(), map(least.__le__, table.values())))
 
 
-def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
+class _Candidates:
+    """The top-k search over the tables added so far: hist holds the scores
+    of the tables of length 2 and up, bound is its k-th best score, kept
+    holds those tables, each filtered at the bound, as (length, prefix,
+    least count kept, table), and single the tables of length 1 by prefix.
+    A forked worker replies with these, pickled, for its family's tables."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.hist: Counter[int] = Counter()
+        self.bound = 0
+        self.kept: list[tuple[int, str, int, dict[str, int]]] = []
+        self.single: dict[str, dict[str, int]] = {}
+
+    def add(self, length: int, prefix: str, table: dict[str, int]) -> None:
+        if length == 1:
+            self.single[prefix] = table
+            return
+        for count, keys in Counter(table.values()).items():
+            self.hist[count * length] += keys
+        if not prefix:
+            # A training word may spell a reserved token; it is never a
+            # learned piece. It stays in the table, whose prefixes it still
+            # counts in.
+            for token in RESERVED_TOKENS:
+                if token in table:
+                    self.hist[table[token] * length] -= 1
+        self._raise()
+        least = -(-self.bound // length)  # the least count that reaches the bound
+        self.kept.append((length, prefix, least, _reaching(table, least)))
+
+    def merge(self, other: _Candidates) -> None:
+        """Take in the tables that other holds, at the bound of both."""
+        self.hist.update(other.hist)
+        self.kept += other.kept
+        self.single.update(other.single)
+        self._raise()
+
+    def _raise(self) -> None:
+        # The bound only rises: a kept table drops what it no longer reaches.
+        self.bound = _nth_best(self.hist, self.budget)
+        for i, (length, prefix, kept_least, table) in enumerate(self.kept):
+            least = -(-self.bound // length)
+            if least > kept_least:
+                self.kept[i] = (length, prefix, least, _reaching(table, least))
+
+
+def _in_process(tasks: Sequence[Callable[[], object]]) -> list:
+    return [task() for task in tasks]
+
+
+def learn_wordpieces(
+    counts: WordCounts,
+    target_size: int,
+    spread: Callable[[Sequence[Callable[[], object]]], list] = _in_process,
+) -> Vocab:
     """Learn a wordpiece vocabulary of target_size pieces.
 
     RESERVED_TOKENS come first. The initial and continuation pieces of
@@ -283,15 +351,23 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
     top-k other substring pieces by count * length, ties broken by the
     piece string. The whole vocabulary is then ordered by the same key.
 
-    The tables of each family come from _piece_tables one length at a
-    time, the initial family first. The scores of each table of length 2 or
-    more join one histogram, and its k-th best score so far is a lower
-    bound on the final k-th best, since more candidates can only raise it.
-    Each table keeps only its keys of count at least that bound over L,
-    rounded up, and a new bound re-filters every table kept so far whose
-    least count it raises; the tables of length 1 are kept whole. After the
-    last table the bound is the final cutoff, which every kept candidate
-    reaches: they are sorted by the key and the first k kept. If the
+    The two families are two tasks of spread, which runs them as the
+    pipeline's spread does and returns their values in task order; by
+    default both run here, one after the other. Each task takes its
+    family's tables from _piece_tables one length at a time. The scores of
+    each table of length 2 or more join a histogram, and its k-th best
+    score so far is a lower bound on the final k-th best, since more
+    candidates can only raise it. Each table keeps only its keys of count
+    at least that bound over L, rounded up, and a new bound re-filters
+    every table kept so far whose least count it raises; the tables of
+    length 1 are kept whole. Tasks that run in this process share one
+    histogram, so the continuation family starts from the initial family's
+    bound, as one task would. A task in another process keeps a histogram
+    of its own, whose bound is still a lower bound since its family's
+    candidates are a subset of all, and replies with the histogram and its
+    kept tables. The histograms are summed here into the final cutoff, and
+    every kept table is filtered at it. Every kept candidate then reaches
+    the cutoff: they are sorted by the key and the first k kept. If the
     corpus has fewer candidates than the budget, the cutoff is 0, every
     candidate is kept, the score-0 piece "##" of a word starting with "##"
     included, and the vocabulary is smaller than target_size.
@@ -315,32 +391,20 @@ def learn_wordpieces(counts: WordCounts, target_size: int) -> Vocab:
         else {}
     )
     budget = target_size - floor_size
-    hist: Counter[int] = Counter()
-    cutoff = 0
-    # (length, prefix, least count kept, table)
-    kept: list[tuple[int, str, int, dict[str, int]]] = []
-    single: dict[str, dict[str, int]] = {}
-    for prefix in ("", CONTINUATION_PREFIX):
-        # A training word may spell a reserved token; it is never a learned
-        # piece. It stays in the table, whose prefixes it still counts in.
-        dropped = () if prefix else RESERVED_TOKENS
+    candidates = _Candidates(budget)
+    pid = os.getpid()
+
+    def family(prefix: str) -> _Candidates:
+        # a forked worker starts a search of its own, which it replies with
+        found = candidates if os.getpid() == pid else _Candidates(budget)
         for length, table in _piece_tables(by_length, hashed, bool(prefix)):
-            if length == 1:
-                single[prefix] = table
-                continue
-            for count, keys in Counter(table.values()).items():
-                hist[count * length] += keys
-            for token in dropped:
-                if token in table:
-                    hist[table[token] * length] -= 1
-            cutoff = _nth_best(hist, budget)
-            # The bound only rises: a kept table drops what it no longer reaches.
-            for i, (kept_length, kept_prefix, kept_least, kept_table) in enumerate(kept):
-                least = -(-cutoff // kept_length)
-                if least > kept_least:
-                    kept[i] = (kept_length, kept_prefix, least, _reaching(kept_table, least))
-            least = -(-cutoff // length)  # the least count that reaches the cutoff
-            kept.append((length, prefix, least, _reaching(table, least)))
+            found.add(length, prefix, table)
+        return found
+
+    for found in spread([partial(family, ""), partial(family, CONTINUATION_PREFIX)]):
+        if found is not candidates:
+            candidates.merge(found)
+    cutoff, kept, single = candidates.bound, candidates.kept, candidates.single
     # Every kept table is filtered at the final cutoff. No table is read
     # again, so the reserved tokens are taken out of them in place.
     for _, prefix, _, table in kept:

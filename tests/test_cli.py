@@ -434,6 +434,21 @@ def test_vocab_below_alphabet_size_is_a_runtime_error(tmp_path):
     assert not (tmp_path / "out" / "vocab.txt").exists()
 
 
+def test_language_without_text_is_one_error_line_naming_it_and_its_file(tmp_path):
+    path = tmp_path / "config.json"
+    write_config(tmp_path)
+    (tmp_path / "xx.txt").write_text("\n\n \n", encoding="utf-8")
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config["languages"].append({"code": "xx", "corpus": ["xx.txt"], "vocab_budget": 100})
+    path.write_text(json.dumps(config), encoding="utf-8")
+    done = bertpipe_cli("pipeline", "run", str(path), "--out", str(tmp_path / "out"))
+    message = f"bertpipe: stage 'dedup' failed: language 'xx': no text in {tmp_path / 'xx.txt'}"
+    assert_runtime_error(done, tmp_path / "out", message)
+    # every other line is a JSON event
+    assert [line for line in done.stderr.splitlines() if not line.startswith("{")] == [message]
+    assert not (tmp_path / "out" / "dedup" / "xx.txt").exists()
+
+
 def test_removed_jobs_flag_is_a_validation_error(tmp_path):
     config = write_config(tmp_path)
     done = bertpipe_cli("pipeline", "run", config, "--out", str(tmp_path / "out"), "--jobs", "2")
@@ -526,9 +541,10 @@ def test_pipeline_run_on_two_cpus_prints_and_writes_what_one_cpu_does(tmp_path):
         lines = without_timings(done.stderr)
         forks.append(lines.count("forked"))
         runs.append((done.stdout, [line for line in lines if line != "forked"], files))
-    # two languages and two phases: one fork each in dedup, in sample, in
-    # the tokenization of pretrain_data and in its phase writing
-    assert forks == [0, 4]
+    # two languages, two piece families and two phases: one fork each in
+    # dedup, in sample, in vocab, in the tokenization of pretrain_data and
+    # in its phase writing
+    assert forks == [0, 5]
     assert runs[0] == runs[1]
     assert "manifest.json" in runs[0][2]
 

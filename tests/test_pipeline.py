@@ -12,7 +12,15 @@ import pytest
 
 from bertpipe import pipeline, pretrain
 from bertpipe.corpus import Granularity, read_documents, read_units
-from bertpipe.pipeline import ConfigError, PhaseConfig, StageError, file_sha256, load_config, run_pipeline
+from bertpipe.pipeline import (
+    ConfigError,
+    LanguageConfig,
+    PhaseConfig,
+    StageError,
+    file_sha256,
+    load_config,
+    run_pipeline,
+)
 from bertpipe.pretrain import count_instances, read_instances
 from bertpipe.vocab import Vocab, tokenize_text
 
@@ -120,6 +128,24 @@ def test_failed_write_leaves_no_tmp_file_and_no_manifest(tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_language_without_text_fails_at_dedup_naming_it_and_its_file(tmp_path, monkeypatch, cpus):
+    on_cpus(monkeypatch, cpus)
+    config = write_config(tmp_path)
+    blank = tmp_path / "xx.txt"
+    blank.write_text("\n  \n\n", encoding="utf-8")
+    # the second of three languages: on two CPUs, the worker's task
+    en, fi = config.languages
+    config = config._replace(languages=(en, LanguageConfig("xx", ("xx.txt",), 100), fi))
+    out = tmp_path / "out"
+    with pytest.raises(StageError) as failure:
+        run_pipeline(config, str(out))
+    assert failure.value.stage == "dedup"
+    assert str(failure.value) == f"stage 'dedup' failed: language 'xx': no text in {blank}"
+    assert not (out / "dedup" / "xx.txt").exists()
+    assert list(out.rglob("*.tmp")) == []
+
+
 @pytest.fixture
 def completing(monkeypatch):
     """The schedule stage's event names an undefined `n_tok`; give it one."""
@@ -187,7 +213,9 @@ def test_bumped_rev_reruns_its_stage_and_the_stages_its_bytes_reach(tmp_path, co
     old_vocab = (out / "vocab.txt").read_bytes()
 
     learn = pipeline.learn_wordpieces
-    monkeypatch.setattr(pipeline, "learn_wordpieces", lambda counts, target_size: learn(counts, target_size - 5))
+    monkeypatch.setattr(
+        pipeline, "learn_wordpieces", lambda counts, target_size, spread: learn(counts, target_size - 5, spread)
+    )
     bump_rev(monkeypatch, "vocab")
     assert rerun_stages(config, str(out)) == ["vocab", "pretrain_data", "schedule"]
     new_vocab = (out / "vocab.txt").read_bytes()
@@ -415,8 +443,9 @@ def on_cpus(monkeypatch, n):
 def test_stage_done_reports_the_processes_each_stage_ran_on(tmp_path, completing, monkeypatch):
     on_cpus(monkeypatch, 2)
     config, out = write_config(tmp_path), str(tmp_path / "out")
-    # two languages and two phases: dedup, sample and pretrain_data fork one worker
-    expected = {"dedup": 2, "sample": 2, "vocab": 1, "pretrain_data": 2, "schedule": 1}
+    # two languages, two piece families and two phases: dedup, sample,
+    # vocab and pretrain_data fork one worker
+    expected = {"dedup": 2, "sample": 2, "vocab": 2, "pretrain_data": 2, "schedule": 1}
     for workers in (expected, dict.fromkeys(STAGES, 1)):  # a full run, then one that skips every stage
         events = []
         run_pipeline(config, out, events=events.append)
@@ -433,7 +462,7 @@ def test_stage_done_reports_the_most_processes_of_any_spread_of_the_stage(tmp_pa
     events = []
     run_pipeline(config, str(tmp_path / "out"), events=events.append)
     workers = {e["stage"]: e["workers"] for e in events if e["event"] == "stage_done"}
-    assert workers == {"dedup": 2, "sample": 2, "vocab": 1, "pretrain_data": 2, "schedule": 1}
+    assert workers == {"dedup": 2, "sample": 2, "vocab": 2, "pretrain_data": 2, "schedule": 1}
 
 
 def without_timings(events):

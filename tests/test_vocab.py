@@ -9,9 +9,10 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bertpipe import pipeline
 from bertpipe import vocab as vocab_module
 from bertpipe.corpus import TextUnit
 from bertpipe.vocab import (
@@ -443,19 +444,22 @@ stacked_words = st.builds(
 )
 
 
+# Word counts at the edges of candidate counting: words around the piece
+# and candidate length limits, "##" words, words that spell a reserved
+# token, and stacked suffixes.
+edge_words = st.dictionaries(
+    st.text(alphabet="ab#é", min_size=1, max_size=70)
+    | st.sampled_from([15, 16, 17, 63, 64, 65]).flatmap(words_of_length)
+    | st.text(alphabet="ab#", max_size=20).map(lambda t: "##" + t)
+    | st.sampled_from(["#", "##", "###", "[SEP]", "##[SEP]", "[SEP]##"]),
+    st.integers(1, 40),
+    min_size=1,
+    max_size=25,
+) | st.dictionaries(stacked_words, st.integers(1, 40), min_size=1, max_size=40)
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    words=st.dictionaries(
-        st.text(alphabet="ab#é", min_size=1, max_size=70)
-        | st.sampled_from([15, 16, 17, 63, 64, 65]).flatmap(words_of_length)
-        | st.text(alphabet="ab#", max_size=20).map(lambda t: "##" + t)
-        | st.sampled_from(["#", "##", "###", "[SEP]", "##[SEP]", "[SEP]##"]),
-        st.integers(1, 40),
-        min_size=1,
-        max_size=25,
-    )
-    | st.dictionaries(stacked_words, st.integers(1, 40), min_size=1, max_size=40)
-)
+@given(words=edge_words)
 def test_candidate_counts_match_a_hand_count_of_every_slice(words):
     # A word-initial slice spelled "##x" is the continuation piece "##x".
     expected = hand_count(words)
@@ -468,6 +472,66 @@ def test_candidate_counts_match_a_hand_count_of_every_slice(words):
                 assert table == {p[2:]: n for p, n in expected.items() if p.startswith("##") and len(p) == length + 2}
             else:
                 assert table == {p: n for p, n in expected.items() if not p.startswith("##") and len(p) == length}
+
+
+def on_two_cpus(tasks):
+    """The pipeline's spread with two CPUs: the second family runs in a
+    forked worker."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        values, worker_peaks = pipeline._run_tasks(tasks)
+    assert len(worker_peaks) == 1
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=edge_words, extra=st.integers(0, 80) | st.just(10**6))
+# a zero budget, and a budget past the last candidate, where the cutoff is 0
+# and a "##" word's score-0 piece "##" is kept
+@example(words={"##x": 3, "ab": 2, "[SEP]": 4}, extra=0)
+@example(words={"##x": 3, "ab": 2, "[SEP]": 4}, extra=10**6)
+def test_two_processes_learn_what_one_does(words, extra):
+    target = floor_of(words) + extra
+    one = learn_wordpieces(WordCounts(words), target)
+    assert learn_wordpieces(WordCounts(words), target, spread=on_two_cpus).pieces == one.pieces
+    assert one.pieces == reference_wordpieces(words, target)
+    if extra == 10**6 and any(w.startswith("##") and len(w) <= MAX_CANDIDATE_WORD_CHARS for w in words):
+        assert "##" in one.piece_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=edge_words, budget=st.integers(0, 80) | st.just(10**6))
+def test_families_searched_apart_merge_into_the_shared_search(words, budget):
+    shared = vocab_module._Candidates(budget)
+    for prefix in ("", "##"):
+        for length, table in family_tables(words, bool(prefix)):
+            shared.add(length, prefix, table)
+    initial, continuation = vocab_module._Candidates(budget), vocab_module._Candidates(budget)
+    for search, prefix in ((initial, ""), (continuation, "##")):
+        for length, table in family_tables(words, bool(prefix)):
+            search.add(length, prefix, table)
+    # each bound of its own family alone is a lower bound on the shared one
+    assert max(initial.bound, continuation.bound) <= shared.bound
+    initial.merge(continuation)
+    merged = (initial.hist, initial.bound, initial.kept, initial.single)
+    assert merged == (shared.hist, shared.bound, shared.kept, shared.single)
+
+
+def test_a_family_forked_after_this_process_share_searches_apart():
+    # A spread may fork its worker after it has run its own share; the
+    # worker's copy of the search then holds the initial family already.
+    def own_share_first(tasks):
+        first = tasks[0]()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            _, second = pipeline._run_tasks([lambda: None, tasks[1]])[0]
+        return [first, second]
+
+    words = TestPinnedBytes.edge_words()
+    for budget in (0, 90, 1594):
+        target = floor_of(words) + budget
+        pieces = learn_wordpieces(WordCounts(words), target, spread=own_share_first).pieces
+        assert pieces == learn_wordpieces(WordCounts(words), target).pieces
 
 
 @pytest.mark.parametrize(
